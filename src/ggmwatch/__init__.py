@@ -16,7 +16,7 @@ from .clime import (
     psd_project,
     sample_covariance,
 )
-from .detector import DetectionEvent, Detector, DetectorConfig, new_detector, run_offline
+from .detector import DetectionEvent, Detector, DetectorConfig, run_offline
 from .modelgen import (
     AssumptionReport,
     ChangeScenario,
@@ -90,7 +90,6 @@ __all__ = [
     "make_antidiag_change",
     "make_block_change",
     "make_uniform_change",
-    "new_detector",
     "normalized_error",
     "oracle_statistic",
     "plugin_statistic",

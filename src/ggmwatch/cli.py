@@ -330,6 +330,8 @@ def _parse_row(line: str, lineno: int, ndjson: bool, p: int) -> tuple[int | None
         raise DataError(f"line {lineno}: malformed row: {exc}") from None
     if x.shape != (p,):
         raise DataError(f"line {lineno}: expected {p} values, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise DataError(f"line {lineno}: non-finite value")
     return t, x
 
 

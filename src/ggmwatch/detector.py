@@ -22,7 +22,7 @@ from .modelgen import PrecisionMatrix
 from .statistic import SampleWindow, oracle_statistic, plugin_statistic
 from .threshold import ThresholdSpec
 
-__all__ = ["DetectorConfig", "DetectionEvent", "Detector", "new_detector", "run_offline"]
+__all__ = ["DetectorConfig", "DetectionEvent", "Detector", "run_offline"]
 
 
 @dataclass(frozen=True)
@@ -163,10 +163,6 @@ class Detector:
                 self._omega_hat = est.omega_hat
             self.b = 0
         return None
-
-
-def new_detector(config: DetectorConfig) -> Detector:
-    return Detector(config)
 
 
 def run_offline(config: DetectorConfig, stream) -> tuple[list[DetectionEvent], list[float]]:

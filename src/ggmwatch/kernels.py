@@ -1,36 +1,37 @@
-"""Hot numeric kernels: batched and sliding sup-norm statistics.
+"""The standardized deviation and its batched sup-norm kernels.
 
-Both kernels exist in two flavors: a numba ``@njit`` implementation and a
-pure-numpy fallback. The active backend is chosen once at import time from
-the ``GGMWATCH_NUMBA`` environment variable (set it to ``0`` to force the
-numpy path). ``benchmarks/bench_kernels.py`` compares the two.
+The standardized deviation of a window ``X`` of ``w`` samples (rows) with
+respect to a precision matrix ``omega`` and its entry-wise scale ``psi`` is
 
-The kernels operate on plain float64 arrays; the standardized deviation of a
-window ``X`` (rows are samples) with respect to a precision matrix ``omega``
-and its entry-wise scale ``psi`` is
+    E = (Y'Y - w * omega) / sqrt(w) * psi,    Y = X @ omega.
 
-    E = (Y'Y - w * omega) / sqrt(w) * psi,    Y = X @ omega,
-
-and each kernel returns ``max |E|`` per window.
+:func:`deviation` is the single source of this formula: the statistic
+module's oracle, plug-in and rolling statistics and the two batched kernels
+here all call it on a Gram matrix ``Y'Y``. The kernels return ``max |E|`` per
+window and operate on plain float64 arrays.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-__all__ = [
-    "BACKEND",
-    "numba_available",
-    "window_supnorms",
-    "sliding_supnorms",
-    "window_supnorms_numpy",
-    "sliding_supnorms_numpy",
-]
+__all__ = ["BACKEND", "deviation", "window_supnorms", "sliding_supnorms"]
+
+BACKEND = "numpy"
+
+# Windows per batched Gram in the sliding scan. This bounds the scan's working
+# memory at a few (chunk, p, p) arrays, independent of the path length.
+_CHUNK = 16
 
 
-def window_supnorms_numpy(samples: np.ndarray, omega: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def deviation(gram: np.ndarray, w: int, omega: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Standardized deviation of the Gram matrix ``gram = Y'Y`` of ``w``
+    transformed samples, broadcast over the leading axes of ``gram``."""
+    return (gram - w * omega) / np.sqrt(w) * psi
+
+
+def window_supnorms(samples: np.ndarray, omega: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Sup-norm of the standardized deviation for a batch of windows.
 
     Parameters
@@ -44,18 +45,16 @@ def window_supnorms_numpy(samples: np.ndarray, omega: np.ndarray, psi: np.ndarra
     -------
     ndarray, shape (m,)
     """
-    w = samples.shape[1]
     y = samples @ omega
-    s = np.matmul(y.transpose(0, 2, 1), y)
-    e = (s - w * omega) / np.sqrt(w) * psi
-    return np.abs(e).max(axis=(1, 2))
+    gram = np.matmul(y.transpose(0, 2, 1), y)
+    return np.abs(deviation(gram, samples.shape[1], omega, psi)).max(axis=(1, 2))
 
 
-def sliding_supnorms_numpy(x: np.ndarray, omega: np.ndarray, psi: np.ndarray, w: int) -> np.ndarray:
+def sliding_supnorms(x: np.ndarray, omega: np.ndarray, psi: np.ndarray, w: int) -> np.ndarray:
     """Sup-norm trajectory over all length-``w`` windows of a sample path.
 
-    Uses a cumulative sum of outer products, the vectorized equivalent of the
-    rank-1 add/subtract ring update.
+    Each window's Gram matrix is computed directly, a fixed chunk of windows
+    per batched product over a strided view of the transformed path.
 
     Parameters
     ----------
@@ -68,101 +67,13 @@ def sliding_supnorms_numpy(x: np.ndarray, omega: np.ndarray, psi: np.ndarray, w:
     -------
     ndarray, shape (T - w + 1,)
     """
-    t_len, p = x.shape
+    t_len = x.shape[0]
     if t_len < w:
         raise ValueError(f"path of length {t_len} shorter than window {w}")
-    y = x @ omega
-    g = np.einsum("ti,tj->tij", y, y)
-    c = np.empty((t_len + 1, p, p))
-    c[0] = 0.0
-    np.cumsum(g, axis=0, out=c[1:])
-    s = c[w:] - c[:-w]
-    e = (s - w * omega) / np.sqrt(w) * psi
-    return np.abs(e).max(axis=(1, 2))
-
-
-try:
-    from numba import njit
-
-    numba_available = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    numba_available = False
-
-
-if numba_available:
-
-    @njit(cache=True)
-    def _window_supnorms_numba(samples, omega, psi):
-        m, w, p = samples.shape
-        out = np.empty(m)
-        sw = np.sqrt(w)
-        for r in range(m):
-            y = np.dot(samples[r], omega)
-            s = np.dot(np.ascontiguousarray(y.T), y)
-            best = 0.0
-            for u in range(p):
-                for v in range(u, p):
-                    e = abs((s[u, v] - w * omega[u, v]) / sw * psi[u, v])
-                    if e > best:
-                        best = e
-            out[r] = best
-        return out
-
-    @njit(cache=True)
-    def _sliding_supnorms_numba(x, omega, psi, w):
-        t_len, p = x.shape
-        y = np.dot(x, omega)
-        nwin = t_len - w + 1
-        out = np.empty(nwin)
-        sw = np.sqrt(w)
-        s = np.zeros((p, p))
-        for l in range(w):
-            for u in range(p):
-                t = y[l, u]
-                for v in range(u, p):
-                    s[u, v] += t * y[l, v]
-        for k in range(nwin):
-            if k > 0:
-                lo = k - 1
-                hi = k + w - 1
-                for u in range(p):
-                    a = y[hi, u]
-                    b = y[lo, u]
-                    for v in range(u, p):
-                        s[u, v] += a * y[hi, v] - b * y[lo, v]
-            best = 0.0
-            for u in range(p):
-                for v in range(u, p):
-                    e = abs((s[u, v] - w * omega[u, v]) / sw * psi[u, v])
-                    if e > best:
-                        best = e
-            out[k] = best
-        return out
-
-    def _window_numba(samples, omega, psi):
-        return _window_supnorms_numba(
-            np.ascontiguousarray(samples, dtype=np.float64),
-            np.ascontiguousarray(omega, dtype=np.float64),
-            np.ascontiguousarray(psi, dtype=np.float64),
-        )
-
-    def _sliding_numba(x, omega, psi, w):
-        if x.shape[0] < w:
-            raise ValueError(f"path of length {x.shape[0]} shorter than window {w}")
-        return _sliding_supnorms_numba(
-            np.ascontiguousarray(x, dtype=np.float64),
-            np.ascontiguousarray(omega, dtype=np.float64),
-            np.ascontiguousarray(psi, dtype=np.float64),
-            w,
-        )
-
-
-if numba_available and os.environ.get("GGMWATCH_NUMBA", "1") != "0":
-    BACKEND = "numba"
-    window_supnorms = _window_numba
-    sliding_supnorms = _sliding_numba
-else:
-    BACKEND = "numpy"
-    window_supnorms = window_supnorms_numpy
-    sliding_supnorms = sliding_supnorms_numpy
+    views = sliding_window_view(x @ omega, w, axis=0)  # views[k] = Y[k:k+w].T
+    out = np.empty(t_len - w + 1)
+    for k in range(0, len(out), _CHUNK):
+        v = views[k : k + _CHUNK]
+        gram = np.matmul(v, v.transpose(0, 2, 1))
+        out[k : k + _CHUNK] = np.abs(deviation(gram, w, omega, psi)).max(axis=(1, 2))
+    return out

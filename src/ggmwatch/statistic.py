@@ -6,8 +6,10 @@ The deviation of a window ``X_1..X_w`` from a precision matrix ``omega`` is
 
 with the entry-wise scale ``psi[u, v] = (omega[u,u] omega[v,v] + omega[u,v]^2)^(-1/2)``
 (the inverse standard deviation of each entry of the window's second moment,
-by Isserlis' theorem). The oracle and plug-in statistics share one code path,
-so feeding the true precision matrix to the plug-in gives bit-identical output.
+by Isserlis' theorem). The oracle, plug-in and rolling statistics all evaluate
+it with :func:`ggmwatch.kernels.deviation`, and the oracle and plug-in share
+one code path, so feeding the true precision matrix to the plug-in gives
+bit-identical output.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveDiagonal
+from .kernels import deviation
 from .modelgen import PrecisionMatrix
 from .threshold import ThresholdSpec
 
@@ -97,11 +100,14 @@ def scale_matrix(omega) -> ScaleMatrix:
     return ScaleMatrix(entries=scale_entries(_entries_of(omega)))
 
 
-def _deviation(xs: np.ndarray, omega: np.ndarray, psi: np.ndarray) -> DeviationMatrix:
-    w = xs.shape[0]
-    y = xs @ omega
-    e = (y.T @ y - w * omega) / math.sqrt(w) * psi
+def _deviation(gram: np.ndarray, w: int, omega: np.ndarray, psi: np.ndarray) -> DeviationMatrix:
+    e = deviation(gram, w, omega, psi)
     return DeviationMatrix(entries=e, sup_norm=float(np.abs(e).max()), w=w)
+
+
+def _window_deviation(xs: np.ndarray, omega: np.ndarray) -> DeviationMatrix:
+    y = xs @ omega
+    return _deviation(y.T @ y, xs.shape[0], omega, scale_entries(omega))
 
 
 def oracle_statistic(omega: PrecisionMatrix, window: SampleWindow) -> DeviationMatrix:
@@ -115,7 +121,7 @@ def oracle_statistic(omega: PrecisionMatrix, window: SampleWindow) -> DeviationM
         raise DimensionMismatch(
             f"window dimension {window.p} != matrix dimension {om.shape[0]}"
         )
-    return _deviation(window.data, om, scale_entries(om))
+    return _window_deviation(window.data, om)
 
 
 def plugin_statistic(omega_hat, window: SampleWindow) -> DeviationMatrix:
@@ -131,7 +137,7 @@ def plugin_statistic(omega_hat, window: SampleWindow) -> DeviationMatrix:
         )
     if np.any(om.diagonal() <= 0.0):
         raise NonPositiveDiagonal("plug-in estimate has a nonpositive diagonal entry")
-    return _deviation(window.data, om, scale_entries(om))
+    return _window_deviation(window.data, om)
 
 
 def change_signal(omega_pre: PrecisionMatrix, sigma_post: np.ndarray) -> ChangeSignal:
@@ -221,12 +227,9 @@ class RollingWindow:
     def statistic(self) -> DeviationMatrix:
         if not self.is_full:
             raise ValueError("window not yet full")
-        e = (self._sum - self.w * self._omega) / math.sqrt(self.w) * self._psi
-        return DeviationMatrix(entries=e, sup_norm=float(np.abs(e).max()), w=self.w)
+        return _deviation(self._sum, self.w, self._omega, self._psi)
 
     def statistic_full(self) -> DeviationMatrix:
         if not self.is_full:
             raise ValueError("window not yet full")
-        s = self._ring.T @ self._ring
-        e = (s - self.w * self._omega) / math.sqrt(self.w) * self._psi
-        return DeviationMatrix(entries=e, sup_norm=float(np.abs(e).max()), w=self.w)
+        return _deviation(self._ring.T @ self._ring, self.w, self._omega, self._psi)

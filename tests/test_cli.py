@@ -188,6 +188,21 @@ class TestMonitor:
         assert code == 3
         assert "line 17" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("ndjson", [False, True])
+    def test_non_finite_row_names_lineno(self, oracle_setup, capsys, token, ndjson):
+        tmp, pre, cfg = oracle_setup
+        if ndjson:
+            token = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[token]
+        rows = [["0.1"] * 10 for _ in range(18)]
+        rows[16][3] = token
+        bad = tmp / "bad.txt"
+        fmt = (lambda r: '{"x":[%s]}' % ",".join(r)) if ndjson else ",".join
+        bad.write_text("".join(fmt(r) + "\n" for r in rows))
+        code = run_cli(["monitor", "--config", str(cfg), "--input", str(bad), "--trace"])
+        assert code == 3
+        assert "line 17" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus=1\n")

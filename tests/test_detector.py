@@ -18,7 +18,7 @@ def _oracle_config(p=5, w=4, zeta=1e6, n_burnin=0, batch=None, pi0=0.05):
 
 class TestNewDetector:
     def test_oracle_monitoring_after_window(self, rng):
-        det = gw.new_detector(_oracle_config(w=4))
+        det = gw.Detector(_oracle_config(w=4))
         for i in range(3):
             assert det.step(rng.standard_normal(5)) is None
             assert det.last_statistic is None
@@ -30,7 +30,7 @@ class TestNewDetector:
         chol = gw.cholesky_factor(gw.invert_spd(omega.entries))
         spec = gw.ThresholdSpec(pi0=0.05, p=4, w=3, method="exact").resolve()
         config = gw.DetectorConfig(n_burnin=12, w=3, batch=None, threshold=spec)
-        det = gw.new_detector(config)
+        det = gw.Detector(config)
         xs = rng.standard_normal((20, 4)) @ chol.T
         for i, x in enumerate(xs):
             det.step(x)
@@ -42,23 +42,23 @@ class TestNewDetector:
     def test_unresolved_threshold_rejected(self):
         spec = gw.ThresholdSpec(pi0=0.05, p=5, w=4, method="exact")
         with pytest.raises(InvalidConfig):
-            gw.new_detector(gw.DetectorConfig(n_burnin=10, w=4, batch=None, threshold=spec))
+            gw.Detector(gw.DetectorConfig(n_burnin=10, w=4, batch=None, threshold=spec))
 
     def test_plugin_mode_requires_burnin(self):
         spec = gw.ThresholdSpec(pi0=0.05, p=5, w=4, method="exact", zeta=4.0)
         with pytest.raises(InvalidConfig):
-            gw.new_detector(gw.DetectorConfig(n_burnin=0, w=4, batch=None, threshold=spec))
+            gw.Detector(gw.DetectorConfig(n_burnin=0, w=4, batch=None, threshold=spec))
 
 
 class TestStep:
     def test_unreachable_threshold_never_fires(self, rng):
-        det = gw.new_detector(_oracle_config(zeta=1e6))
+        det = gw.Detector(_oracle_config(zeta=1e6))
         for x in rng.standard_normal((200, 5)):
             assert det.step(x) is None
         assert det.detections == []
 
     def test_zero_threshold_immediate(self, rng):
-        det = gw.new_detector(_oracle_config(zeta=0.0, w=4))
+        det = gw.Detector(_oracle_config(zeta=0.0, w=4))
         events = [det.step(x) for x in rng.standard_normal((4, 5))]
         assert events[:3] == [None, None, None]
         assert events[3] is not None
@@ -67,7 +67,7 @@ class TestStep:
 
     def test_detection_spacing_with_burnin(self, rng):
         # zeta = 0 forces detection at every full window: spacings N + w
-        det = gw.new_detector(_oracle_config(zeta=0.0, w=3, n_burnin=5))
+        det = gw.Detector(_oracle_config(zeta=0.0, w=3, n_burnin=5))
         for x in rng.standard_normal((40, 5)):
             det.step(x)
         assert det.detections[0] == 5 + 3
@@ -75,7 +75,7 @@ class TestStep:
         assert np.all(gaps == 5 + 3)
 
     def test_event_invariant(self, rng):
-        det = gw.new_detector(_oracle_config(zeta=2.0, w=4))
+        det = gw.Detector(_oracle_config(zeta=2.0, w=4))
         for x in rng.standard_normal((300, 5)):
             event = det.step(x)
             if event is not None:
@@ -87,7 +87,7 @@ class TestStep:
         config = gw.DetectorConfig(
             n_burnin=0, w=6, batch=None, threshold=spec, oracle_omega=omega
         )
-        det = gw.new_detector(config)
+        det = gw.Detector(config)
         xs = rng.standard_normal((25, 5))
         for i, x in enumerate(xs):
             det.step(x)
@@ -97,7 +97,7 @@ class TestStep:
                 assert det.last_statistic == expect.sup_norm
 
     def test_dimension_mismatch(self):
-        det = gw.new_detector(_oracle_config(p=5))
+        det = gw.Detector(_oracle_config(p=5))
         with pytest.raises(DimensionMismatch):
             det.step(np.zeros(4))
 
@@ -108,7 +108,7 @@ class TestStep:
         chol = gw.cholesky_factor(gw.invert_spd(omega.entries))
         spec = gw.ThresholdSpec(pi0=0.05, p=4, w=3, method="exact", zeta=1e9)
         config = gw.DetectorConfig(n_burnin=10, w=3, batch=4, threshold=spec)
-        det = gw.new_detector(config)
+        det = gw.Detector(config)
         refit_steps = []
         prev = None
         for t, x in enumerate(rng.standard_normal((30, 4)) @ chol.T, start=1):
@@ -125,7 +125,7 @@ class TestStep:
         chol = gw.cholesky_factor(gw.invert_spd(omega.entries))
         spec = gw.ThresholdSpec(pi0=0.05, p=4, w=3, method="exact", zeta=1e9)
         config = gw.DetectorConfig(n_burnin=8, w=3, batch=None, threshold=spec)
-        det = gw.new_detector(config)
+        det = gw.Detector(config)
         seen = set()
         for x in rng.standard_normal((40, 4)) @ chol.T:
             det.step(x)
