@@ -5,7 +5,8 @@ The per-step statistic is computed by the same code path as
 :func:`ggmwatch.statistic.oracle_statistic` / ``plugin_statistic`` on the
 current window, so an oracle-mode detector reproduces those values
 bit-for-bit. Batch re-estimates use every sample observed since the last
-detection (an expanding window, burn-in samples included).
+detection (an expanding window, burn-in samples included); only plug-in mode
+keeps that history.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clime import ClimeConfig, clime_estimate
-from .errors import DimensionMismatch, InvalidConfig
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteSample
 from .modelgen import PrecisionMatrix
 from .statistic import SampleWindow, oracle_statistic, plugin_statistic
 from .threshold import ThresholdSpec
@@ -124,14 +125,16 @@ class Detector:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.config.p,):
             raise DimensionMismatch(f"sample shape {x.shape} != ({self.config.p},)")
+        if not np.isfinite(x).all():
+            raise NonFiniteSample(f"sample {self.t + 1} has a non-finite entry")
         self.t += 1
         self.last_statistic = None
+        if self.config.oracle_omega is None:
+            self._history.append(x)  # only plug-in fits read the history
         if self.phase == "burn_in":
-            self._history.append(x)
-            if len(self._history) >= self.config.n_burnin:
+            if self.t - self.t_last >= self.config.n_burnin:
                 self._enter_monitoring()
             return None
-        self._history.append(x)
         self._window.append(x)
         if len(self._window) < self.config.w:
             return None

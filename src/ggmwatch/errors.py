@@ -13,6 +13,10 @@ class DimensionMismatch(GgmWatchError):
     """Operands have incompatible shapes."""
 
 
+class NonFiniteSample(GgmWatchError):
+    """A streamed sample holds a nan or infinite entry."""
+
+
 class NonPositiveDiagonal(GgmWatchError):
     """A plug-in precision estimate has a diagonal entry <= 0."""
 

@@ -2,8 +2,13 @@
 
 Replicate ``r`` of any experiment draws from a Philox stream keyed by
 ``sha256(master_seed | tag | ... | r)``, so results are reproducible
-bit-for-bit for a given ``(config, master_seed)`` at any worker count:
-replicates are processed in fixed chunks and reduced in chunk order.
+bit-for-bit for a given ``(config, master_seed)`` at any worker count.
+Each experiment builds one list of cell contexts and maps one of two chunk
+workers over every (cell, replicate-chunk) task, cell-major with chunks of
+``_CHUNK`` replicates, through at most one process pool; each cell's chunk
+results are reduced in chunk order. ``_window_chunk`` scores one independent
+window per replicate (calibration and power), ``_path_chunk`` one sliding
+path (delay profile and its no-change control).
 
 Power grids share replicate streams along the beta and w axes (common random
 numbers), which makes the monotonicity properties of the curves visible at
@@ -56,15 +61,6 @@ __all__ = [
 
 DEFAULT_MASTER_SEED = 1729
 _CHUNK = 250
-
-_KINDS = (
-    "fa_calibration",
-    "plugin_calibration",
-    "power_curve",
-    "delay_curve",
-    "delay_profile",
-    "lcpd_block",
-)
 
 
 @dataclass(frozen=True)
@@ -122,124 +118,85 @@ def _upper_quantile(values: np.ndarray, pi0: float) -> float:
     return float(np.sort(values)[k - 1])
 
 
-def _chunks(n: int) -> list[tuple[int, int]]:
-    return [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
-
-
-def _map_chunks(kind: str, ctx: dict, n: int, jobs: int) -> list:
-    spans = _chunks(n)
+def _map_cells(worker, ctxs: list[dict], n: int, jobs: int) -> list[list]:
+    """Run ``worker(ctx, start, stop)`` over every (cell, replicate-chunk) task,
+    cell-major, through at most one process pool; returns each cell's chunk
+    results in chunk order."""
+    spans = [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
+    tasks = [(ctx, a, b) for ctx in ctxs for a, b in spans]
+    if not tasks:
+        return []
     if jobs <= 1:
-        return [_run_chunk(kind, ctx, a, b) for a, b in spans]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_chunk, kind, ctx, a, b) for a, b in spans]
-        return [f.result() for f in futures]
+        results = list(map(worker, *zip(*tasks)))
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(worker, *zip(*tasks)))
+    k = len(spans)
+    return [results[i : i + k] for i in range(0, len(results), k)]
 
 
 # ---------------------------------------------------------------------------
 # chunk workers (top-level for pickling)
 
 
-def _draw_window(master_seed: int, tag: tuple, w: int, chol: np.ndarray) -> np.ndarray:
-    z = _generator(master_seed, *tag).standard_normal((w, chol.shape[0]))
-    return z @ chol.T
-
-
-def _fa_chunk(ctx: dict, start: int, stop: int) -> np.ndarray:
-    w = ctx["w"]
-    xs = np.empty((stop - start, w, ctx["p"]))
-    for i, r in enumerate(range(start, stop)):
-        xs[i] = _draw_window(ctx["master_seed"], ("fa", r), w, ctx["chol"])
-    return kernels.window_supnorms(xs, ctx["omega"], ctx["psi"])
-
-
-def _plugin_chunk(ctx: dict, start: int, stop: int) -> np.ndarray:
-    w = ctx["w"]
-    fits = ctx["omega_fits"]
+def _window_chunk(ctx: dict, start: int, stop: int) -> np.ndarray:
+    """Sup-norm of one independent window per replicate. Replicate ``r`` draws
+    from the stream ``(*key, r)`` through ``chol`` and is scored with fit
+    ``r % len(fits)``."""
+    w, chol, fits = ctx["w"], ctx["chol"], ctx["fits"]
+    m = len(fits)
     out = np.empty(stop - start)
-    for f in range(len(fits)):
-        rows = [i for i, r in enumerate(range(start, stop)) if r % len(fits) == f]
-        if not rows:
+    for f, (omega, psi) in enumerate(fits):
+        reps = range(start + (f - start) % m, stop, m)
+        if not reps:
             continue
-        xs = np.empty((len(rows), w, ctx["p"]))
-        for k, i in enumerate(rows):
-            xs[k] = _draw_window(ctx["master_seed"], ("window", start + i), w, ctx["chol"])
-        out[rows] = kernels.window_supnorms(xs, fits[f], ctx["psi_fits"][f])
+        xs = np.empty((len(reps), w, chol.shape[0]))
+        for i, r in enumerate(reps):
+            z = _generator(ctx["master_seed"], *ctx["key"], r).standard_normal(xs.shape[1:])
+            xs[i] = z @ chol.T
+        out[reps.start - start :: m] = kernels.window_supnorms(xs, omega, psi)
     return out
 
 
-def _power_chunk(ctx: dict, start: int, stop: int) -> np.ndarray:
-    w = ctx["w"]
-    xs = np.empty((stop - start, w, ctx["p"]))
-    for i, r in enumerate(range(start, stop)):
-        xs[i] = _draw_window(ctx["master_seed"], (ctx["tag"], ctx["s"], r), w, ctx["chol_post"])
-    return kernels.window_supnorms(xs, ctx["omega_hat"], ctx["psi_hat"])
-
-
-def _delay_chunk(ctx: dict, start: int, stop: int) -> dict:
-    w, t0, p = ctx["w"], ctx["t0"], ctx["p"]
-    t_len = t0 + w
-    zeta = ctx["zeta"]
+def _path_chunk(ctx: dict, start: int, stop: int) -> dict:
+    """Sliding sup-norms along one path of ``t0 + w`` rows per replicate; rows
+    before ``switch`` follow ``chol_pre`` and the rest ``chol_post``. Returns
+    the chunk's trajectory sums, first-crossing delays (over windows holding
+    rows from ``t0`` on) and exceedance counts."""
+    w, t0, switch, zeta = ctx["w"], ctx["t0"], ctx["switch"], ctx["zeta"]
+    chol_pre, chol_post = ctx["chol_pre"], ctx["chol_post"]
+    shape = (t0 + w, chol_pre.shape[0])
     first_post = t0 - w + 1  # first window index containing post-change data
-    traj_sum = np.zeros(t0 + 1)
-    traj_sumsq = np.zeros(t0 + 1)
-    delay_sum = 0.0
-    delay_sumsq = 0.0
-    detected = 0
-    pre_cross = 0
+    acc = {
+        "traj_sum": np.zeros(t0 + 1),
+        "traj_sumsq": np.zeros(t0 + 1),
+        "delay_sum": 0.0,
+        "delay_sumsq": 0.0,
+        "detected": 0,
+        "pre_cross": 0,
+        "exceed": 0,
+        "windows": 0,
+        "n": stop - start,
+    }
     for r in range(start, stop):
-        z = _generator(ctx["master_seed"], "rep", r).standard_normal((t_len, p))
-        x = np.empty((t_len, p))
-        x[:t0] = z[:t0] @ ctx["chol_pre"].T
-        x[t0:] = z[t0:] @ ctx["chol_post"].T
+        z = _generator(ctx["master_seed"], *ctx["key"], r).standard_normal(shape)
+        x = np.empty(shape)
+        x[:switch] = z[:switch] @ chol_pre.T
+        x[switch:] = z[switch:] @ chol_post.T
         sup = kernels.sliding_supnorms(x, ctx["omega_hat"], ctx["psi_hat"], w)
-        traj_sum += sup
-        traj_sumsq += sup * sup
+        acc["traj_sum"] += sup
+        acc["traj_sumsq"] += sup * sup
+        acc["exceed"] += int(np.sum(sup >= zeta))
+        acc["windows"] += len(sup)
         if np.any(sup[:first_post] >= zeta):
-            pre_cross += 1
+            acc["pre_cross"] += 1
         hits = np.nonzero(sup[first_post:] >= zeta)[0]
         if len(hits):
             delay = float(hits[0] + 1)  # post-change samples inside the window
-            delay_sum += delay
-            delay_sumsq += delay * delay
-            detected += 1
-    return {
-        "traj_sum": traj_sum,
-        "traj_sumsq": traj_sumsq,
-        "delay_sum": delay_sum,
-        "delay_sumsq": delay_sumsq,
-        "detected": detected,
-        "pre_cross": pre_cross,
-        "n": stop - start,
-    }
-
-
-def _control_chunk(ctx: dict, start: int, stop: int) -> dict:
-    w, t0, p = ctx["w"], ctx["t0"], ctx["p"]
-    t_len = t0 + w
-    zeta = ctx["zeta"]
-    traj_sum = np.zeros(t0 + 1)
-    exceed = 0
-    windows = 0
-    for r in range(start, stop):
-        z = _generator(ctx["master_seed"], "control", r).standard_normal((t_len, p))
-        sup = kernels.sliding_supnorms(z @ ctx["chol_pre"].T, ctx["omega_hat"], ctx["psi_hat"], w)
-        traj_sum += sup
-        exceed += int(np.sum(sup >= zeta))
-        windows += len(sup)
-    return {"traj_sum": traj_sum, "exceed": exceed, "windows": windows, "n": stop - start}
-
-
-_CHUNK_FNS = {
-    "fa": _fa_chunk,
-    "plugin": _plugin_chunk,
-    "power": _power_chunk,
-    "delay": _delay_chunk,
-    "control": _control_chunk,
-}
-
-
-def _run_chunk(kind: str, ctx: dict, start: int, stop: int):
-    return _CHUNK_FNS[kind](ctx, start, stop)
+            acc["delay_sum"] += delay
+            acc["delay_sumsq"] += delay * delay
+            acc["detected"] += 1
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +227,13 @@ def fa_calibration(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     za = critical_value_asymptotic(pi0, p)
     ctx = {
         "master_seed": config.master_seed,
-        "p": p,
+        "key": ("fa",),
         "w": w,
         "chol": chol,
-        "omega": omega.entries,
-        "psi": scale_entries(omega.entries),
+        "fits": [(omega.entries, scale_entries(omega.entries))],
     }
-    sups = np.concatenate(_map_chunks("fa", ctx, config.replicates, jobs))
+    (parts,) = _map_cells(_window_chunk, [ctx], config.replicates, jobs)
+    sups = np.concatenate(parts)
     n = len(sups)
     metrics = {
         "exceed_exact": _rate_metric(int(np.sum(sups >= ze)), n),
@@ -307,49 +264,36 @@ def plugin_calibration(config: ExperimentConfig, jobs: int = 1) -> ExperimentRes
     )
     chol = cholesky_factor(invert_spd(omega.entries))
     ze = critical_value_exact(pi0, p, w)
-    cells = []
+    fit_sets, errs, cell_keys = [], [], []
     for n_burn in prm["n_grid"]:
-        omega_fits, errs = [], []
+        fits, cell_errs = [], []
         for f in range(fits_per_cell):
             xb = _generator(config.master_seed, "burnin", n_burn, f).standard_normal((n_burn, p))
             omh = _fit_clime(xb @ chol.T, lambda_level)
-            omega_fits.append(omh)
-            errs.append(normalized_error(omh, omega))
-        ctx = {
-            "master_seed": config.master_seed,
-            "p": p,
-            "w": w,
-            "chol": chol,
-            "omega_fits": omega_fits,
-            "psi_fits": [scale_entries(o) for o in omega_fits],
-        }
-        sups = np.concatenate(_map_chunks("plugin", ctx, config.replicates, jobs))
-        errs = np.asarray(errs)
+            fits.append((omh, scale_entries(omh)))
+            cell_errs.append(normalized_error(omh, omega))
+        fit_sets.append(fits)
+        errs.append(np.asarray(cell_errs))
+        cell_keys.append({"n_burnin": n_burn})
+    if prm.get("include_oracle", False):
+        fit_sets.append([(omega.entries, scale_entries(omega.entries))])
+        errs.append(np.zeros(1))  # the true model: e_N = 0 with no standard error
+        cell_keys.append({"n_burnin": 0, "oracle": 1})
+    ctxs = [
+        {"master_seed": config.master_seed, "key": ("window",), "w": w, "chol": chol, "fits": fits}
+        for fits in fit_sets
+    ]
+    results = _map_cells(_window_chunk, ctxs, config.replicates, jobs)
+    cells = []
+    for parts, e, key in zip(results, errs, cell_keys):
+        sups = np.concatenate(parts)
         metrics = {
             "p_n": _rate_metric(int(np.sum(sups <= ze)), len(sups)),
             "e_n": MetricValue(
-                float(errs.mean()),
-                float(errs.std(ddof=1) / math.sqrt(len(errs))) if len(errs) > 1 else None,
+                float(e.mean()), float(e.std(ddof=1) / math.sqrt(len(e))) if len(e) > 1 else None
             ),
         }
-        cells.append(CellResult(cell={"n_burnin": n_burn}, n=len(sups), metrics=metrics))
-    if prm.get("include_oracle", False):
-        ctx = {
-            "master_seed": config.master_seed,
-            "p": p,
-            "w": w,
-            "chol": chol,
-            "omega_fits": [omega.entries],
-            "psi_fits": [scale_entries(omega.entries)],
-        }
-        sups = np.concatenate(_map_chunks("plugin", ctx, config.replicates, jobs))
-        metrics = {
-            "p_n": _rate_metric(int(np.sum(sups <= ze)), len(sups)),
-            "e_n": MetricValue(0.0, None),
-        }
-        cells.append(
-            CellResult(cell={"n_burnin": 0, "oracle": 1}, n=len(sups), metrics=metrics)
-        )
+        cells.append(CellResult(cell=key, n=len(sups), metrics=metrics))
     prov = _provenance(config, zeta_exact=ze)
     return ExperimentResult(kind=config.kind, cells=cells, provenance=prov)
 
@@ -393,28 +337,28 @@ def _power_engine(
 
     w_grid = [int(w) for w in prm["w_grid"]]
     zetas = {w: critical_value_exact(pi0, p, w) for w in w_grid}
-    cells = []
+    ctxs, cell_keys = [], []
     for s in prm["s_grid"]:
-        post_chols = {}
-        for beta, _ in cells_axis:
-            post = post_of(s, beta) if beta != 0.0 else omega
-            post_chols[beta] = cholesky_factor(invert_spd(post.entries))
         for beta, beta_cell in cells_axis:
+            post = post_of(s, beta) if beta != 0.0 else omega
+            chol_post = cholesky_factor(invert_spd(post.entries))
             for w in w_grid:
-                ctx = {
-                    "master_seed": config.master_seed,
-                    "p": p,
-                    "w": w,
-                    "s": s,
-                    "tag": tag,
-                    "chol_post": post_chols[beta],
-                    "omega_hat": omega_hat,
-                    "psi_hat": psi_hat,
-                }
-                sups = np.concatenate(_map_chunks("power", ctx, config.replicates, jobs))
-                metrics = {"pi1": _rate_metric(int(np.sum(sups < zetas[w])), len(sups))}
-                cell = {"s": s, "w": w, **beta_cell}
-                cells.append(CellResult(cell=cell, n=len(sups), metrics=metrics))
+                ctxs.append(
+                    {
+                        "master_seed": config.master_seed,
+                        "key": (tag, s),
+                        "w": w,
+                        "chol": chol_post,
+                        "fits": [(omega_hat, psi_hat)],
+                    }
+                )
+                cell_keys.append({"s": s, "w": w, **beta_cell})
+    results = _map_cells(_window_chunk, ctxs, config.replicates, jobs)
+    cells = []
+    for parts, cell in zip(results, cell_keys):
+        sups = np.concatenate(parts)
+        metrics = {"pi1": _rate_metric(int(np.sum(sups < zetas[cell["w"]])), len(sups))}
+        cells.append(CellResult(cell=cell, n=len(sups), metrics=metrics))
     prov = _provenance(
         config,
         zetas={str(w): z for w, z in zetas.items()},
@@ -469,40 +413,39 @@ def delay_profile(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     omega_hat = _fit_clime(xb @ chol_pre.T, prm.get("lambda_level", 0.5))
     e_n = normalized_error(omega_hat, pre)
     zeta = critical_value_exact(pi0, p, w)
-    ctx = {
+    base = {
         "master_seed": config.master_seed,
-        "p": p,
         "w": w,
         "t0": t0,
         "zeta": zeta,
         "chol_pre": chol_pre,
-        "chol_post": chol_post,
         "omega_hat": omega_hat,
         "psi_hat": scale_entries(omega_hat),
     }
-    parts = _map_chunks("delay", ctx, config.replicates, jobs)
-    n = sum(c["n"] for c in parts)
-    traj_sum = sum((c["traj_sum"] for c in parts), np.zeros(t0 + 1))
-    traj_sumsq = sum((c["traj_sumsq"] for c in parts), np.zeros(t0 + 1))
-    detected = sum(c["detected"] for c in parts)
-    delay_sum = sum(c["delay_sum"] for c in parts)
-    delay_sumsq = sum(c["delay_sumsq"] for c in parts)
-    pre_cross = sum(c["pre_cross"] for c in parts)
-    traj_mean = traj_sum / n
-    traj_se = np.sqrt(np.maximum(traj_sumsq / n - traj_mean**2, 0.0) / n)
+    ctxs = [dict(base, key=("rep",), switch=t0, chol_post=chol_post)]
+    if prm.get("control", True):
+        # switching at the path's end keeps every row on chol_pre
+        ctxs.append(dict(base, key=("control",), switch=t0 + w, chol_post=chol_pre))
+    change, *control = [
+        {k: sum(c[k] for c in parts) for k in parts[0]}
+        for parts in _map_cells(_path_chunk, ctxs, config.replicates, jobs)
+    ]
+    n, detected = change["n"], change["detected"]
+    traj_mean = change["traj_sum"] / n
+    traj_se = np.sqrt(np.maximum(change["traj_sumsq"] / n - traj_mean**2, 0.0) / n)
     rel_t = list(range(-t0, 1))
     over = np.nonzero(traj_mean >= zeta)[0]
     traj_cross_delay = float(over[0] - t0 + w) if len(over) else math.nan
-    mean_delay = delay_sum / detected if detected else math.nan
+    mean_delay = change["delay_sum"] / detected if detected else math.nan
     delay_se = (
-        math.sqrt(max(delay_sumsq / detected - mean_delay**2, 0.0) / detected)
+        math.sqrt(max(change["delay_sumsq"] / detected - mean_delay**2, 0.0) / detected)
         if detected
         else math.nan
     )
     metrics = {
         "mean_delay": MetricValue(mean_delay, delay_se),
         "miss_rate": _rate_metric(n - detected, n),
-        "pre_any_exceed": _rate_metric(pre_cross, n),
+        "pre_any_exceed": _rate_metric(change["pre_cross"], n),
         "traj_cross_delay": MetricValue(traj_cross_delay, None),
         "traj_start": MetricValue(float(traj_mean[0]), float(traj_se[0])),
         "traj_end": MetricValue(float(traj_mean[-1]), float(traj_se[-1])),
@@ -516,20 +459,16 @@ def delay_profile(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
             series=series,
         )
     ]
-    if prm.get("control", True):
-        parts = _map_chunks("control", ctx, config.replicates, jobs)
-        n = sum(c["n"] for c in parts)
-        traj_mean = sum((c["traj_sum"] for c in parts), np.zeros(t0 + 1)) / n
-        exceed = sum(c["exceed"] for c in parts)
-        windows = sum(c["windows"] for c in parts)
+    for ctl in control:
+        traj_mean = ctl["traj_sum"] / ctl["n"]
         metrics = {
-            "window_exceed": _rate_metric(exceed, windows),
+            "window_exceed": _rate_metric(ctl["exceed"], ctl["windows"]),
             "traj_max": MetricValue(float(traj_mean.max()), None),
         }
         cells.append(
             CellResult(
                 cell={"scenario": "control", "attenuation": atten},
-                n=n,
+                n=ctl["n"],
                 metrics=metrics,
                 series={"t": rel_t, "mean": traj_mean.tolist()},
             )
@@ -546,6 +485,7 @@ _RUNNERS = {
     "delay_profile": delay_profile,
     "lcpd_block": lcpd_block_power,
 }
+_KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:

@@ -115,12 +115,16 @@ class InnerProductTail:
 _TAILS: dict[int, InnerProductTail] = {}
 
 
-def inner_product_tail(w: int, t: float) -> float:
-    """P(|<X, Y>| / sqrt(w) >= t) for independent standard Gaussian w-vectors."""
+def _tail(w: int) -> InnerProductTail:
     tail = _TAILS.get(w)
     if tail is None:
         tail = _TAILS[w] = InnerProductTail(w)
-    return tail(t)
+    return tail
+
+
+def inner_product_tail(w: int, t: float) -> float:
+    """P(|<X, Y>| / sqrt(w) >= t) for independent standard Gaussian w-vectors."""
+    return _tail(w)(t)
 
 
 def _validate_pi0(pi0: float) -> None:
@@ -140,9 +144,7 @@ def critical_value_exact(pi0: float, p: int, w: int) -> float:
         raise TargetOutOfRange(
             f"tail target {target:.3g} >= 1; no positive critical value exists"
         )
-    tail = _TAILS.get(w)
-    if tail is None:
-        tail = _TAILS[w] = InnerProductTail(w)
+    tail = _tail(w)
     hi = 20.0
     while tail(hi) > target:
         hi *= 2.0

@@ -5,7 +5,7 @@ import pytest
 from numpy.random import Generator, Philox
 
 import ggmwatch as gw
-from ggmwatch.errors import DimensionMismatch, InvalidConfig
+from ggmwatch.errors import DimensionMismatch, InvalidConfig, NonFiniteSample
 
 
 def _oracle_config(p=5, w=4, zeta=1e6, n_burnin=0, batch=None, pi0=0.05):
@@ -100,6 +100,30 @@ class TestStep:
         det = gw.Detector(_oracle_config(p=5))
         with pytest.raises(DimensionMismatch):
             det.step(np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, rng, bad):
+        det = gw.Detector(_oracle_config(p=5, w=4))
+        for x in rng.standard_normal((4, 5)):
+            det.step(x)
+        stat = det.last_statistic
+        x = rng.standard_normal(5)
+        x[2] = bad
+        with pytest.raises(NonFiniteSample):
+            det.step(x)
+        # the rejected sample leaves the detector as it was
+        assert det.t == 4 and det.last_statistic == stat
+        det.step(rng.standard_normal(5))
+        assert math.isfinite(det.last_statistic)
+
+    @pytest.mark.parametrize("n_burnin", [0, 20])
+    def test_oracle_mode_keeps_no_history(self, rng, n_burnin):
+        det = gw.Detector(_oracle_config(p=10, w=5, n_burnin=n_burnin, batch=50))
+        for i, x in enumerate(rng.standard_normal((2050, 10)), start=1):
+            det.step(x)
+            assert det.phase == ("burn_in" if i < n_burnin else "monitoring")
+        assert det._history == []
+        assert det.last_statistic is not None
 
     def test_batch_reestimation_schedule(self):
         # omega-hat object changes exactly at steps where b wraps to zero

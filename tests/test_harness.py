@@ -241,3 +241,47 @@ class TestWriters:
         lines = path.read_text().splitlines()
         assert lines[0] == "experiment,cell,params,metric,value,se,n"
         assert len(lines) == 1 + len(res.cells[0].metrics)
+
+
+class TestJobsByteIdentity:
+    """``--jobs 2`` writes the same bytes as ``--jobs 1`` for the multi-cell
+    kinds (``fa_calibration`` is checked above) through one process pool; 260
+    replicates give every cell a full and a partial chunk."""
+
+    SPARSE = dict(p=12, density=0.2, inflation=0.1, pi0=0.05)
+    CONFIGS = {
+        "plugin_calibration": dict(SPARSE, w=10, n_grid=[60, 120], fits=2, include_oracle=True),
+        "power_curve": dict(
+            SPARSE, n_burnin=150, s_grid=[1, 2], beta_grid=[0.0, 4.0], w_grid=[10, 20]
+        ),
+        "lcpd_block": dict(
+            SPARSE, s_grid=[1, 3], beta_fracs=[0.0, 0.5], w_grid=[10, 20]
+        ),
+        "delay_profile": dict(
+            SPARSE, n_burnin=150, t0=20, w=10, attenuation=0.8, control=True
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_jobs_do_not_change_bytes(self, tmp_path, monkeypatch, kind):
+        pools = []
+
+        class CountingPool(hz.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(hz, "ProcessPoolExecutor", CountingPool)
+        config = _config(kind, 260, **self.CONFIGS[kind])
+        outputs = []
+        for jobs in (1, 2):
+            res = hz.run_experiment(config, jobs=jobs)
+            write_result_csv(res, tmp_path / f"{jobs}.csv")
+            write_result_ndjson(res, tmp_path / f"{jobs}.ndjson")
+            outputs.append(
+                [(tmp_path / f"{jobs}.{ext}").read_bytes() for ext in ("csv", "ndjson")]
+            )
+        assert len(res.cells) >= 2
+        assert all(c.n == 260 for c in res.cells)
+        assert len(pools) == 1
+        assert outputs[0] == outputs[1]
