@@ -37,7 +37,6 @@ from .modelgen import (
 from .statistic import (
     ChangeSignal,
     DeviationMatrix,
-    RollingWindow,
     SampleWindow,
     ScaleMatrix,
     change_signal,
@@ -69,7 +68,6 @@ __all__ = [
     "InnerProductTail",
     "PrecisionEstimate",
     "PrecisionMatrix",
-    "RollingWindow",
     "SampleWindow",
     "ScaleMatrix",
     "ThresholdSpec",

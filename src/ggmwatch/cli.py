@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -270,6 +271,9 @@ def _monitor_settings(args) -> dict:
             if key not in _MONITOR_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             settings[key] = _MONITOR_KEYS[key][0](value)
+        if settings["oracle_matrix"]:  # relative to the config file, as in `gen stream`
+            base = os.path.dirname(os.path.abspath(args.config))
+            settings["oracle_matrix"] = os.path.join(base, settings["oracle_matrix"])
     for key in _MONITOR_KEYS:
         override = getattr(args, key)
         if override is not None:
@@ -341,7 +345,9 @@ def cmd_monitor(args, argv: list[str]) -> int:
     inputs = [p for p in (args.config, settings["oracle_matrix"]) if p]
     manifest = _manifest_for(args, argv, inputs, config=args.config)
     out = sys.stdout
-    out.write(json.dumps({"type": "run_manifest", **manifest}, sort_keys=True) + "\n")
+    out.write(
+        json.dumps({"type": "run_manifest", **manifest}, sort_keys=True, allow_nan=False) + "\n"
+    )
     out.flush()
     fh = sys.stdin if args.input == "-" else open(args.input)
     try:
@@ -356,12 +362,13 @@ def cmd_monitor(args, argv: list[str]) -> int:
                 ndjson = line.startswith("{")
             t_in, x = _parse_row(line, lineno, ndjson, settings["p"])
             event = detector.step(x)
+            stat = detector.last_statistic
+            if stat is not None and not math.isfinite(stat):
+                raise DataError(f"line {lineno}: statistic is {stat}; values too large")
             t_out = t_in if t_in is not None else detector.t
-            if args.trace and detector.last_statistic is not None:
-                out.write(
-                    json.dumps({"t": t_out, "stat": detector.last_statistic}, separators=(",", ":"))
-                    + "\n"
-                )
+            if args.trace and stat is not None:
+                obj = {"t": t_out, "stat": stat}
+                out.write(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
                 out.flush()
             if event is not None:
                 obj = {
@@ -370,7 +377,7 @@ def cmd_monitor(args, argv: list[str]) -> int:
                     "stat": event.statistic,
                     "zeta": event.zeta,
                 }
-                out.write(json.dumps(obj, separators=(",", ":")) + "\n")
+                out.write(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
                 out.flush()
     finally:
         if fh is not sys.stdin:

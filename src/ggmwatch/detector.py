@@ -1,18 +1,21 @@
 """Sequential change detector: burn-in estimation, per-step sup-norm test,
 batch re-estimation, and post-detection re-initialization.
 
-The per-step statistic is computed by the same code path as
-:func:`ggmwatch.statistic.oracle_statistic` / ``plugin_statistic`` on the
-current window, so an oracle-mode detector reproduces those values
-bit-for-bit. Batch re-estimates use every sample observed since the last
-detection (an expanding window, burn-in samples included); only plug-in mode
-keeps that history.
+All phase state follows from the step count ``t`` and the last detection
+``t_last``: with ``m = t - t_last - n_burnin``, steps with ``m < 0`` are
+burn-in, step ``m == 0`` fits the estimate, and every step with ``m >= 1`` is
+monitored. Monitored row ``m`` goes to slot ``(m - 1) % w`` of one ``(w, p)``
+ring, and from ``m >= w`` on each step tests the last ``w`` rows, in time
+order, through :func:`ggmwatch.statistic.oracle_statistic` /
+``plugin_statistic``, so an oracle-mode detector reproduces those values
+bit-for-bit. Plug-in fits (at ``m == 0`` and every ``batch`` tests) use every
+sample observed since the last detection (an expanding window, burn-in
+samples included); only plug-in mode keeps that history.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +66,8 @@ def _validate(config: DetectorConfig) -> None:
         raise InvalidConfig("threshold must be resolved (zeta is unset)")
     if config.w < 2:
         raise InvalidConfig(f"w must be >= 2, got {config.w}")
+    if config.threshold.w != config.w:
+        raise InvalidConfig(f"threshold w {config.threshold.w} != detector w {config.w}")
     if config.batch is not None and config.batch < 1:
         raise InvalidConfig(f"batch must be >= 1 or None, got {config.batch}")
     if config.oracle_omega is None:
@@ -81,8 +86,9 @@ class Detector:
     """Mutable state machine; strictly single-owner.
 
     ``phase`` is ``"burn_in"`` while collecting estimation samples and
-    ``"monitoring"`` afterwards. ``last_statistic`` holds the sup-norm of the
-    most recent evaluated test (None when no test ran this step).
+    ``"monitoring"`` from the fit step on. ``last_statistic`` holds the
+    sup-norm of the most recent evaluated test (None when no test ran this
+    step). ``b`` counts tests since the last fit or detection.
     """
 
     def __init__(self, config: DetectorConfig):
@@ -94,31 +100,17 @@ class Detector:
         self.events: list[DetectionEvent] = []
         self.b = 0
         self.last_statistic: float | None = None
-        self._window: deque[np.ndarray] = deque(maxlen=config.w)
+        self._ring = np.empty((config.w, config.p))
         self._history: list[np.ndarray] = []
         self._omega_hat: np.ndarray | None = None
-        self._monitor_start = 0
-        if config.oracle_omega is not None and config.n_burnin == 0:
-            self._enter_monitoring()
-        else:
-            self.phase = "burn_in"
 
-    def _enter_monitoring(self) -> None:
-        if self.config.oracle_omega is not None:
-            self._omega_hat = self.config.oracle_omega.entries
-        else:
-            est = clime_estimate(np.array(self._history), self.config.clime)
-            self._omega_hat = est.omega_hat
-        self.phase = "monitoring"
-        self._window.clear()
-        self._monitor_start = self.t + 1
-        self.b = 0
+    @property
+    def phase(self) -> str:
+        return "burn_in" if self.t - self.t_last < self.config.n_burnin else "monitoring"
 
-    def _evaluate(self):
-        window = SampleWindow.from_samples(np.array(self._window))
-        if self.config.oracle_omega is not None:
-            return oracle_statistic(self.config.oracle_omega, window)
-        return plugin_statistic(self._omega_hat, window)
+    def _refit(self) -> None:
+        if self.config.oracle_omega is None:  # only plug-in fits read the history
+            self._omega_hat = clime_estimate(np.array(self._history), self.config.clime).omega_hat
 
     def step(self, x) -> DetectionEvent | None:
         """Consume one sample; returns a DetectionEvent when the test fires."""
@@ -129,41 +121,37 @@ class Detector:
             raise NonFiniteSample(f"sample {self.t + 1} has a non-finite entry")
         self.t += 1
         self.last_statistic = None
-        if self.config.oracle_omega is None:
-            self._history.append(x)  # only plug-in fits read the history
-        if self.phase == "burn_in":
-            if self.t - self.t_last >= self.config.n_burnin:
-                self._enter_monitoring()
+        cfg = self.config
+        if cfg.oracle_omega is None:
+            self._history.append(x.copy())  # the caller may reuse its buffer
+        m = self.t - self.t_last - cfg.n_burnin
+        if m == 0:
+            self._refit()
+        if m <= 0:
             return None
-        self._window.append(x)
-        if len(self._window) < self.config.w:
+        w = cfg.w
+        self._ring[(m - 1) % w] = x
+        if m < w:
             return None
-        stat = self._evaluate()
+        i = m % w
+        window = SampleWindow.from_samples(np.concatenate((self._ring[i:], self._ring[:i])))
+        if cfg.oracle_omega is not None:
+            stat = oracle_statistic(cfg.oracle_omega, window)
+        else:
+            stat = plugin_statistic(self._omega_hat, window)
         self.last_statistic = stat.sup_norm
-        zeta = self.config.threshold.zeta
+        zeta = cfg.threshold.zeta
         if stat.sup_norm >= zeta:
-            event = DetectionEvent(
-                t=self.t,
-                statistic=stat.sup_norm,
-                zeta=zeta,
-                delay_estimate=self.t - self._monitor_start + 1,
-            )
+            event = DetectionEvent(t=self.t, statistic=stat.sup_norm, zeta=zeta, delay_estimate=m)
             self.t_last = self.t
             self.detections.append(self.t)
             self.events.append(event)
-            self._window.clear()
             self._history = []
             self.b = 0
-            if self.config.oracle_omega is not None and self.config.n_burnin == 0:
-                self._enter_monitoring()
-            else:
-                self.phase = "burn_in"
             return event
         self.b += 1
-        if self.config.batch is not None and self.b >= self.config.batch:
-            if self.config.oracle_omega is None:
-                est = clime_estimate(np.array(self._history), self.config.clime)
-                self._omega_hat = est.omega_hat
+        if cfg.batch is not None and self.b >= cfg.batch:
+            self._refit()
             self.b = 0
         return None
 

@@ -6,8 +6,8 @@ respect to a precision matrix ``omega`` and its entry-wise scale ``psi`` is
     E = (Y'Y - w * omega) / sqrt(w) * psi,    Y = X @ omega.
 
 :func:`deviation` is the single source of this formula: the statistic
-module's oracle, plug-in and rolling statistics and the two batched kernels
-here all call it on a Gram matrix ``Y'Y``. The kernels return ``max |E|`` per
+module's oracle and plug-in statistics and the two batched kernels here all
+call it on a Gram matrix ``Y'Y``. The kernels return ``max |E|`` per
 window and operate on plain float64 arrays.
 """
 

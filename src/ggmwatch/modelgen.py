@@ -172,17 +172,6 @@ def gen_chain_precision(p: int, rho0: float) -> PrecisionMatrix:
     return PrecisionMatrix.from_entries(e)
 
 
-def _triangle_pairs(idx: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    # invert the row-major enumeration of {(i, j): i < j}
-    idx = np.asarray(idx, dtype=np.int64)
-    b = 2 * p - 1
-    i = np.floor((b - np.sqrt(b * b - 8.0 * idx)) / 2.0).astype(np.int64)
-    i = np.where(idx < i * (2 * p - i - 1) // 2, i - 1, i)
-    i = np.where(idx >= (i + 1) * (2 * p - i - 2) // 2, i + 1, i)
-    j = idx - i * (2 * p - i - 1) // 2 + i + 1
-    return i, j
-
-
 def _random_weights(rng: Generator, n: int) -> np.ndarray:
     # magnitudes uniform on [0.1, 0.4], signs symmetric
     mag = rng.uniform(0.1, 0.4, size=n)
@@ -234,8 +223,8 @@ def gen_random_sparse(
     weights = np.zeros((p, p))
     if m > 0:
         idx = np.sort(rng.choice(p * (p - 1) // 2, size=m, replace=False))
-        i, j = _triangle_pairs(idx, p)
-        weights[i, j] = _random_weights(rng, m)
+        iu, ju = np.triu_indices(p, 1)  # row-major enumeration of {(i, j): i < j}
+        weights[iu[idx], ju[idx]] = _random_weights(rng, m)
         weights = weights + weights.T
     return _standardize(weights, diag_inflation)
 

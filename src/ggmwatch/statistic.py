@@ -6,10 +6,9 @@ The deviation of a window ``X_1..X_w`` from a precision matrix ``omega`` is
 
 with the entry-wise scale ``psi[u, v] = (omega[u,u] omega[v,v] + omega[u,v]^2)^(-1/2)``
 (the inverse standard deviation of each entry of the window's second moment,
-by Isserlis' theorem). The oracle, plug-in and rolling statistics all evaluate
-it with :func:`ggmwatch.kernels.deviation`, and the oracle and plug-in share
-one code path, so feeding the true precision matrix to the plug-in gives
-bit-identical output.
+by Isserlis' theorem). The oracle and plug-in statistics evaluate it with
+:func:`ggmwatch.kernels.deviation` through one code path, so feeding the true
+precision matrix to the plug-in gives bit-identical output.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "ScaleMatrix",
     "DeviationMatrix",
     "ChangeSignal",
-    "RollingWindow",
     "scale_matrix",
     "scale_entries",
     "oracle_statistic",
@@ -100,14 +98,11 @@ def scale_matrix(omega) -> ScaleMatrix:
     return ScaleMatrix(entries=scale_entries(_entries_of(omega)))
 
 
-def _deviation(gram: np.ndarray, w: int, omega: np.ndarray, psi: np.ndarray) -> DeviationMatrix:
-    e = deviation(gram, w, omega, psi)
-    return DeviationMatrix(entries=e, sup_norm=float(np.abs(e).max()), w=w)
-
-
 def _window_deviation(xs: np.ndarray, omega: np.ndarray) -> DeviationMatrix:
     y = xs @ omega
-    return _deviation(y.T @ y, xs.shape[0], omega, scale_entries(omega))
+    w = xs.shape[0]
+    e = deviation(y.T @ y, w, omega, scale_entries(omega))
+    return DeviationMatrix(entries=e, sup_norm=float(np.abs(e).max()), w=w)
 
 
 def oracle_statistic(omega: PrecisionMatrix, window: SampleWindow) -> DeviationMatrix:
@@ -174,62 +169,3 @@ def detectability_margin(
     zeta = threshold.zeta
     penalty = slack_coeff * (d_max**2 / alpha_min) * math.sqrt(math.log(threshold.p) / w)
     return signal.sup_norm - math.sqrt(zeta * zeta / w) - penalty
-
-
-class RollingWindow:
-    """Single-owner ring buffer with an O(p^2)-per-sample running statistic.
-
-    ``statistic()`` standardizes the running sum maintained by rank-1
-    add/subtract updates; ``statistic_full()`` recomputes from the buffered
-    samples (the drift guard: both must agree to ~1e-9).
-    """
-
-    def __init__(self, omega_hat, w: int):
-        om = _entries_of(omega_hat)
-        if np.any(om.diagonal() <= 0.0):
-            raise NonPositiveDiagonal("estimate has a nonpositive diagonal entry")
-        if w < 1:
-            raise ValueError("w must be >= 1")
-        self.w = int(w)
-        self._omega = om
-        self._psi = scale_entries(om)
-        p = om.shape[0]
-        self._ring = np.zeros((w, p))
-        self._sum = np.zeros((p, p))
-        self._pos = 0
-        self._count = 0
-
-    @property
-    def is_full(self) -> bool:
-        return self._count >= self.w
-
-    def push(self, x: np.ndarray) -> None:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self._omega.shape[0],):
-            raise DimensionMismatch(
-                f"sample shape {x.shape} != ({self._omega.shape[0]},)"
-            )
-        y = self._omega @ x
-        if self._count >= self.w:
-            old = self._ring[self._pos]
-            self._sum -= np.outer(old, old)
-        self._ring[self._pos] = y
-        self._sum += np.outer(y, y)
-        self._pos = (self._pos + 1) % self.w
-        self._count += 1
-
-    def clear(self) -> None:
-        self._ring[:] = 0.0
-        self._sum[:] = 0.0
-        self._pos = 0
-        self._count = 0
-
-    def statistic(self) -> DeviationMatrix:
-        if not self.is_full:
-            raise ValueError("window not yet full")
-        return _deviation(self._sum, self.w, self._omega, self._psi)
-
-    def statistic_full(self) -> DeviationMatrix:
-        if not self.is_full:
-            raise ValueError("window not yet full")
-        return _deviation(self._ring.T @ self._ring, self.w, self._omega, self._psi)

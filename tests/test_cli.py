@@ -203,6 +203,50 @@ class TestMonitor:
         assert code == 3
         assert "line 17" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_finite_row_exits_3_with_strict_json(self, oracle_setup, capsys):
+        tmp, pre, cfg = oracle_setup
+        rows = [["0.1"] * 10 for _ in range(35)]
+        rows[31][3] = "1e200"  # finite, but its square overflows the window's Gram
+        bad = tmp / "big.csv"
+        bad.write_text("".join(",".join(r) + "\n" for r in rows))
+        code = run_cli(["monitor", "--config", str(cfg), "--input", str(bad), "--trace"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "line 32" in captured.err
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        lines = captured.out.splitlines()
+        objs = [json.loads(s, parse_constant=reject) for s in lines]
+        assert objs[0]["type"] == "run_manifest"
+        assert [o["t"] for o in objs[1:]] == [30, 31]
+        assert all(o.get("type") != "change_point" for o in objs)
+
+    def test_oracle_matrix_relative_to_config(self, tmp_path, monkeypatch, capsys):
+        conf_dir = tmp_path / "conf"
+        conf_dir.mkdir()
+        run_cli(["gen", "chain", "--p", "10", "--rho", "0.5", "--out", str(conf_dir / "pre.txt")])
+        cfg = conf_dir / "mon.cfg"
+        cfg.write_text("oracle_matrix=pre.txt\nw=30\nzeta=1e9\nn_burnin=0\n")
+        rows = tmp_path / "rows.csv"
+        np.savetxt(rows, np.random.default_rng(2).standard_normal((31, 10)), delimiter=",")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        capsys.readouterr()
+        code = run_cli(["monitor", "--config", str(cfg), "--input", str(rows), "--trace"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        objs = [json.loads(s) for s in captured.out.splitlines()]
+        assert list(objs[0]["inputs"]) == ["mon.cfg", "pre.txt"]
+        assert [o["t"] for o in objs[1:]] == [30, 31]
+        # the flag stays relative to the working directory
+        code = run_cli(["monitor", "--config", str(cfg), "--oracle_matrix", "pre.txt",
+                        "--input", str(rows)])
+        assert code == 2
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus=1\n")

@@ -44,6 +44,15 @@ class TestNewDetector:
         with pytest.raises(InvalidConfig):
             gw.Detector(gw.DetectorConfig(n_burnin=10, w=4, batch=None, threshold=spec))
 
+    def test_threshold_window_must_match(self):
+        spec = gw.ThresholdSpec(pi0=0.05, p=5, w=200, method="exact").resolve()
+        omega = gw.PrecisionMatrix.from_entries(np.eye(5))
+        config = gw.DetectorConfig(
+            n_burnin=0, w=4, batch=None, threshold=spec, oracle_omega=omega
+        )
+        with pytest.raises(InvalidConfig):
+            gw.Detector(config)
+
     def test_plugin_mode_requires_burnin(self):
         spec = gw.ThresholdSpec(pi0=0.05, p=5, w=4, method="exact", zeta=4.0)
         with pytest.raises(InvalidConfig):
@@ -81,20 +90,35 @@ class TestStep:
             if event is not None:
                 assert event.statistic >= event.zeta
 
-    def test_oracle_statistic_bitwise(self, rng):
+    @pytest.mark.parametrize(
+        "n_burnin, zeta",
+        [(0, 1e9), (7, 1e9), (0, 3.0), (5, 3.0)],
+        ids=["no_burnin", "burnin", "restarts", "burnin_restarts"],
+    )
+    def test_oracle_statistic_bitwise(self, rng, n_burnin, zeta):
+        w = 6
         omega = gw.gen_chain_precision(5, 0.5)
-        spec = gw.ThresholdSpec(pi0=0.05, p=5, w=6, method="exact", zeta=1e9)
+        spec = gw.ThresholdSpec(pi0=0.05, p=5, w=w, method="exact", zeta=zeta)
         config = gw.DetectorConfig(
-            n_burnin=0, w=6, batch=None, threshold=spec, oracle_omega=omega
+            n_burnin=n_burnin, w=w, batch=None, threshold=spec, oracle_omega=omega
         )
         det = gw.Detector(config)
-        xs = rng.standard_normal((25, 5))
-        for i, x in enumerate(xs):
+        xs = rng.standard_normal((120, 5))
+        seen = []
+        for x in xs:
             det.step(x)
-            if i + 1 >= 6:
-                window = gw.SampleWindow.from_samples(xs[i - 5 : i + 1])
-                expect = gw.oracle_statistic(omega, window)
-                assert det.last_statistic == expect.sup_norm
+            seen.append(det.last_statistic)
+        if zeta < 1e9:
+            assert len(det.detections) >= 3
+        # the test at step t covers rows t-w+1..t once w rows are monitored
+        # after the burn-in that follows the last detection before t
+        for t, stat in enumerate(seen, start=1):
+            t_last = max([d for d in det.detections if d < t], default=0)
+            if t - t_last - n_burnin < w:
+                assert stat is None
+            else:
+                window = gw.SampleWindow.from_samples(xs[t - w : t])
+                assert stat == gw.oracle_statistic(omega, window).sup_norm
 
     def test_dimension_mismatch(self):
         det = gw.Detector(_oracle_config(p=5))
@@ -124,6 +148,23 @@ class TestStep:
             assert det.phase == ("burn_in" if i < n_burnin else "monitoring")
         assert det._history == []
         assert det.last_statistic is not None
+
+    @pytest.mark.parametrize("oracle", [True, False])
+    def test_reused_input_buffer(self, rng, oracle):
+        # the detector keeps copies: a caller may refill one array every step
+        omega = gw.gen_chain_precision(4, 0.4)
+        spec = gw.ThresholdSpec(pi0=0.05, p=4, w=3, method="exact", zeta=1e9)
+        config = gw.DetectorConfig(
+            n_burnin=10, w=3, batch=4, threshold=spec, oracle_omega=omega if oracle else None
+        )
+        xs = rng.standard_normal((30, 4)) @ gw.cholesky_factor(gw.invert_spd(omega.entries)).T
+        fresh, reused = gw.Detector(config), gw.Detector(config)
+        buf = np.empty(4)
+        for x in xs:
+            fresh.step(x.copy())
+            buf[:] = x
+            reused.step(buf)
+            assert reused.last_statistic == fresh.last_statistic
 
     def test_batch_reestimation_schedule(self):
         # omega-hat object changes exactly at steps where b wraps to zero

@@ -190,33 +190,3 @@ class TestDetectabilityMargin:
         sig = gw.ChangeSignal(entries=np.zeros((10, 10)), sup_norm=1.0)
         with pytest.raises(ValueError):
             gw.detectability_margin(sig, spec, 20, 2, 0.5, 1.0)
-
-
-class TestRollingWindow:
-    def test_incremental_matches_full_and_direct(self, chain5, rng):
-        w = 12
-        roll = gw.RollingWindow(chain5.entries, w)
-        xs = rng.standard_normal((500, 5))
-        for i, x in enumerate(xs):
-            roll.push(x)
-            if i + 1 >= w:
-                inc = roll.statistic()
-                full = roll.statistic_full()
-                assert np.abs(inc.entries - full.entries).max() <= 1e-9
-        # final window against the reference implementation
-        direct = gw.oracle_statistic(chain5, gw.SampleWindow.from_samples(xs[-w:]))
-        assert np.abs(roll.statistic_full().entries - direct.entries).max() <= 1e-12
-
-    def test_not_full_raises(self, chain5):
-        roll = gw.RollingWindow(chain5.entries, 4)
-        roll.push(np.zeros(5))
-        with pytest.raises(ValueError):
-            roll.statistic()
-
-    def test_clear(self, chain5):
-        roll = gw.RollingWindow(chain5.entries, 2)
-        roll.push(np.ones(5))
-        roll.push(np.ones(5))
-        assert roll.is_full
-        roll.clear()
-        assert not roll.is_full
