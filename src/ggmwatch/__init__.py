@@ -31,23 +31,20 @@ from .modelgen import (
     make_antidiag_change,
     make_block_change,
     make_uniform_change,
-    sample_stream,
     sym_eig,
 )
 from .statistic import (
     ChangeSignal,
     DeviationMatrix,
-    SampleWindow,
-    ScaleMatrix,
     change_signal,
     detectability_margin,
     oracle_statistic,
     plugin_statistic,
-    scale_matrix,
+    scale_entries,
 )
 from .threshold import (
     InnerProductTail,
-    ThresholdSpec,
+    critical_value,
     critical_value_asymptotic,
     critical_value_exact,
     critical_value_union,
@@ -68,14 +65,12 @@ __all__ = [
     "InnerProductTail",
     "PrecisionEstimate",
     "PrecisionMatrix",
-    "SampleWindow",
-    "ScaleMatrix",
-    "ThresholdSpec",
     "assess",
     "change_signal",
     "cholesky_factor",
     "clime_column",
     "clime_estimate",
+    "critical_value",
     "critical_value_asymptotic",
     "critical_value_exact",
     "critical_value_union",
@@ -94,7 +89,6 @@ __all__ = [
     "psd_project",
     "run_offline",
     "sample_covariance",
-    "sample_stream",
-    "scale_matrix",
+    "scale_entries",
     "sym_eig",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .clime import ClimeConfig
 from .detector import Detector, DetectorConfig
-from .errors import GgmWatchError
+from .errors import GgmWatchError, NonFiniteSample
 from .harness import PRESETS, run_experiment
 from .iofmt import (
     load_config,
@@ -48,7 +48,7 @@ from .modelgen import (
     make_uniform_change,
 )
 from .threshold import (
-    ThresholdSpec,
+    critical_value,
     critical_value_asymptotic,
     critical_value_exact,
     critical_value_union,
@@ -62,21 +62,27 @@ class DataError(Exception):
     """Malformed input data; mapped to exit code 3."""
 
 
-# monitor config keys: name -> (parser, default)
+def _flag(text: str) -> bool:
+    return bool(int(text))
+
+
+# monitor config keys: name -> (parser, default); threshold_method and the
+# clime_* keys default to None so that critical_value and ClimeConfig hold
+# their defaults
 _MONITOR_KEYS: dict[str, tuple] = {
     "p": (int, None),
     "w": (int, None),
     "n_burnin": (int, None),
     "batch": (int, None),
     "pi0": (float, 0.05),
-    "threshold_method": (str, "exact"),
+    "threshold_method": (str, None),
     "zeta": (float, None),
     "oracle_matrix": (str, None),
-    "clime_lambda_rule": (str, "scaled"),
-    "clime_lambda_level": (float, 0.5),
-    "clime_psd_project": (int, 1),
-    "clime_lp_tolerance": (float, 1e-6),
-    "clime_center": (int, 0),
+    "clime_lambda_rule": (str, None),
+    "clime_lambda_level": (float, None),
+    "clime_psd_project": (_flag, None),
+    "clime_lp_tolerance": (float, None),
+    "clime_center": (_flag, None),
 }
 
 _EXPERIMENT_KINDS = {
@@ -281,6 +287,15 @@ def _monitor_settings(args) -> dict:
     return settings
 
 
+def _given(settings: dict, prefix: str) -> dict:
+    """The settings named ``prefix<arg>`` that are set, keyed by ``<arg>``."""
+    return {
+        key[len(prefix):]: value
+        for key, value in settings.items()
+        if key.startswith(prefix) and value is not None
+    }
+
+
 def _monitor_detector(settings: dict) -> Detector:
     oracle = None
     if settings["oracle_matrix"]:
@@ -296,26 +311,18 @@ def _monitor_detector(settings: dict) -> Detector:
             raise ValueError(f"missing required setting {key!r}")
     if settings["n_burnin"] is None:
         settings["n_burnin"] = 0 if oracle is not None else 300
-    spec = ThresholdSpec(
-        pi0=settings["pi0"],
+    zeta = settings["zeta"]
+    if zeta is None:  # an explicit zeta overrides pi0 and threshold_method
+        zeta = critical_value(
+            settings["pi0"], settings["p"], settings["w"], **_given(settings, "threshold_")
+        )
+    config = DetectorConfig(
         p=settings["p"],
         w=settings["w"],
-        method=settings["threshold_method"],
-        zeta=settings["zeta"],
-    ).resolve()
-    clime_cfg = ClimeConfig(
-        lambda_rule=settings["clime_lambda_rule"],
-        lambda_level=settings["clime_lambda_level"],
-        psd_project=bool(settings["clime_psd_project"]),
-        lp_tolerance=settings["clime_lp_tolerance"],
-        center=bool(settings["clime_center"]),
-    )
-    config = DetectorConfig(
+        zeta=zeta,
         n_burnin=settings["n_burnin"],
-        w=settings["w"],
         batch=settings["batch"],
-        threshold=spec,
-        clime=clime_cfg,
+        clime=ClimeConfig(**_given(settings, "clime_")),
         oracle_omega=oracle,
     )
     return Detector(config)
@@ -361,7 +368,10 @@ def cmd_monitor(args, argv: list[str]) -> int:
             if ndjson is None:
                 ndjson = line.startswith("{")
             t_in, x = _parse_row(line, lineno, ndjson, settings["p"])
-            event = detector.step(x)
+            try:
+                event = detector.step(x)
+            except NonFiniteSample as exc:  # a plug-in fit whose covariance overflows
+                raise DataError(f"line {lineno}: {exc}") from None
             stat = detector.last_statistic
             if stat is not None and not math.isfinite(stat):
                 raise DataError(f"line {lineno}: statistic is {stat}; values too large")

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import DimensionMismatch, Infeasible, SolverStall
+from .errors import DimensionMismatch, Infeasible, NonFiniteSample, SolverStall
+from .modelgen import _as_array
 
 __all__ = [
     "ClimeConfig",
@@ -136,13 +137,17 @@ def clime_estimate(samples, config: ClimeConfig = ClimeConfig()) -> PrecisionEst
     """Fit all columns, symmetrize by smaller magnitude, optionally project.
 
     The symmetrization keeps, for each (i, j), whichever of the two column
-    solutions has the smaller magnitude at that entry.
+    solutions has the smaller magnitude at that entry. Raises
+    :class:`~ggmwatch.errors.NonFiniteSample` when the samples are so large
+    that their second moment overflows.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError(f"need at least 2 samples, got array of shape {x.shape}")
     n, p = x.shape
     s = sample_covariance(x, center=config.center)
+    if not np.isfinite(s).all():
+        raise NonFiniteSample("sample covariance is not finite; values too large")
     lam = config.resolve_lambda(p, n)
     cols = np.empty((p, p))
     for j in range(p):
@@ -164,7 +169,7 @@ def clime_estimate(samples, config: ClimeConfig = ClimeConfig()) -> PrecisionEst
 def normalized_error(omega_hat: np.ndarray, omega_true) -> float:
     """Frobenius-relative estimation error |est - true|_F / |true|_F."""
     est = np.asarray(omega_hat, dtype=np.float64)
-    true = omega_true.entries if hasattr(omega_true, "entries") else np.asarray(omega_true)
+    true = _as_array(omega_true)
     if est.shape != true.shape:
         raise DimensionMismatch(f"shape {est.shape} != {true.shape}")
     return float(np.linalg.norm(est - true) / np.linalg.norm(true))

@@ -1,13 +1,17 @@
 """Sequential change detector: burn-in estimation, per-step sup-norm test,
 batch re-estimation, and post-detection re-initialization.
 
+A :class:`DetectorConfig` stores each input once (``p``, ``w``, the critical
+value ``zeta``, burn-in, batch, CLIME tuning, oracle matrix); a test fires
+when the sup-norm of the window's deviation reaches ``zeta``.
+
 All phase state follows from the step count ``t`` and the last detection
 ``t_last``: with ``m = t - t_last - n_burnin``, steps with ``m < 0`` are
 burn-in, step ``m == 0`` fits the estimate, and every step with ``m >= 1`` is
 monitored. Monitored row ``m`` goes to slot ``(m - 1) % w`` of one ``(w, p)``
-ring, and from ``m >= w`` on each step tests the last ``w`` rows, in time
-order, through :func:`ggmwatch.statistic.oracle_statistic` /
-``plugin_statistic``, so an oracle-mode detector reproduces those values
+ring, and from ``m >= w`` on each step passes the last ``w`` rows, in time
+order, as one ``(w, p)`` array to :func:`ggmwatch.statistic.oracle_statistic`
+/ ``plugin_statistic``, so an oracle-mode detector reproduces those values
 bit-for-bit. Plug-in fits (at ``m == 0`` and every ``batch`` tests) use every
 sample observed since the last detection (an expanding window, burn-in
 samples included); only plug-in mode keeps that history.
@@ -23,31 +27,30 @@ import numpy as np
 from .clime import ClimeConfig, clime_estimate
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteSample
 from .modelgen import PrecisionMatrix
-from .statistic import SampleWindow, oracle_statistic, plugin_statistic
-from .threshold import ThresholdSpec
+from .statistic import oracle_statistic, plugin_statistic
 
 __all__ = ["DetectorConfig", "DetectionEvent", "Detector", "run_offline"]
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Burn-in length, window, batch size and threshold for one detector.
+    """Dimension, window, critical value, burn-in length and batch size of one
+    detector.
 
+    ``zeta`` is the critical value itself, e.g. from
+    :func:`ggmwatch.threshold.critical_value` at this ``p`` and ``w``.
     ``batch=None`` disables re-estimation. ``oracle_omega`` bypasses CLIME;
     in oracle mode ``n_burnin`` may be 0, in which case monitoring starts
     immediately.
     """
 
-    n_burnin: int
+    p: int
     w: int
+    zeta: float
+    n_burnin: int
     batch: int | None
-    threshold: ThresholdSpec
     clime: ClimeConfig = field(default_factory=ClimeConfig)
     oracle_omega: PrecisionMatrix | None = None
-
-    @property
-    def p(self) -> int:
-        return self.threshold.p
 
 
 @dataclass(frozen=True)
@@ -62,12 +65,10 @@ class DetectionEvent:
 
 
 def _validate(config: DetectorConfig) -> None:
-    if not config.threshold.resolved:
-        raise InvalidConfig("threshold must be resolved (zeta is unset)")
     if config.w < 2:
         raise InvalidConfig(f"w must be >= 2, got {config.w}")
-    if config.threshold.w != config.w:
-        raise InvalidConfig(f"threshold w {config.threshold.w} != detector w {config.w}")
+    if config.zeta is None or not 0.0 < config.zeta < math.inf:
+        raise InvalidConfig(f"zeta must be finite and positive, got {config.zeta}")
     if config.batch is not None and config.batch < 1:
         raise InvalidConfig(f"batch must be >= 1 or None, got {config.batch}")
     if config.oracle_omega is None:
@@ -78,7 +79,7 @@ def _validate(config: DetectorConfig) -> None:
             raise InvalidConfig("n_burnin must be nonnegative")
         if config.oracle_omega.p != config.p:
             raise InvalidConfig(
-                f"oracle matrix dimension {config.oracle_omega.p} != threshold p {config.p}"
+                f"oracle matrix dimension {config.oracle_omega.p} != detector p {config.p}"
             )
 
 
@@ -134,13 +135,13 @@ class Detector:
         if m < w:
             return None
         i = m % w
-        window = SampleWindow.from_samples(np.concatenate((self._ring[i:], self._ring[:i])))
+        window = np.concatenate((self._ring[i:], self._ring[:i]))
         if cfg.oracle_omega is not None:
             stat = oracle_statistic(cfg.oracle_omega, window)
         else:
             stat = plugin_statistic(self._omega_hat, window)
         self.last_statistic = stat.sup_norm
-        zeta = cfg.threshold.zeta
+        zeta = cfg.zeta
         if stat.sup_norm >= zeta:
             event = DetectionEvent(t=self.t, statistic=stat.sup_norm, zeta=zeta, delay_estimate=m)
             self.t_last = self.t

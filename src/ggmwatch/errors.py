@@ -14,7 +14,8 @@ class DimensionMismatch(GgmWatchError):
 
 
 class NonFiniteSample(GgmWatchError):
-    """A streamed sample holds a nan or infinite entry."""
+    """A streamed sample holds a nan or infinite entry, or samples are so large
+    that their second moment overflows."""
 
 
 class NonPositiveDiagonal(GgmWatchError):

@@ -30,7 +30,6 @@ __all__ = [
     "make_block_change",
     "make_antidiag_change",
     "make_uniform_change",
-    "sample_stream",
 ]
 
 
@@ -109,12 +108,17 @@ def _as_array(m) -> np.ndarray:
     return m.entries if isinstance(m, PrecisionMatrix) else np.asarray(m, dtype=np.float64)
 
 
-def cholesky_factor(m: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L' = m; raises NotPositiveDefinite otherwise."""
+def _symmetric_array(m) -> np.ndarray:
     a = _as_array(m)
     scale = np.abs(a).max() if a.size else 0.0
     if np.abs(a - a.T).max(initial=0.0) > 1e-10 * max(scale, 1.0):
         raise ValueError("matrix is not symmetric within tolerance")
+    return a
+
+
+def cholesky_factor(m: np.ndarray) -> np.ndarray:
+    """Lower-triangular L with L L' = m; raises NotPositiveDefinite otherwise."""
+    a = _symmetric_array(m)
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
@@ -131,10 +135,7 @@ def invert_spd(m) -> np.ndarray:
 
 def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
-    a = _as_array(m)
-    scale = np.abs(a).max() if a.size else 0.0
-    if np.abs(a - a.T).max(initial=0.0) > 1e-10 * max(scale, 1.0):
-        raise ValueError("matrix is not symmetric within tolerance")
+    a = _symmetric_array(m)
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -220,6 +221,11 @@ def gen_random_sparse(
     rng = Generator(Philox(key=seed))
     k = int(round(row_density * p))
     m = int(round(p * k / 2))
+    if m > p * (p - 1) // 2:
+        raise ValueError(
+            f"row_density {row_density} asks for {m} edges; p={p} nodes have only "
+            f"{p * (p - 1) // 2} pairs"
+        )
     weights = np.zeros((p, p))
     if m > 0:
         idx = np.sort(rng.choice(p * (p - 1) // 2, size=m, replace=False))
@@ -329,12 +335,3 @@ class GaussianStream:
         out[n_pre:] = z[n_pre:] @ self._l_post.T
         self.cursor += count
         return out
-
-
-def sample_stream(scenario: ChangeScenario, seed: int, count: int) -> np.ndarray:
-    """First ``count`` samples of the scenario's stream for this seed."""
-    if count > scenario.total_length:
-        raise ValueError(
-            f"count {count} exceeds scenario length {scenario.total_length}"
-        )
-    return GaussianStream(scenario, seed).take(count)

@@ -20,51 +20,17 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveDiagonal
 from .kernels import deviation
-from .modelgen import PrecisionMatrix
-from .threshold import ThresholdSpec
+from .modelgen import PrecisionMatrix, _as_array
 
 __all__ = [
-    "SampleWindow",
-    "ScaleMatrix",
     "DeviationMatrix",
     "ChangeSignal",
-    "scale_matrix",
     "scale_entries",
     "oracle_statistic",
     "plugin_statistic",
     "change_signal",
     "detectability_margin",
 ]
-
-
-@dataclass(frozen=True)
-class SampleWindow:
-    """The ``w`` most recent p-dimensional observations, oldest first."""
-
-    data: np.ndarray
-
-    @classmethod
-    def from_samples(cls, samples) -> "SampleWindow":
-        d = np.array(samples, dtype=np.float64)
-        if d.ndim != 2:
-            raise DimensionMismatch(f"expected a (w, p) array, got shape {d.shape}")
-        d.flags.writeable = False
-        return cls(data=d)
-
-    @property
-    def w(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class ScaleMatrix:
-    """Entry-wise standardization factors of the window second moment."""
-
-    entries: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -84,61 +50,52 @@ class ChangeSignal:
     sup_norm: float
 
 
-def _entries_of(m) -> np.ndarray:
-    return m.entries if isinstance(m, PrecisionMatrix) else np.asarray(m, dtype=np.float64)
-
-
 def scale_entries(omega: np.ndarray) -> np.ndarray:
-    """Array form of :func:`scale_matrix` (used by hot paths)."""
+    """Entry-wise standardization factors ``psi`` of the window second moment."""
     d = omega.diagonal()
     return 1.0 / np.sqrt(np.outer(d, d) + omega * omega)
 
 
-def scale_matrix(omega) -> ScaleMatrix:
-    return ScaleMatrix(entries=scale_entries(_entries_of(omega)))
-
-
-def _window_deviation(xs: np.ndarray, omega: np.ndarray) -> DeviationMatrix:
-    y = xs @ omega
-    w = xs.shape[0]
+def _window_deviation(xs, omega: np.ndarray) -> DeviationMatrix:
+    x = np.asarray(xs, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionMismatch(f"expected a (w, p) array, got shape {x.shape}")
+    if x.shape[1] != omega.shape[0]:
+        raise DimensionMismatch(
+            f"window dimension {x.shape[1]} != matrix dimension {omega.shape[0]}"
+        )
+    y = x @ omega
+    w = x.shape[0]
     e = deviation(y.T @ y, w, omega, scale_entries(omega))
     return DeviationMatrix(entries=e, sup_norm=float(np.abs(e).max()), w=w)
 
 
-def oracle_statistic(omega: PrecisionMatrix, window: SampleWindow) -> DeviationMatrix:
-    """Standardized deviation of a window under a known precision matrix.
+def oracle_statistic(omega: PrecisionMatrix, xs) -> DeviationMatrix:
+    """Standardized deviation of a ``(w, p)`` window (oldest row first) under a
+    known precision matrix.
 
     Invariant under permutations of the window's samples; equivariant under
     simultaneous node relabeling of ``omega`` and the samples.
     """
-    om = _entries_of(omega)
-    if window.p != om.shape[0]:
-        raise DimensionMismatch(
-            f"window dimension {window.p} != matrix dimension {om.shape[0]}"
-        )
-    return _window_deviation(window.data, om)
+    return _window_deviation(xs, _as_array(omega))
 
 
-def plugin_statistic(omega_hat, window: SampleWindow) -> DeviationMatrix:
+def plugin_statistic(omega_hat, xs) -> DeviationMatrix:
     """Same formula with an estimated precision matrix substituted.
 
     ``omega_hat`` must be symmetric with strictly positive diagonal; positive
     definiteness is not required.
     """
-    om = _entries_of(omega_hat)
-    if window.p != om.shape[0]:
-        raise DimensionMismatch(
-            f"window dimension {window.p} != matrix dimension {om.shape[0]}"
-        )
+    om = _as_array(omega_hat)
     if np.any(om.diagonal() <= 0.0):
         raise NonPositiveDiagonal("plug-in estimate has a nonpositive diagonal entry")
-    return _window_deviation(window.data, om)
+    return _window_deviation(xs, om)
 
 
 def change_signal(omega_pre: PrecisionMatrix, sigma_post: np.ndarray) -> ChangeSignal:
     """Per-sample mean shift of the statistic when the covariance becomes
     ``sigma_post``: ``(omega sigma_post omega - omega) * psi``."""
-    om = _entries_of(omega_pre)
+    om = _as_array(omega_pre)
     sig = np.asarray(sigma_post, dtype=np.float64)
     if sig.shape != om.shape:
         raise DimensionMismatch(
@@ -150,7 +107,8 @@ def change_signal(omega_pre: PrecisionMatrix, sigma_post: np.ndarray) -> ChangeS
 
 def detectability_margin(
     signal: ChangeSignal,
-    threshold: ThresholdSpec,
+    zeta: float,
+    p: int,
     w: int,
     d_max: int,
     alpha_min: float,
@@ -162,10 +120,7 @@ def detectability_margin(
     A positive margin is a diagnostic that the change is comfortably
     detectable for the supplied constant, not a guarantee.
     """
-    if not threshold.resolved:
-        raise ValueError("threshold must be resolved before computing a margin")
     if w < 1:
         raise ValueError("w must be >= 1")
-    zeta = threshold.zeta
-    penalty = slack_coeff * (d_max**2 / alpha_min) * math.sqrt(math.log(threshold.p) / w)
+    penalty = slack_coeff * (d_max**2 / alpha_min) * math.sqrt(math.log(p) / w)
     return signal.sup_norm - math.sqrt(zeta * zeta / w) - penalty

@@ -1,6 +1,7 @@
-"""Critical values for the sup-norm test.
+"""Critical values zeta(pi0, p, w) for the sup-norm test.
 
-Three methods are provided:
+:func:`critical_value` returns a plain float by one of three methods, each
+also available as its own function:
 
 ``exact``
     Root-solve the tail of the standardized inner product of two independent
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -34,16 +34,14 @@ from scipy import special
 from .errors import NegativeZetaSquared, TargetOutOfRange
 
 __all__ = [
-    "ThresholdSpec",
     "InnerProductTail",
     "inner_product_tail",
+    "critical_value",
     "critical_value_exact",
     "critical_value_asymptotic",
     "critical_value_union",
     "norm_sf",
 ]
-
-_METHODS = ("exact", "asymptotic", "union")
 
 
 def norm_sf(x):
@@ -186,32 +184,13 @@ def critical_value_union(pi0: float, p: int) -> float:
     return _closed_form(p, math.log(2.0 * math.sqrt(math.pi) * (-math.log1p(-0.5 * pi0))))
 
 
-@dataclass(frozen=True)
-class ThresholdSpec:
-    """Target false-alarm rate, problem size and the resolved critical value."""
-
-    pi0: float
-    p: int
-    w: int
-    method: str = "exact"
-    zeta: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {_METHODS}")
-
-    @property
-    def resolved(self) -> bool:
-        return self.zeta is not None
-
-    def resolve(self) -> "ThresholdSpec":
-        """Return a copy with ``zeta`` computed by the configured method."""
-        if self.zeta is not None:
-            return self
-        if self.method == "exact":
-            z = critical_value_exact(self.pi0, self.p, self.w)
-        elif self.method == "asymptotic":
-            z = critical_value_asymptotic(self.pi0, self.p)
-        else:
-            z = critical_value_union(self.pi0, self.p)
-        return replace(self, zeta=z)
+def critical_value(pi0: float, p: int, w: int, method: str = "exact") -> float:
+    """Critical value zeta(pi0, p, w) by ``method``: ``"exact"``, ``"asymptotic"``
+    or ``"union"`` (the closed forms do not depend on ``w``)."""
+    if method == "exact":
+        return critical_value_exact(pi0, p, w)
+    if method == "asymptotic":
+        return critical_value_asymptotic(pi0, p)
+    if method == "union":
+        return critical_value_union(pi0, p)
+    raise ValueError(f"unknown method {method!r}; expected 'exact', 'asymptotic' or 'union'")

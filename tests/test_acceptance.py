@@ -108,15 +108,14 @@ def test_criterion_3_fig1_calibration(fig1, report):
 def test_criterion_4_deterministic_statistic(report):
     om = gw.gen_chain_precision(12, 0.5)
     w = 18
-    window = gw.SampleWindow.from_samples(np.zeros((w, 12)))
+    window = np.zeros((w, 12))
     dev = gw.oracle_statistic(om, window)
-    expect = -math.sqrt(float(w)) * om.entries * gw.scale_matrix(om).entries
+    expect = -math.sqrt(float(w)) * om.entries * gw.scale_entries(om.entries)
     ok_zero = np.allclose(dev.entries, expect, rtol=1e-14, atol=0.0)
     ok_sup = abs(dev.sup_norm - math.sqrt(w / 2.0)) <= 1e-12
     xs = Generator(Philox(key=42)).standard_normal((w, 12))
-    rand_window = gw.SampleWindow.from_samples(xs)
-    a = gw.oracle_statistic(om, rand_window)
-    b = gw.plugin_statistic(om.entries, rand_window)
+    a = gw.oracle_statistic(om, xs)
+    b = gw.plugin_statistic(om.entries, xs)
     ok_bits = np.array_equal(a.entries, b.entries) and a.sup_norm == b.sup_norm
     report(4, "deterministic statistic values", ok_zero and ok_sup and ok_bits,
             f"sup={dev.sup_norm:.12f} vs sqrt(w/2)={math.sqrt(w/2):.12f}")

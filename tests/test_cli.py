@@ -44,6 +44,13 @@ class TestGen:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_full_density_exits_2_naming_density(self, tmp_path, capsys):
+        code = run_cli(
+            ["gen", "sparse", "--p", "3", "--density", "1.0", "--out", str(tmp_path / "x.txt")]
+        )
+        assert code == 2
+        assert "row_density" in capsys.readouterr().err
+
     def test_hub(self, tmp_path):
         out = tmp_path / "h.txt"
         assert run_cli(
@@ -223,6 +230,40 @@ class TestMonitor:
         assert objs[0]["type"] == "run_manifest"
         assert [o["t"] for o in objs[1:]] == [30, 31]
         assert all(o.get("type") != "change_point" for o in objs)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_burnin_row_exits_3_with_strict_json(self, tmp_path, capsys):
+        rows = np.random.default_rng(4).standard_normal((20, 4)).astype(str)
+        rows[4, 2] = "1e200"  # finite, but the burn-in covariance overflows
+        bad = tmp_path / "big.csv"
+        bad.write_text("".join(",".join(r) + "\n" for r in rows))
+        code = run_cli(["monitor", "--p", "4", "--w", "4", "--n_burnin", "12",
+                        "--input", str(bad), "--trace"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "line 12" in captured.err  # the fit at the end of the burn-in
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        objs = [json.loads(s, parse_constant=reject) for s in captured.out.splitlines()]
+        assert [o["type"] for o in objs] == ["run_manifest"]
+
+    @pytest.mark.parametrize("zeta", ["nan", "inf", "0", "-1"])
+    def test_invalid_zeta_exits_2(self, oracle_setup, capsys, zeta):
+        tmp, pre, cfg = oracle_setup
+        rows = tmp / "r.csv"
+        rows.write_text("0.1," * 9 + "0.1\n")
+        code = run_cli(["monitor", "--config", str(cfg), "--input", str(rows), "--zeta", zeta])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "zeta" in captured.err and captured.out == ""
+
+    def test_unknown_threshold_method_exits_2(self, oracle_setup, capsys):
+        tmp, pre, cfg = oracle_setup
+        code = run_cli(["monitor", "--config", str(cfg), "--threshold_method", "magic"])
+        assert code == 2
+        assert "magic" in capsys.readouterr().err
 
     def test_oracle_matrix_relative_to_config(self, tmp_path, monkeypatch, capsys):
         conf_dir = tmp_path / "conf"

@@ -4,7 +4,7 @@ from numpy.random import Generator, Philox
 from numpy.testing import assert_allclose
 
 import ggmwatch as gw
-from ggmwatch.errors import DimensionMismatch, Infeasible
+from ggmwatch.errors import DimensionMismatch, Infeasible, NonFiniteSample
 
 from lp_bruteforce import clime_column_bruteforce
 
@@ -133,6 +133,13 @@ class TestClimeEstimate:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             gw.clime_estimate(np.ones((1, 3)))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_covariance_rejected(self):
+        xs = np.random.default_rng(3).standard_normal((12, 4))
+        xs[4, 1] = 1e200  # finite, but its square is not
+        with pytest.raises(NonFiniteSample):
+            gw.clime_estimate(xs)
 
 
 class TestPsdProject:

@@ -8,11 +8,10 @@ import ggmwatch as gw
 from ggmwatch.errors import DimensionMismatch, InvalidConfig, NonFiniteSample
 
 
-def _oracle_config(p=5, w=4, zeta=1e6, n_burnin=0, batch=None, pi0=0.05):
+def _oracle_config(p=5, w=4, zeta=1e6, n_burnin=0, batch=None):
     omega = gw.PrecisionMatrix.from_entries(np.eye(p))
-    spec = gw.ThresholdSpec(pi0=pi0, p=p, w=w, method="exact", zeta=zeta)
     return gw.DetectorConfig(
-        n_burnin=n_burnin, w=w, batch=batch, threshold=spec, oracle_omega=omega
+        p=p, w=w, zeta=zeta, n_burnin=n_burnin, batch=batch, oracle_omega=omega
     )
 
 
@@ -28,8 +27,8 @@ class TestNewDetector:
     def test_burn_in_accumulates_only(self, rng):
         omega = gw.gen_chain_precision(4, 0.4)
         chol = gw.cholesky_factor(gw.invert_spd(omega.entries))
-        spec = gw.ThresholdSpec(pi0=0.05, p=4, w=3, method="exact").resolve()
-        config = gw.DetectorConfig(n_burnin=12, w=3, batch=None, threshold=spec)
+        zeta = gw.critical_value(0.05, 4, 3)
+        config = gw.DetectorConfig(p=4, w=3, zeta=zeta, n_burnin=12, batch=None)
         det = gw.Detector(config)
         xs = rng.standard_normal((20, 4)) @ chol.T
         for i, x in enumerate(xs):
@@ -40,23 +39,17 @@ class TestNewDetector:
         assert det.phase == "monitoring"
 
     def test_unresolved_threshold_rejected(self):
-        spec = gw.ThresholdSpec(pi0=0.05, p=5, w=4, method="exact")
         with pytest.raises(InvalidConfig):
-            gw.Detector(gw.DetectorConfig(n_burnin=10, w=4, batch=None, threshold=spec))
+            gw.Detector(gw.DetectorConfig(p=5, w=4, zeta=None, n_burnin=10, batch=None))
 
-    def test_threshold_window_must_match(self):
-        spec = gw.ThresholdSpec(pi0=0.05, p=5, w=200, method="exact").resolve()
-        omega = gw.PrecisionMatrix.from_entries(np.eye(5))
-        config = gw.DetectorConfig(
-            n_burnin=0, w=4, batch=None, threshold=spec, oracle_omega=omega
-        )
+    @pytest.mark.parametrize("zeta", [math.nan, math.inf, 0.0, -1.0])
+    def test_invalid_zeta_rejected(self, zeta):
         with pytest.raises(InvalidConfig):
-            gw.Detector(config)
+            gw.Detector(_oracle_config(zeta=zeta))
 
     def test_plugin_mode_requires_burnin(self):
-        spec = gw.ThresholdSpec(pi0=0.05, p=5, w=4, method="exact", zeta=4.0)
         with pytest.raises(InvalidConfig):
-            gw.Detector(gw.DetectorConfig(n_burnin=0, w=4, batch=None, threshold=spec))
+            gw.Detector(gw.DetectorConfig(p=5, w=4, zeta=4.0, n_burnin=0, batch=None))
 
 
 class TestStep:
@@ -67,7 +60,8 @@ class TestStep:
         assert det.detections == []
 
     def test_zero_threshold_immediate(self, rng):
-        det = gw.Detector(_oracle_config(zeta=0.0, w=4))
+        # a zeta just above 0 (0 itself is rejected) fires on the first full window
+        det = gw.Detector(_oracle_config(zeta=1e-300, w=4))
         events = [det.step(x) for x in rng.standard_normal((4, 5))]
         assert events[:3] == [None, None, None]
         assert events[3] is not None
@@ -75,8 +69,8 @@ class TestStep:
         assert events[3].delay_estimate == 4
 
     def test_detection_spacing_with_burnin(self, rng):
-        # zeta = 0 forces detection at every full window: spacings N + w
-        det = gw.Detector(_oracle_config(zeta=0.0, w=3, n_burnin=5))
+        # a zeta just above 0 forces detection at every full window: spacings N + w
+        det = gw.Detector(_oracle_config(zeta=1e-300, w=3, n_burnin=5))
         for x in rng.standard_normal((40, 5)):
             det.step(x)
         assert det.detections[0] == 5 + 3
@@ -98,9 +92,8 @@ class TestStep:
     def test_oracle_statistic_bitwise(self, rng, n_burnin, zeta):
         w = 6
         omega = gw.gen_chain_precision(5, 0.5)
-        spec = gw.ThresholdSpec(pi0=0.05, p=5, w=w, method="exact", zeta=zeta)
         config = gw.DetectorConfig(
-            n_burnin=n_burnin, w=w, batch=None, threshold=spec, oracle_omega=omega
+            p=5, w=w, zeta=zeta, n_burnin=n_burnin, batch=None, oracle_omega=omega
         )
         det = gw.Detector(config)
         xs = rng.standard_normal((120, 5))
@@ -117,8 +110,7 @@ class TestStep:
             if t - t_last - n_burnin < w:
                 assert stat is None
             else:
-                window = gw.SampleWindow.from_samples(xs[t - w : t])
-                assert stat == gw.oracle_statistic(omega, window).sup_norm
+                assert stat == gw.oracle_statistic(omega, xs[t - w : t]).sup_norm
 
     def test_dimension_mismatch(self):
         det = gw.Detector(_oracle_config(p=5))
@@ -153,9 +145,8 @@ class TestStep:
     def test_reused_input_buffer(self, rng, oracle):
         # the detector keeps copies: a caller may refill one array every step
         omega = gw.gen_chain_precision(4, 0.4)
-        spec = gw.ThresholdSpec(pi0=0.05, p=4, w=3, method="exact", zeta=1e9)
         config = gw.DetectorConfig(
-            n_burnin=10, w=3, batch=4, threshold=spec, oracle_omega=omega if oracle else None
+            p=4, w=3, zeta=1e9, n_burnin=10, batch=4, oracle_omega=omega if oracle else None
         )
         xs = rng.standard_normal((30, 4)) @ gw.cholesky_factor(gw.invert_spd(omega.entries)).T
         fresh, reused = gw.Detector(config), gw.Detector(config)
@@ -171,8 +162,7 @@ class TestStep:
         rng = Generator(Philox(key=77))
         omega = gw.gen_chain_precision(4, 0.4)
         chol = gw.cholesky_factor(gw.invert_spd(omega.entries))
-        spec = gw.ThresholdSpec(pi0=0.05, p=4, w=3, method="exact", zeta=1e9)
-        config = gw.DetectorConfig(n_burnin=10, w=3, batch=4, threshold=spec)
+        config = gw.DetectorConfig(p=4, w=3, zeta=1e9, n_burnin=10, batch=4)
         det = gw.Detector(config)
         refit_steps = []
         prev = None
@@ -188,8 +178,7 @@ class TestStep:
     def test_batch_none_keeps_estimate(self, rng):
         omega = gw.gen_chain_precision(4, 0.4)
         chol = gw.cholesky_factor(gw.invert_spd(omega.entries))
-        spec = gw.ThresholdSpec(pi0=0.05, p=4, w=3, method="exact", zeta=1e9)
-        config = gw.DetectorConfig(n_burnin=8, w=3, batch=None, threshold=spec)
+        config = gw.DetectorConfig(p=4, w=3, zeta=1e9, n_burnin=8, batch=None)
         det = gw.Detector(config)
         seen = set()
         for x in rng.standard_normal((40, 4)) @ chol.T:
@@ -225,10 +214,10 @@ class TestRunOffline:
         # stop at 90 samples: a second full window after the first detection
         # would re-trigger (the oracle matrix stays pre-change)
         sc = gw.ChangeScenario(omega_pre=pre, omega_post=post, t0=60, n_burnin=0, horizon=200)
-        xs = gw.sample_stream(sc, seed=8, count=90)
-        spec = gw.ThresholdSpec(pi0=1e-4, p=10, w=30, method="exact").resolve()
+        xs = gw.GaussianStream(sc, seed=8).take(90)
+        zeta = gw.critical_value(1e-4, 10, 30)
         config = gw.DetectorConfig(
-            n_burnin=0, w=30, batch=None, threshold=spec, oracle_omega=pre
+            p=10, w=30, zeta=zeta, n_burnin=0, batch=None, oracle_omega=pre
         )
         events, _ = gw.run_offline(config, xs)
         assert len(events) == 1

@@ -9,7 +9,7 @@ from ggmwatch import kernels
 def setup():
     om = gw.gen_chain_precision(20, 0.5)
     chol = gw.cholesky_factor(gw.invert_spd(om.entries))
-    psi = gw.scale_matrix(om).entries
+    psi = gw.scale_entries(om.entries)
     rng = np.random.default_rng(7)
     return om.entries, chol, psi, rng
 
@@ -24,7 +24,7 @@ def test_sliding_matches_full_recompute(setup, t_len, w):
     assert len(sup) == t_len - w + 1
     omat = gw.PrecisionMatrix.from_entries(np.array(om))
     for k in range(len(sup)):
-        direct = gw.oracle_statistic(omat, gw.SampleWindow.from_samples(x[k : k + w]))
+        direct = gw.oracle_statistic(omat, x[k : k + w])
         assert abs(sup[k] - direct.sup_norm) <= 1e-9
 
 
@@ -33,7 +33,7 @@ def test_window_matches_plugin_statistic(setup):
     xs = rng.standard_normal((5, 12, 20)) @ chol.T
     sup = kernels.window_supnorms(xs, om, psi)
     for k in range(5):
-        direct = gw.plugin_statistic(om, gw.SampleWindow.from_samples(xs[k]))
+        direct = gw.plugin_statistic(om, xs[k])
         assert abs(sup[k] - direct.sup_norm) <= 1e-9
 
 

@@ -127,6 +127,13 @@ class TestRandomSparse:
         with pytest.raises(ValueError):
             gw.gen_random_sparse(10, 1.5, 0.1, seed=0)
 
+    @pytest.mark.parametrize("p", [2, 3, 10])
+    def test_density_beyond_pairs_names_row_density(self, p):
+        # round(1.0 * p) = p neighbours per row asks for more than p(p-1)/2 edges
+        with pytest.raises(ValueError, match="row_density"):
+            gw.gen_random_sparse(p, 1.0, 0.1, seed=0)
+        gw.gen_random_sparse(p, (p - 1) / p, 0.1, seed=0)  # the complete graph is allowed
+
 
 class TestHubPrecision:
     def test_hub_degrees(self):
@@ -228,7 +235,7 @@ def _identity_scenario(p, t0=50, n_burnin=0, horizon=10**6):
 
 class TestSampleStream:
     def test_zero_mean(self):
-        xs = gw.sample_stream(_identity_scenario(4), seed=11, count=100_000)
+        xs = gw.GaussianStream(_identity_scenario(4), seed=11).take(100_000)
         assert np.abs(xs.mean(axis=0)).max() < 0.02
 
     def test_variance_p1(self):
@@ -236,26 +243,26 @@ class TestSampleStream:
         sc = gw.ChangeScenario(
             omega_pre=om, omega_post=om, t0=10, n_burnin=0, horizon=10**6
         )
-        xs = gw.sample_stream(sc, seed=5, count=100_000)
+        xs = gw.GaussianStream(sc, seed=5).take(100_000)
         assert xs.var() == pytest.approx(0.25, abs=0.005)
 
     def test_bit_identical_repeat(self):
         sc = _identity_scenario(3)
-        a = gw.sample_stream(sc, seed=77, count=500)
-        b = gw.sample_stream(sc, seed=77, count=500)
+        a = gw.GaussianStream(sc, seed=77).take(500)
+        b = gw.GaussianStream(sc, seed=77).take(500)
         assert np.array_equal(a, b)
 
     def test_chunking_invariance(self):
         sc = _identity_scenario(3)
         stream = gw.GaussianStream(sc, seed=9)
         chunked = np.vstack([stream.take(13), stream.take(7), stream.take(10)])
-        assert np.array_equal(chunked, gw.sample_stream(sc, seed=9, count=30))
+        assert np.array_equal(chunked, gw.GaussianStream(sc, seed=9).take(30))
 
     def test_change_point_boundary(self):
         pre = gw.PrecisionMatrix.from_entries(np.array([[1.0]]))
         post = gw.PrecisionMatrix.from_entries(np.array([[100.0]]))
         sc = gw.ChangeScenario(omega_pre=pre, omega_post=post, t0=3, n_burnin=2, horizon=10**6)
-        xs = gw.sample_stream(sc, seed=1, count=100_000)
+        xs = gw.GaussianStream(sc, seed=1).take(100_000)
         # samples 1..5 are unit variance, later ones have variance 0.01
         assert xs[:5].var() > 0.1
         assert xs[5:].var() == pytest.approx(0.01, rel=0.05)
@@ -263,7 +270,7 @@ class TestSampleStream:
     def test_exhaustion(self):
         sc = _identity_scenario(2, t0=5, horizon=10)
         with pytest.raises(ValueError):
-            gw.sample_stream(sc, seed=0, count=11)
+            gw.GaussianStream(sc, seed=0).take(11)
 
 
 class TestTypes:

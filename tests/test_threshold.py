@@ -150,20 +150,18 @@ class TestClosedForms:
                 gw.critical_value_asymptotic(bad, 100)
 
 
-class TestThresholdSpec:
-    def test_resolve_exact(self):
-        spec = gw.ThresholdSpec(pi0=0.05, p=100, w=50, method="exact").resolve()
-        assert spec.resolved
-        assert spec.zeta == pytest.approx(gw.critical_value_exact(0.05, 100, 50))
+class TestCriticalValue:
+    def test_exact_method(self):
+        zeta = gw.critical_value(0.05, 100, 50)
+        assert zeta == gw.critical_value_exact(0.05, 100, 50)
+        assert gw.critical_value(0.05, 100, 50, method="exact") == zeta
 
-    def test_resolve_is_idempotent(self):
-        spec = gw.ThresholdSpec(pi0=0.05, p=100, w=50, method="union").resolve()
-        assert spec.resolve() is spec
-
-    def test_explicit_zeta_kept(self):
-        spec = gw.ThresholdSpec(pi0=0.05, p=10, w=20, method="exact", zeta=3.3).resolve()
-        assert spec.zeta == 3.3
+    def test_closed_form_methods(self):
+        assert gw.critical_value(0.05, 100, 50, "asymptotic") == gw.critical_value_asymptotic(
+            0.05, 100
+        )
+        assert gw.critical_value(0.05, 100, 50, "union") == gw.critical_value_union(0.05, 100)
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            gw.ThresholdSpec(pi0=0.05, p=10, w=20, method="magic")
+        with pytest.raises(ValueError, match="magic"):
+            gw.critical_value(0.05, 10, 20, method="magic")
