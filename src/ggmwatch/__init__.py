@@ -31,7 +31,6 @@ from .modelgen import (
     make_antidiag_change,
     make_block_change,
     make_uniform_change,
-    sym_eig,
 )
 from .statistic import (
     ChangeSignal,
@@ -90,5 +89,4 @@ __all__ = [
     "run_offline",
     "sample_covariance",
     "scale_entries",
-    "sym_eig",
 ]

@@ -168,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest_for(args, argv: list[str], inputs: list[str], master_seed=None, config=None):
+def _manifest_for(argv: list[str], inputs: list[str], master_seed=None, config=None):
     return manifest_dict(
         command=argv,
         config_path=config,
@@ -243,7 +243,7 @@ def cmd_gen(args, argv: list[str]) -> int:
                     )
                 else:
                     fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    write_manifest(f"{args.out}.manifest.json", _manifest_for(args, argv, inputs))
+    write_manifest(f"{args.out}.manifest.json", _manifest_for(argv, inputs))
     return 0
 
 
@@ -265,7 +265,7 @@ def cmd_threshold(args, argv: list[str]) -> int:
         print("union      n/a (pi0 >= 1/2)")
     else:
         print(f"union      {union:.6f}")
-    print(json.dumps(_manifest_for(args, argv, []), sort_keys=True), file=sys.stderr)
+    print(json.dumps(_manifest_for(argv, []), sort_keys=True), file=sys.stderr)
     return 0
 
 
@@ -350,7 +350,7 @@ def cmd_monitor(args, argv: list[str]) -> int:
     settings = _monitor_settings(args)
     detector = _monitor_detector(settings)
     inputs = [p for p in (args.config, settings["oracle_matrix"]) if p]
-    manifest = _manifest_for(args, argv, inputs, config=args.config)
+    manifest = _manifest_for(argv, inputs, config=args.config)
     out = sys.stdout
     out.write(
         json.dumps({"type": "run_manifest", **manifest}, sort_keys=True, allow_nan=False) + "\n"
@@ -412,7 +412,7 @@ def cmd_experiment(args, argv: list[str]) -> int:
     result = run_experiment(config, jobs=max(1, args.jobs))
     write_result_csv(result, f"{args.out}.csv")
     write_result_ndjson(result, f"{args.out}.ndjson")
-    manifest = _manifest_for(args, argv, [], master_seed=config.master_seed)
+    manifest = _manifest_for(argv, [], master_seed=config.master_seed)
     manifest["preset"] = args.preset
     manifest["replicates"] = config.replicates
     write_manifest(f"{args.out}.manifest.json", manifest)

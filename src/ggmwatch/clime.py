@@ -66,11 +66,6 @@ class PrecisionEstimate:
     omega_hat: np.ndarray
     lambda_used: float
     feasibility_gap: float
-    psd_projected: bool
-
-    @property
-    def p(self) -> int:
-        return self.omega_hat.shape[0]
 
 
 def sample_covariance(samples, center: bool = False) -> np.ndarray:
@@ -158,12 +153,7 @@ def clime_estimate(samples, config: ClimeConfig = ClimeConfig()) -> PrecisionEst
     if config.psd_project:
         omega = psd_project(omega)
     omega.flags.writeable = False
-    return PrecisionEstimate(
-        omega_hat=omega,
-        lambda_used=lam,
-        feasibility_gap=gap,
-        psd_projected=config.psd_project,
-    )
+    return PrecisionEstimate(omega_hat=omega, lambda_used=lam, feasibility_gap=gap)
 
 
 def normalized_error(omega_hat: np.ndarray, omega_true) -> float:

@@ -14,7 +14,10 @@ order, as one ``(w, p)`` array to :func:`ggmwatch.statistic.oracle_statistic`
 / ``plugin_statistic``, so an oracle-mode detector reproduces those values
 bit-for-bit. Plug-in fits (at ``m == 0`` and every ``batch`` tests) use every
 sample observed since the last detection (an expanding window, burn-in
-samples included); only plug-in mode keeps that history.
+samples included); only plug-in mode keeps that history. A failed fit
+raises its error after leaving a consistent state: a failed burn-in fit
+starts burn-in again from the next row, and a failed batch refit keeps the
+previous estimate.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clime import ClimeConfig, clime_estimate
-from .errors import DimensionMismatch, InvalidConfig, NonFiniteSample
+from .errors import DimensionMismatch, GgmWatchError, InvalidConfig, NonFiniteSample
 from .modelgen import PrecisionMatrix
 from .statistic import oracle_statistic, plugin_statistic
 
@@ -113,6 +116,12 @@ class Detector:
         if self.config.oracle_omega is None:  # only plug-in fits read the history
             self._omega_hat = clime_estimate(np.array(self._history), self.config.clime).omega_hat
 
+    def _restart(self) -> None:
+        """Begin a new burn-in with the next row."""
+        self.t_last = self.t
+        self._history = []
+        self.b = 0
+
     def step(self, x) -> DetectionEvent | None:
         """Consume one sample; returns a DetectionEvent when the test fires."""
         x = np.asarray(x, dtype=np.float64)
@@ -127,7 +136,11 @@ class Detector:
             self._history.append(x.copy())  # the caller may reuse its buffer
         m = self.t - self.t_last - cfg.n_burnin
         if m == 0:
-            self._refit()
+            try:
+                self._refit()
+            except GgmWatchError:  # Infeasible, SolverStall or NonFiniteSample
+                self._restart()
+                raise
         if m <= 0:
             return None
         w = cfg.w
@@ -144,16 +157,14 @@ class Detector:
         zeta = cfg.zeta
         if stat.sup_norm >= zeta:
             event = DetectionEvent(t=self.t, statistic=stat.sup_norm, zeta=zeta, delay_estimate=m)
-            self.t_last = self.t
             self.detections.append(self.t)
             self.events.append(event)
-            self._history = []
-            self.b = 0
+            self._restart()
             return event
         self.b += 1
         if cfg.batch is not None and self.b >= cfg.batch:
+            self.b = 0  # reset even when the refit below raises
             self._refit()
-            self.b = 0
         return None
 
 

@@ -22,10 +22,6 @@ class NonPositiveDiagonal(GgmWatchError):
     """A plug-in precision estimate has a diagonal entry <= 0."""
 
 
-class NoConvergence(GgmWatchError):
-    """An iterative numerical routine exhausted its budget."""
-
-
 class Infeasible(GgmWatchError):
     """A linear program has no feasible point at the requested level."""
 

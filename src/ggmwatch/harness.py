@@ -3,12 +3,17 @@
 Replicate ``r`` of any experiment draws from a Philox stream keyed by
 ``sha256(master_seed | tag | ... | r)``, so results are reproducible
 bit-for-bit for a given ``(config, master_seed)`` at any worker count.
-Each experiment builds one list of cell contexts and maps one of two chunk
-workers over every (cell, replicate-chunk) task, cell-major with chunks of
-``_CHUNK`` replicates, through at most one process pool; each cell's chunk
-results are reduced in chunk order. ``_window_chunk`` scores one independent
-window per replicate (calibration and power), ``_path_chunk`` one sliding
-path (delay profile and its no-change control).
+Every experiment follows one recipe: draw a model (``_sparse_model``, or the
+chain model for false-alarm calibration), take its covariance factor
+(``_cov_factor``), fit CLIME on seeded burn-in rows (``_burnin_fit``), then
+build one list of cell contexts and map one of two chunk workers over every
+(cell, replicate-chunk) task, cell-major with chunks of ``_CHUNK``
+replicates, through at most one process pool; each cell's chunk results
+are reduced in chunk order. Chunks run with one BLAS thread, in this process
+or in a pool worker, so results do not depend on the worker count.
+``_window_chunk`` scores one independent window per replicate (calibration
+and power), ``_path_chunk`` one sliding path (delay profile and its
+no-change control).
 
 Power grids share replicate streams along the beta and w axes (common random
 numbers), which makes the monotonicity properties of the curves visible at
@@ -17,16 +22,18 @@ desk-scale replicate counts.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from . import __version__, kernels
-from .clime import ClimeConfig, clime_estimate, normalized_error
+from .clime import clime_estimate, normalized_error
 from .errors import InvalidConfig
 from .modelgen import (
     PrecisionMatrix,
@@ -118,6 +125,49 @@ def _upper_quantile(values: np.ndarray, pi0: float) -> float:
     return float(np.sort(values)[k - 1])
 
 
+def _openblas() -> list[tuple]:
+    """``(get, set)`` thread-count functions of every OpenBLAS mapped into this
+    process: the builds numpy and scipy ship, or upstream's. None where there
+    is no ``/proc``."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return []
+    found = []
+    for lib in map(ctypes.CDLL, sorted(paths)):
+        for name in ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
+                     "openblas_%s_num_threads"):
+            if hasattr(lib, name % "set"):
+                found.append((getattr(lib, name % "get"), getattr(lib, name % "set")))
+                break
+    return found
+
+
+def _single_blas_thread() -> None:
+    """Pool initializer: one BLAS thread per worker, so ``jobs`` workers do not
+    each keep a BLAS thread per core."""
+    for _, set_threads in _openblas():
+        set_threads(1)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with one BLAS thread, then restore the previous counts.
+    Chunks run in process at ``--jobs 1`` get the same BLAS as pool workers:
+    threaded Gram products round differently, so this keeps results
+    independent of ``--jobs``."""
+    blas = _openblas()
+    before = [get() for get, _ in blas]
+    for _, set_threads in blas:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), n in zip(blas, before):
+            set_threads(n)
+
+
 def _map_cells(worker, ctxs: list[dict], n: int, jobs: int) -> list[list]:
     """Run ``worker(ctx, start, stop)`` over every (cell, replicate-chunk) task,
     cell-major, through at most one process pool; returns each cell's chunk
@@ -127,9 +177,10 @@ def _map_cells(worker, ctxs: list[dict], n: int, jobs: int) -> list[list]:
     if not tasks:
         return []
     if jobs <= 1:
-        results = list(map(worker, *zip(*tasks)))
+        with _one_blas_thread():
+            results = list(map(worker, *zip(*tasks)))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_single_blas_thread) as pool:
             results = list(pool.map(worker, *zip(*tasks)))
     k = len(spans)
     return [results[i : i + k] for i in range(0, len(results), k)]
@@ -203,6 +254,23 @@ def _path_chunk(ctx: dict, start: int, stop: int) -> dict:
 # experiments
 
 
+def _sparse_model(config: ExperimentConfig, tag: str = "model") -> PrecisionMatrix:
+    prm = config.params
+    return gen_random_sparse(
+        prm["p"], prm["density"], prm["inflation"], derive_key(config.master_seed, tag)
+    )
+
+
+def _cov_factor(omega: PrecisionMatrix) -> np.ndarray:
+    return cholesky_factor(invert_spd(omega.entries))
+
+
+def _burnin_fit(config: ExperimentConfig, chol: np.ndarray, n: int, *key) -> np.ndarray:
+    """CLIME fit on ``n`` rows drawn through ``chol`` from the stream ``("burnin", *key)``."""
+    z = _generator(config.master_seed, "burnin", *key).standard_normal((n, chol.shape[0]))
+    return clime_estimate(z @ chol.T).omega_hat
+
+
 def _provenance(config: ExperimentConfig, **extra) -> dict:
     return {
         "kind": config.kind,
@@ -221,7 +289,7 @@ def fa_calibration(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     prm = config.params
     p, rho0, w, pi0 = prm["p"], prm["rho0"], prm["w"], prm["pi0"]
     omega = gen_chain_precision(p, rho0)
-    chol = cholesky_factor(invert_spd(omega.entries))
+    chol = _cov_factor(omega)
     ze = critical_value_exact(pi0, p, w)
     zu = critical_value_union(pi0, p) if pi0 < 0.5 else None
     za = critical_value_asymptotic(pi0, p)
@@ -247,35 +315,21 @@ def fa_calibration(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     return ExperimentResult(kind=config.kind, cells=[cell], provenance=prov)
 
 
-def _fit_clime(samples: np.ndarray, lambda_level: float) -> np.ndarray:
-    cfg = ClimeConfig(lambda_rule="scaled", lambda_level=lambda_level, psd_project=True)
-    return clime_estimate(samples, cfg).omega_hat
-
-
 def plugin_calibration(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Plug-in calibration over a burn-in grid: several CLIME fits per cell,
     pooled no-rejection rate p_N and averaged normalized error e_N."""
     prm = config.params
     p, w, pi0 = prm["p"], prm["w"], prm["pi0"]
-    fits_per_cell = prm.get("fits", 4)
-    lambda_level = prm.get("lambda_level", 0.5)
-    omega = gen_random_sparse(
-        p, prm["density"], prm["inflation"], derive_key(config.master_seed, "model")
-    )
-    chol = cholesky_factor(invert_spd(omega.entries))
+    omega = _sparse_model(config)
+    chol = _cov_factor(omega)
     ze = critical_value_exact(pi0, p, w)
     fit_sets, errs, cell_keys = [], [], []
     for n_burn in prm["n_grid"]:
-        fits, cell_errs = [], []
-        for f in range(fits_per_cell):
-            xb = _generator(config.master_seed, "burnin", n_burn, f).standard_normal((n_burn, p))
-            omh = _fit_clime(xb @ chol.T, lambda_level)
-            fits.append((omh, scale_entries(omh)))
-            cell_errs.append(normalized_error(omh, omega))
-        fit_sets.append(fits)
-        errs.append(np.asarray(cell_errs))
+        fits = [_burnin_fit(config, chol, n_burn, n_burn, f) for f in range(prm["fits"])]
+        fit_sets.append([(omh, scale_entries(omh)) for omh in fits])
+        errs.append(np.array([normalized_error(omh, omega) for omh in fits]))
         cell_keys.append({"n_burnin": n_burn})
-    if prm.get("include_oracle", False):
+    if prm["include_oracle"]:
         fit_sets.append([(omega.entries, scale_entries(omega.entries))])
         errs.append(np.zeros(1))  # the true model: e_N = 0 with no standard error
         cell_keys.append({"n_burnin": 0, "oracle": 1})
@@ -299,54 +353,38 @@ def plugin_calibration(config: ExperimentConfig, jobs: int = 1) -> ExperimentRes
 
 
 def _power_engine(
-    config: ExperimentConfig, jobs: int, change: str, oracle: bool, tag: str
+    config: ExperimentConfig, jobs: int, change: str, oracle: bool
 ) -> ExperimentResult:
     prm = config.params
     p, pi0 = prm["p"], prm["pi0"]
-    omega = gen_random_sparse(
-        p, prm["density"], prm["inflation"], derive_key(config.master_seed, "model")
-    )
-    chol_pre = cholesky_factor(invert_spd(omega.entries))
+    omega = _sparse_model(config)
+    chol_pre = _cov_factor(omega)
     lam_min = float(np.linalg.eigvalsh(omega.entries)[0])
     if oracle:
-        omega_hat = omega.entries
-        e_n = 0.0
+        omega_hat, e_n = omega.entries, 0.0
     else:
-        n_burn = prm["n_burnin"]
-        xb = _generator(config.master_seed, "burnin").standard_normal((n_burn, p))
-        omega_hat = _fit_clime(xb @ chol_pre.T, prm.get("lambda_level", 0.5))
+        omega_hat = _burnin_fit(config, chol_pre, prm["n_burnin"])
         e_n = normalized_error(omega_hat, omega)
     psi_hat = scale_entries(omega_hat)
-
     if change == "block":
-        betas = [float(b) for b in prm["beta_grid"]]
-        cells_axis = [(b, {"beta": b}) for b in betas]
-
-        def post_of(s, beta):
-            return make_block_change(omega, s, beta)
-
-    elif change == "antidiag":
-        fracs = [float(f) for f in prm["beta_fracs"]]
-        cells_axis = [(f * lam_min, {"beta_frac": f, "beta": f * lam_min}) for f in fracs]
-
-        def post_of(s, beta):
-            return make_antidiag_change(omega, s, beta)
-
+        make_change = make_block_change
+        cells_axis = [(b, {"beta": b}) for b in map(float, prm["beta_grid"])]
     else:
-        raise InvalidConfig(f"unknown change kind {change!r}")
-
+        make_change = make_antidiag_change
+        fracs = map(float, prm["beta_fracs"])
+        cells_axis = [(f * lam_min, {"beta_frac": f, "beta": f * lam_min}) for f in fracs]
     w_grid = [int(w) for w in prm["w_grid"]]
     zetas = {w: critical_value_exact(pi0, p, w) for w in w_grid}
     ctxs, cell_keys = [], []
     for s in prm["s_grid"]:
         for beta, beta_cell in cells_axis:
-            post = post_of(s, beta) if beta != 0.0 else omega
-            chol_post = cholesky_factor(invert_spd(post.entries))
+            post = make_change(omega, s, beta) if beta != 0.0 else omega
+            chol_post = _cov_factor(post)
             for w in w_grid:
                 ctxs.append(
                     {
                         "master_seed": config.master_seed,
-                        "key": (tag, s),
+                        "key": ("rep", s),
                         "w": w,
                         "chol": chol_post,
                         "fits": [(omega_hat, psi_hat)],
@@ -373,14 +411,14 @@ def power_curve(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Mis-detection rate over (s, beta, w) grids for the leading-block change,
     testing the first full post-change window with a plug-in (or oracle) fit."""
     return _power_engine(
-        config, jobs, change="block", oracle=bool(config.params.get("oracle", False)), tag="rep"
+        config, jobs, change="block", oracle=bool(config.params.get("oracle", False))
     )
 
 
 def lcpd_block_power(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Oracle-mode power against added anti-corner edges; beta values are
     fractions of the pre-change smallest eigenvalue (the PD limit)."""
-    return _power_engine(config, jobs, change="antidiag", oracle=True, tag="rep")
+    return _power_engine(config, jobs, change="antidiag", oracle=True)
 
 
 def delay_profile(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
@@ -396,21 +434,12 @@ def delay_profile(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     p, w, t0, pi0 = prm["p"], prm["w"], prm["t0"], prm["pi0"]
     if w > t0:
         raise InvalidConfig("delay profile requires w <= t0")
-    atten = prm.get("attenuation", 1.0)
-    pre = gen_random_sparse(
-        p, prm["density"], prm["inflation"], derive_key(config.master_seed, "model-pre")
-    )
-    post_raw = gen_random_sparse(
-        p, prm["density"], prm["inflation"], derive_key(config.master_seed, "model-post")
-    )
-    post = PrecisionMatrix.from_entries(
-        (1.0 - atten) * pre.entries + atten * post_raw.entries
-    )
-    chol_pre = cholesky_factor(invert_spd(pre.entries))
-    chol_post = cholesky_factor(invert_spd(post.entries))
-    n_burn = prm["n_burnin"]
-    xb = _generator(config.master_seed, "burnin").standard_normal((n_burn, p))
-    omega_hat = _fit_clime(xb @ chol_pre.T, prm.get("lambda_level", 0.5))
+    atten = prm["attenuation"]
+    pre = _sparse_model(config, "model-pre")
+    post_raw = _sparse_model(config, "model-post")
+    post = PrecisionMatrix.from_entries((1.0 - atten) * pre.entries + atten * post_raw.entries)
+    chol_pre, chol_post = _cov_factor(pre), _cov_factor(post)
+    omega_hat = _burnin_fit(config, chol_pre, prm["n_burnin"])
     e_n = normalized_error(omega_hat, pre)
     zeta = critical_value_exact(pi0, p, w)
     base = {

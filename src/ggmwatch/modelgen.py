@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 from numpy.random import Generator, Philox
 
-from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
+from .errors import DimensionMismatch, NotPositiveDefinite
 
 __all__ = [
     "PrecisionMatrix",
@@ -22,7 +22,6 @@ __all__ = [
     "GaussianStream",
     "cholesky_factor",
     "invert_spd",
-    "sym_eig",
     "assess",
     "gen_chain_precision",
     "gen_random_sparse",
@@ -42,7 +41,6 @@ class PrecisionMatrix:
     """
 
     entries: np.ndarray
-    is_unit_diag: bool
 
     @classmethod
     def from_entries(cls, entries: np.ndarray) -> "PrecisionMatrix":
@@ -53,7 +51,7 @@ class PrecisionMatrix:
             raise ValueError("precision matrix entries must be exactly symmetric")
         cholesky_factor(e)
         e.flags.writeable = False
-        return cls(entries=e, is_unit_diag=bool(np.all(e.diagonal() == 1.0)))
+        return cls(entries=e)
 
     @property
     def p(self) -> int:
@@ -133,21 +131,11 @@ def invert_spd(m) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
-def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
-    a = _symmetric_array(m)
-    try:
-        vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return vals, vecs
-
-
 def assess(omega: PrecisionMatrix, zero_tol: float = 1e-12) -> AssumptionReport:
     """Measure row support, smallest eigenvalue and standardized off-diagonal size."""
     e = omega.entries
     d_max = int((np.abs(e) > zero_tol).sum(axis=1).max())
-    lam_min = float(sym_eig(e)[0][0])
+    lam_min = float(np.linalg.eigvalsh(e)[0])
     d = e.diagonal()
     off = np.abs(e) / np.sqrt(np.outer(d, d))
     np.fill_diagonal(off, 0.0)

@@ -35,11 +35,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DeviationMatrix:
-    """Standardized deviation matrix with its sup-norm and window length."""
+    """Standardized deviation matrix with its sup-norm."""
 
     entries: np.ndarray
     sup_norm: float
-    w: int
 
 
 @dataclass(frozen=True)
@@ -65,9 +64,8 @@ def _window_deviation(xs, omega: np.ndarray) -> DeviationMatrix:
             f"window dimension {x.shape[1]} != matrix dimension {omega.shape[0]}"
         )
     y = x @ omega
-    w = x.shape[0]
-    e = deviation(y.T @ y, w, omega, scale_entries(omega))
-    return DeviationMatrix(entries=e, sup_norm=float(np.abs(e).max()), w=w)
+    e = deviation(y.T @ y, x.shape[0], omega, scale_entries(omega))
+    return DeviationMatrix(entries=e, sup_norm=float(np.abs(e).max()))
 
 
 def oracle_statistic(omega: PrecisionMatrix, xs) -> DeviationMatrix:

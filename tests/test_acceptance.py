@@ -17,6 +17,7 @@ import ggmwatch.harness as hz
 from ggmwatch.threshold import norm_sf
 
 from lp_bruteforce import clime_column_bruteforce
+from test_cli import SRC_ENV
 from test_threshold import MC_W50
 
 JOBS = 2
@@ -251,7 +252,7 @@ def test_criterion_10_determinism(tmp_path, report):
         cmd = [sys.executable, "-m", "ggmwatch.cli", "experiment", "fa-calibration",
                "--preset", "fig1-desk", "--replicates", "600", "--jobs", jobs,
                "--out", str(out)]
-        subprocess.run(cmd, check=True, capture_output=True)
+        subprocess.run(cmd, check=True, capture_output=True, env=SRC_ENV)
         outs[jobs] = (
             (tmp_path / f"det{jobs}.csv").read_bytes(),
             (tmp_path / f"det{jobs}.ndjson").read_bytes(),

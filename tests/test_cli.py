@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,12 @@ import pytest
 import ggmwatch as gw
 from ggmwatch.cli import main
 from ggmwatch.iofmt import read_matrix
+
+
+# ``python -m ggmwatch.cli`` subprocesses import the package from this checkout
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+SRC_ENV = dict(os.environ)
+SRC_ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, SRC_ENV.get("PYTHONPATH")]))
 
 
 def run_cli(args):
@@ -369,7 +377,7 @@ class TestExperiment:
             cmd = [sys.executable, "-m", "ggmwatch.cli", "experiment", "fa-calibration",
                    "--preset", "fig1-desk", "--replicates", "500", "--jobs", jobs,
                    "--out", str(out)]
-            subprocess.run(cmd, check=True, capture_output=True)
+            subprocess.run(cmd, check=True, capture_output=True, env=SRC_ENV)
             outs.append(out)
         a, b = outs
         assert (tmp_path / "j1.csv").read_bytes() == (tmp_path / "j2.csv").read_bytes()

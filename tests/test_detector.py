@@ -5,7 +5,8 @@ import pytest
 from numpy.random import Generator, Philox
 
 import ggmwatch as gw
-from ggmwatch.errors import DimensionMismatch, InvalidConfig, NonFiniteSample
+import ggmwatch.detector as detector_module
+from ggmwatch.errors import DimensionMismatch, Infeasible, InvalidConfig, NonFiniteSample
 
 
 def _oracle_config(p=5, w=4, zeta=1e6, n_burnin=0, batch=None):
@@ -186,6 +187,50 @@ class TestStep:
             if det.phase == "monitoring":
                 seen.add(id(det._omega_hat))
         assert len(seen) == 1
+
+    def test_failed_burnin_fit_restarts_burnin(self):
+        # a 1e200 row at step 5 overflows the covariance of the fit at step 12
+        rng = Generator(Philox(key=5))
+        omega = gw.gen_chain_precision(4, 0.4)
+        chol = gw.cholesky_factor(gw.invert_spd(omega.entries))
+        zeta = gw.critical_value(0.05, 4, 4)
+        det = gw.Detector(gw.DetectorConfig(p=4, w=4, zeta=zeta, n_burnin=12, batch=None))
+        xs = rng.standard_normal((30, 4)) @ chol.T
+        xs[4] = 1e200
+        fitted_at = None
+        for t, x in enumerate(xs, start=1):
+            if t == 12:
+                with np.errstate(over="ignore"), pytest.raises(NonFiniteSample):
+                    det.step(x)
+                continue
+            det.step(x)
+            if t == 13:
+                assert det.phase == "burn_in"
+            if fitted_at is None and det._omega_hat is not None:
+                fitted_at = t
+        assert fitted_at == 24
+
+    def test_failed_batch_refit_keeps_estimate(self, monkeypatch):
+        rng = Generator(Philox(key=77))
+        omega = gw.gen_chain_precision(4, 0.4)
+        chol = gw.cholesky_factor(gw.invert_spd(omega.entries))
+        det = gw.Detector(gw.DetectorConfig(p=4, w=3, zeta=1e9, n_burnin=10, batch=4))
+        xs = rng.standard_normal((20, 4)) @ chol.T
+        for x in xs[:15]:
+            det.step(x)
+        estimate = det._omega_hat
+
+        def infeasible(*args, **kwargs):
+            raise Infeasible("no feasible point")
+
+        monkeypatch.setattr(detector_module, "clime_estimate", infeasible)
+        with pytest.raises(Infeasible):
+            det.step(xs[15])  # the fourth test: batch refit
+        assert det._omega_hat is estimate
+        assert det.b == 0
+        det.step(xs[16])
+        assert det.last_statistic is not None
+        assert det.b == 1
 
 
 class TestRunOffline:

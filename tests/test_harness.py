@@ -7,6 +7,11 @@ import ggmwatch.harness as hz
 from ggmwatch.iofmt import write_result_csv, write_result_ndjson
 
 
+def _blas_threads(ctx, start, stop):
+    """Chunk worker reporting the thread count of every OpenBLAS in its process."""
+    return [get() for get, _ in hz._openblas()]
+
+
 def _config(kind, replicates, **params):
     return hz.ExperimentConfig(
         kind=kind, replicates=replicates, master_seed=hz.DEFAULT_MASTER_SEED, params=params
@@ -241,6 +246,16 @@ class TestWriters:
         lines = path.read_text().splitlines()
         assert lines[0] == "experiment,cell,params,metric,value,se,n"
         assert len(lines) == 1 + len(res.cells[0].metrics)
+
+
+class TestSingleThreadedBlas:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_chunks_run_single_threaded_blas(self, jobs):
+        before = _blas_threads(None, 0, 1)
+        ((counts,),) = hz._map_cells(_blas_threads, [{}], 1, jobs=jobs)
+        assert counts  # numpy and scipy each load an OpenBLAS
+        assert set(counts) == {1}
+        assert _blas_threads(None, 0, 1) == before
 
 
 class TestJobsByteIdentity:

@@ -50,30 +50,6 @@ class TestInvertSpd:
         assert np.abs(m @ gw.invert_spd(m) - np.eye(200)).max() <= 1e-8
 
 
-class TestSymEig:
-    def test_identity(self):
-        vals, _ = gw.sym_eig(np.eye(4))
-        assert_allclose(vals, np.ones(4))
-
-    def test_diagonal(self):
-        vals, vecs = gw.sym_eig(np.diag([1.0, 2.0, 3.0]))
-        assert_allclose(vals, [1.0, 2.0, 3.0])
-        assert_allclose(np.abs(vecs), np.eye(3), atol=1e-12)
-
-    def test_swap_matrix(self):
-        vals, _ = gw.sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert_allclose(vals, [-1.0, 1.0])
-
-    def test_residual_and_orthonormality(self, rng):
-        a = rng.standard_normal((12, 12))
-        m = a + a.T
-        vals, vecs = gw.sym_eig(m)
-        scale = np.abs(vals).max()
-        for i in range(12):
-            assert np.linalg.norm(m @ vecs[:, i] - vals[i] * vecs[:, i]) <= 1e-8 * scale
-        assert np.abs(vecs.T @ vecs - np.eye(12)).max() <= 1e-8
-
-
 class TestChainPrecision:
     def test_rho_zero_is_identity(self):
         assert_allclose(gw.gen_chain_precision(3, 0.0).entries, np.eye(3))
@@ -84,7 +60,7 @@ class TestChainPrecision:
 
     def test_large_p_stays_pd(self):
         om = gw.gen_chain_precision(100, 0.5)
-        vals, _ = gw.sym_eig(om.entries)
+        vals = np.linalg.eigvalsh(om.entries)
         assert vals[0] > 0
 
     def test_rho_beyond_half_rejected(self):

@@ -81,3 +81,18 @@ def test_experiment_spans(tmp_path):
     names = _span_names(data)
     assert {"statistic.scale_entries", "kernels.window_supnorms",
             "threshold.critical_value_exact"} <= names
+
+
+def test_delay_experiment_spans(tmp_path):
+    # the harness draws its model, covariance factors and burn-in fit through
+    # the module attributes the tracer patches
+    args = ["experiment", "delay", "--preset", "fig3-desk", "--replicates", "2",
+            "--jobs", "1", "--out", "fig3"]
+    data = _traced(tmp_path, args)
+    names = _span_names(data)
+    assert {"modelgen.gen_random_sparse", "modelgen.cholesky_factor", "modelgen.invert_spd",
+            "clime.clime_estimate", "clime.normalized_error",
+            "kernels.sliding_supnorms"} <= names
+    check = data["clime_check"]
+    assert check["fits"] == 1
+    assert check["violations"] == 0
