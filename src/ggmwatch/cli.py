@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .clime import ClimeConfig
 from .detector import Detector, DetectorConfig
-from .errors import GgmWatchError, NonFiniteSample
+from .errors import DimensionMismatch, GgmWatchError, NonFiniteSample
 from .harness import PRESETS, run_experiment
 from .iofmt import (
     load_config,
@@ -328,7 +328,7 @@ def _monitor_detector(settings: dict) -> Detector:
     return Detector(config)
 
 
-def _parse_row(line: str, lineno: int, ndjson: bool, p: int) -> tuple[int | None, np.ndarray]:
+def _parse_row(line: str, lineno: int, ndjson: bool) -> tuple[int | None, np.ndarray]:
     try:
         if ndjson:
             obj = json.loads(line)
@@ -339,10 +339,6 @@ def _parse_row(line: str, lineno: int, ndjson: bool, p: int) -> tuple[int | None
             t = None
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"line {lineno}: malformed row: {exc}") from None
-    if x.shape != (p,):
-        raise DataError(f"line {lineno}: expected {p} values, got {x.shape}")
-    if not np.isfinite(x).all():
-        raise DataError(f"line {lineno}: non-finite value")
     return t, x
 
 
@@ -367,10 +363,12 @@ def cmd_monitor(args, argv: list[str]) -> int:
                 continue
             if ndjson is None:
                 ndjson = line.startswith("{")
-            t_in, x = _parse_row(line, lineno, ndjson, settings["p"])
+            t_in, x = _parse_row(line, lineno, ndjson)
             try:
                 event = detector.step(x)
-            except NonFiniteSample as exc:  # a plug-in fit whose covariance overflows
+            # a row of the wrong length or with a non-finite value, or a
+            # plug-in fit whose covariance overflows
+            except (DimensionMismatch, NonFiniteSample) as exc:
                 raise DataError(f"line {lineno}: {exc}") from None
             stat = detector.last_statistic
             if stat is not None and not math.isfinite(stat):

@@ -8,12 +8,15 @@ chain model for false-alarm calibration), take its covariance factor
 (``_cov_factor``), fit CLIME on seeded burn-in rows (``_burnin_fit``), then
 build one list of cell contexts and map one of two chunk workers over every
 (cell, replicate-chunk) task, cell-major with chunks of ``_CHUNK``
-replicates, through at most one process pool; each cell's chunk results
-are reduced in chunk order. Chunks run with one BLAS thread, in this process
-or in a pool worker, so results do not depend on the worker count.
-``_window_chunk`` scores one independent window per replicate (calibration
-and power), ``_path_chunk`` one sliding path (delay profile and its
-no-change control).
+replicates, through at most one process pool. The workers only draw and
+score: ``_window_chunk`` returns one window's sup-norm per replicate
+(calibration and power), ``_path_chunk`` one path's sliding sup-norm
+trajectory (delay profile and its no-change control). The runners reduce
+each cell's chunk results, in chunk order, to rates, delays and
+trajectories. ``run_experiment`` runs all of it, in this process and in the
+workers, on one BLAS thread (restored afterwards): threaded Gram products
+round differently, so results depend only on the config and master seed,
+not on ``--jobs`` or the BLAS setting.
 
 Power grids share replicate streams along the beta and w axes (common random
 numbers), which makes the monotonicity properties of the curves visible at
@@ -145,18 +148,17 @@ def _openblas() -> list[tuple]:
 
 
 def _single_blas_thread() -> None:
-    """Pool initializer: one BLAS thread per worker, so ``jobs`` workers do not
-    each keep a BLAS thread per core."""
+    """Pool initializer: one BLAS thread per worker. A forked worker inherits
+    the pin of ``run_experiment``, but one started without fork (spawn, or
+    forkserver, the default from Python 3.14) loads BLAS afresh at its
+    default thread count."""
     for _, set_threads in _openblas():
         set_threads(1)
 
 
 @contextmanager
 def _one_blas_thread():
-    """Run the block with one BLAS thread, then restore the previous counts.
-    Chunks run in process at ``--jobs 1`` get the same BLAS as pool workers:
-    threaded Gram products round differently, so this keeps results
-    independent of ``--jobs``."""
+    """Run the block with one BLAS thread, then restore the previous counts."""
     blas = _openblas()
     before = [get() for get, _ in blas]
     for _, set_threads in blas:
@@ -177,8 +179,7 @@ def _map_cells(worker, ctxs: list[dict], n: int, jobs: int) -> list[list]:
     if not tasks:
         return []
     if jobs <= 1:
-        with _one_blas_thread():
-            results = list(map(worker, *zip(*tasks)))
+        results = list(map(worker, *zip(*tasks)))
     else:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_single_blas_thread) as pool:
             results = list(pool.map(worker, *zip(*tasks)))
@@ -195,59 +196,45 @@ def _window_chunk(ctx: dict, start: int, stop: int) -> np.ndarray:
     from the stream ``(*key, r)`` through ``chol`` and is scored with fit
     ``r % len(fits)``."""
     w, chol, fits = ctx["w"], ctx["chol"], ctx["fits"]
+    xs = np.empty((stop - start, w, chol.shape[0]))
+    for i, r in enumerate(range(start, stop)):
+        z = _generator(ctx["master_seed"], *ctx["key"], r).standard_normal(xs.shape[1:])
+        xs[i] = z @ chol.T
     m = len(fits)
     out = np.empty(stop - start)
     for f, (omega, psi) in enumerate(fits):
-        reps = range(start + (f - start) % m, stop, m)
-        if not reps:
-            continue
-        xs = np.empty((len(reps), w, chol.shape[0]))
-        for i, r in enumerate(reps):
-            z = _generator(ctx["master_seed"], *ctx["key"], r).standard_normal(xs.shape[1:])
-            xs[i] = z @ chol.T
-        out[reps.start - start :: m] = kernels.window_supnorms(xs, omega, psi)
+        k = (f - start) % m
+        out[k::m] = kernels.window_supnorms(xs[k::m], omega, psi)
     return out
 
 
-def _path_chunk(ctx: dict, start: int, stop: int) -> dict:
-    """Sliding sup-norms along one path of ``t0 + w`` rows per replicate; rows
-    before ``switch`` follow ``chol_pre`` and the rest ``chol_post``. Returns
-    the chunk's trajectory sums, first-crossing delays (over windows holding
-    rows from ``t0`` on) and exceedance counts."""
-    w, t0, switch, zeta = ctx["w"], ctx["t0"], ctx["switch"], ctx["zeta"]
+def _path_chunk(ctx: dict, start: int, stop: int) -> np.ndarray:
+    """Sliding sup-norm trajectories, shape ``(stop - start, t0 + 1)``, of one
+    path of ``t0 + w`` rows per replicate; rows before ``switch`` follow
+    ``chol_pre`` and the rest ``chol_post``."""
+    w, t0, switch = ctx["w"], ctx["t0"], ctx["switch"]
     chol_pre, chol_post = ctx["chol_pre"], ctx["chol_post"]
     shape = (t0 + w, chol_pre.shape[0])
-    first_post = t0 - w + 1  # first window index containing post-change data
-    acc = {
-        "traj_sum": np.zeros(t0 + 1),
-        "traj_sumsq": np.zeros(t0 + 1),
-        "delay_sum": 0.0,
-        "delay_sumsq": 0.0,
-        "detected": 0,
-        "pre_cross": 0,
-        "exceed": 0,
-        "windows": 0,
-        "n": stop - start,
-    }
-    for r in range(start, stop):
+    sups = np.empty((stop - start, t0 + 1))
+    for i, r in enumerate(range(start, stop)):
         z = _generator(ctx["master_seed"], *ctx["key"], r).standard_normal(shape)
         x = np.empty(shape)
         x[:switch] = z[:switch] @ chol_pre.T
         x[switch:] = z[switch:] @ chol_post.T
-        sup = kernels.sliding_supnorms(x, ctx["omega_hat"], ctx["psi_hat"], w)
-        acc["traj_sum"] += sup
-        acc["traj_sumsq"] += sup * sup
-        acc["exceed"] += int(np.sum(sup >= zeta))
-        acc["windows"] += len(sup)
-        if np.any(sup[:first_post] >= zeta):
-            acc["pre_cross"] += 1
-        hits = np.nonzero(sup[first_post:] >= zeta)[0]
-        if len(hits):
-            delay = float(hits[0] + 1)  # post-change samples inside the window
-            acc["delay_sum"] += delay
-            acc["delay_sumsq"] += delay * delay
-            acc["detected"] += 1
-    return acc
+        sups[i] = kernels.sliding_supnorms(x, ctx["omega_hat"], ctx["psi_hat"], w)
+    return sups
+
+
+def _trajectory(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error over replicates of chunked trajectories, summed
+    chunk by chunk in chunk order."""
+    total, total_sq = np.zeros(parts[0].shape[1]), np.zeros(parts[0].shape[1])
+    for c in parts:
+        total += c.sum(axis=0)
+        total_sq += (c * c).sum(axis=0)
+    n = sum(map(len, parts))
+    mean = total / n
+    return mean, np.sqrt(np.maximum(total_sq / n - mean**2, 0.0) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -446,62 +433,63 @@ def delay_profile(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         "master_seed": config.master_seed,
         "w": w,
         "t0": t0,
-        "zeta": zeta,
         "chol_pre": chol_pre,
         "omega_hat": omega_hat,
         "psi_hat": scale_entries(omega_hat),
     }
-    ctxs = [dict(base, key=("rep",), switch=t0, chol_post=chol_post)]
-    if prm.get("control", True):
+    ctxs = [
+        dict(base, key=("rep",), switch=t0, chol_post=chol_post),
         # switching at the path's end keeps every row on chol_pre
-        ctxs.append(dict(base, key=("control",), switch=t0 + w, chol_post=chol_pre))
-    change, *control = [
-        {k: sum(c[k] for c in parts) for k in parts[0]}
-        for parts in _map_cells(_path_chunk, ctxs, config.replicates, jobs)
+        dict(base, key=("control",), switch=t0 + w, chol_post=chol_pre),
     ]
-    n, detected = change["n"], change["detected"]
-    traj_mean = change["traj_sum"] / n
-    traj_se = np.sqrt(np.maximum(change["traj_sumsq"] / n - traj_mean**2, 0.0) / n)
+    change_parts, control_parts = _map_cells(_path_chunk, ctxs, config.replicates, jobs)
     rel_t = list(range(-t0, 1))
+    traj_mean, traj_se = _trajectory(change_parts)
     over = np.nonzero(traj_mean >= zeta)[0]
     traj_cross_delay = float(over[0] - t0 + w) if len(over) else math.nan
-    mean_delay = change["delay_sum"] / detected if detected else math.nan
+    sups = np.concatenate(change_parts)
+    n = len(sups)
+    first_post = t0 - w + 1  # first window index containing post-change data
+    post = sups[:, first_post:] >= zeta
+    # post-change samples inside the first window at or above zeta
+    delays = post.argmax(axis=1)[post.any(axis=1)] + 1.0
+    detected = len(delays)
+    mean_delay = float(delays.sum()) / detected if detected else math.nan
     delay_se = (
-        math.sqrt(max(change["delay_sumsq"] / detected - mean_delay**2, 0.0) / detected)
+        math.sqrt(max(float((delays * delays).sum()) / detected - mean_delay**2, 0.0) / detected)
         if detected
         else math.nan
     )
+    pre_cross = int(np.any(sups[:, :first_post] >= zeta, axis=1).sum())
     metrics = {
         "mean_delay": MetricValue(mean_delay, delay_se),
         "miss_rate": _rate_metric(n - detected, n),
-        "pre_any_exceed": _rate_metric(change["pre_cross"], n),
+        "pre_any_exceed": _rate_metric(pre_cross, n),
         "traj_cross_delay": MetricValue(traj_cross_delay, None),
         "traj_start": MetricValue(float(traj_mean[0]), float(traj_se[0])),
         "traj_end": MetricValue(float(traj_mean[-1]), float(traj_se[-1])),
     }
     series = {"t": rel_t, "mean": traj_mean.tolist(), "se": traj_se.tolist()}
+    ctl = np.concatenate(control_parts)
+    ctl_mean, _ = _trajectory(control_parts)
+    ctl_metrics = {
+        "window_exceed": _rate_metric(int((ctl >= zeta).sum()), ctl.size),
+        "traj_max": MetricValue(float(ctl_mean.max()), None),
+    }
     cells = [
         CellResult(
             cell={"scenario": "change", "attenuation": atten},
             n=n,
             metrics=metrics,
             series=series,
-        )
+        ),
+        CellResult(
+            cell={"scenario": "control", "attenuation": atten},
+            n=len(ctl),
+            metrics=ctl_metrics,
+            series={"t": rel_t, "mean": ctl_mean.tolist()},
+        ),
     ]
-    for ctl in control:
-        traj_mean = ctl["traj_sum"] / ctl["n"]
-        metrics = {
-            "window_exceed": _rate_metric(ctl["exceed"], ctl["windows"]),
-            "traj_max": MetricValue(float(traj_mean.max()), None),
-        }
-        cells.append(
-            CellResult(
-                cell={"scenario": "control", "attenuation": atten},
-                n=ctl["n"],
-                metrics=metrics,
-                series={"t": rel_t, "mean": traj_mean.tolist()},
-            )
-        )
     prov = _provenance(config, zeta_exact=zeta, e_n=e_n)
     return ExperimentResult(kind=config.kind, cells=cells, provenance=prov)
 
@@ -518,7 +506,10 @@ _KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    return _RUNNERS[config.kind](config, jobs=jobs)
+    """Run ``config``'s experiment with ``jobs`` workers on one BLAS thread.
+    The runners called directly keep the caller's BLAS setting."""
+    with _one_blas_thread():
+        return _RUNNERS[config.kind](config, jobs=jobs)
 
 
 def _preset(kind: str, replicates: int, **params) -> ExperimentConfig:
@@ -566,7 +557,6 @@ PRESETS: dict[str, ExperimentConfig] = {
         w=75,
         pi0=0.05,
         attenuation=0.7,
-        control=True,
     ),
     "fig4-desk": _preset(
         "power_curve",

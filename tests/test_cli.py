@@ -203,17 +203,31 @@ class TestMonitor:
         assert code == 3
         assert "line 17" in capsys.readouterr().err
 
+    @staticmethod
+    def _bad_line_17(tmp, ndjson, row):
+        """18 rows of 10 values, CSV or NDJSON, with ``row`` as line 17."""
+        rows = [["0.1"] * 10] * 18
+        rows[16] = row
+        bad = tmp / "bad.txt"
+        fmt = (lambda r: '{"x":[%s]}' % ",".join(r)) if ndjson else ",".join
+        bad.write_text("".join(fmt(r) + "\n" for r in rows))
+        return bad
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("ndjson", [False, True])
     def test_non_finite_row_names_lineno(self, oracle_setup, capsys, token, ndjson):
         tmp, pre, cfg = oracle_setup
         if ndjson:
             token = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[token]
-        rows = [["0.1"] * 10 for _ in range(18)]
-        rows[16][3] = token
-        bad = tmp / "bad.txt"
-        fmt = (lambda r: '{"x":[%s]}' % ",".join(r)) if ndjson else ",".join
-        bad.write_text("".join(fmt(r) + "\n" for r in rows))
+        bad = self._bad_line_17(tmp, ndjson, ["0.1"] * 3 + [token] + ["0.1"] * 6)
+        code = run_cli(["monitor", "--config", str(cfg), "--input", str(bad), "--trace"])
+        assert code == 3
+        assert "line 17" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ndjson", [False, True])
+    def test_short_row_names_lineno(self, oracle_setup, capsys, ndjson):
+        tmp, pre, cfg = oracle_setup
+        bad = self._bad_line_17(tmp, ndjson, ["0.1"] * 9)
         code = run_cli(["monitor", "--config", str(cfg), "--input", str(bad), "--trace"])
         assert code == 3
         assert "line 17" in capsys.readouterr().err
@@ -369,6 +383,20 @@ class TestExperiment:
         rows = (tmp_path / "lcpd.csv").read_text().splitlines()
         # 3 s-values x 6 beta fractions, one pi1 row each
         assert len(rows) == 1 + 18
+
+    def test_byte_identical_across_blas_threads_subprocess(self, tmp_path):
+        # the delay profile's burn-in CLIME fit and its Gram products round
+        # differently on two BLAS threads unless the whole run is pinned
+        outs = []
+        for threads, jobs in (("1", "1"), ("2", "1"), ("2", "2")):
+            out = tmp_path / f"blas{threads}_jobs{jobs}"
+            cmd = [sys.executable, "-m", "ggmwatch.cli", "experiment", "delay",
+                   "--preset", "fig3-desk", "--replicates", "2", "--jobs", jobs,
+                   "--out", str(out)]
+            env = dict(SRC_ENV, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run(cmd, check=True, capture_output=True, env=env)
+            outs.append([out.with_suffix(ext).read_bytes() for ext in (".csv", ".ndjson")])
+        assert outs[0] == outs[1] == outs[2]
 
     def test_byte_identical_across_jobs_subprocess(self, tmp_path):
         outs = []

@@ -168,7 +168,6 @@ class TestDelayProfile:
         w=20,
         pi0=0.05,
         attenuation=0.8,
-        control=True,
     )
 
     def test_structure(self):
@@ -250,11 +249,22 @@ class TestWriters:
 
 class TestSingleThreadedBlas:
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_chunks_run_single_threaded_blas(self, jobs):
+    def test_chunks_run_single_threaded_blas(self, monkeypatch, jobs):
+        """``run_experiment`` pins the runner's own work and every chunk, in
+        process or in a pool worker, to one BLAS thread, and restores the
+        previous counts afterwards."""
+        seen = []
+
+        def runner(config, jobs):
+            ((chunk,),) = hz._map_cells(_blas_threads, [{}], 1, jobs=jobs)
+            seen.extend([_blas_threads(None, 0, 1), chunk])
+
+        monkeypatch.setitem(hz._RUNNERS, "fa_calibration", runner)
         before = _blas_threads(None, 0, 1)
-        ((counts,),) = hz._map_cells(_blas_threads, [{}], 1, jobs=jobs)
-        assert counts  # numpy and scipy each load an OpenBLAS
-        assert set(counts) == {1}
+        hz.run_experiment(FA_SMALL, jobs=jobs)
+        parent, chunk = seen
+        assert parent and chunk  # numpy and scipy each load an OpenBLAS
+        assert set(parent) == set(chunk) == {1}
         assert _blas_threads(None, 0, 1) == before
 
 
@@ -273,7 +283,7 @@ class TestJobsByteIdentity:
             SPARSE, s_grid=[1, 3], beta_fracs=[0.0, 0.5], w_grid=[10, 20]
         ),
         "delay_profile": dict(
-            SPARSE, n_burnin=150, t0=20, w=10, attenuation=0.8, control=True
+            SPARSE, n_burnin=150, t0=20, w=10, attenuation=0.8
         ),
     }
 

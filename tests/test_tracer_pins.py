@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ggmwatch as gw
 from ggmwatch.iofmt import write_matrix
@@ -95,4 +96,27 @@ def test_delay_experiment_spans(tmp_path):
             "kernels.sliding_supnorms"} <= names
     check = data["clime_check"]
     assert check["fits"] == 1
+    assert check["violations"] == 0
+
+
+@pytest.mark.parametrize(
+    "kind, preset, spans, fits",
+    [
+        ("lcpd-block", "fig6-desk",
+         {"modelgen.make_antidiag_change", "modelgen.gen_random_sparse",
+          "kernels.window_supnorms"}, 0),
+        ("delay-curve", "fig5-desk",
+         {"modelgen.make_block_change", "clime.clime_estimate", "clime.normalized_error",
+          "kernels.window_supnorms"}, 1),
+    ],
+)
+def test_power_experiment_spans(tmp_path, kind, preset, spans, fits):
+    # the power engine: oracle anti-corner changes, and block changes with a
+    # burn-in fit (the kind the mc_presets and mc_parallel workloads run)
+    args = ["experiment", kind, "--preset", preset, "--replicates", "2",
+            "--jobs", "1", "--out", "power"]
+    data = _traced(tmp_path, args)
+    assert spans <= _span_names(data)
+    check = data["clime_check"]
+    assert check["fits"] == fits
     assert check["violations"] == 0
