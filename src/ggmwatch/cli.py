@@ -335,7 +335,7 @@ def _parse_row(line: str, lineno: int, ndjson: bool) -> tuple[int | None, np.nda
             x = np.asarray(obj["x"], dtype=np.float64)
             t = obj.get("t")
         else:
-            x = np.asarray([float(tok) for tok in line.split(",")], dtype=np.float64)
+            x = np.array(line.split(","), dtype=np.float64)  # parses each token as float()
             t = None
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"line {lineno}: malformed row: {exc}") from None

@@ -13,10 +13,11 @@ score: ``_window_chunk`` returns one window's sup-norm per replicate
 (calibration and power), ``_path_chunk`` one path's sliding sup-norm
 trajectory (delay profile and its no-change control). The runners reduce
 each cell's chunk results, in chunk order, to rates, delays and
-trajectories. ``run_experiment`` runs all of it, in this process and in the
-workers, on one BLAS thread (restored afterwards): threaded Gram products
-round differently, so results depend only on the config and master seed,
-not on ``--jobs`` or the BLAS setting.
+trajectories. Each runner runs all of it, in this process and in the
+workers, on one BLAS thread (restored afterwards), whether it is called
+directly or through ``run_experiment``: threaded Gram products round
+differently, so results depend only on the config and master seed, not on
+``--jobs`` or the BLAS setting.
 
 Power grids share replicate streams along the beta and w axes (common random
 numbers), which makes the monotonicity properties of the curves visible at
@@ -149,7 +150,7 @@ def _openblas() -> list[tuple]:
 
 def _single_blas_thread() -> None:
     """Pool initializer: one BLAS thread per worker. A forked worker inherits
-    the pin of ``run_experiment``, but one started without fork (spawn, or
+    the pin of its runner, but one started without fork (spawn, or
     forkserver, the default from Python 3.14) loads BLAS afresh at its
     default thread count."""
     for _, set_threads in _openblas():
@@ -158,7 +159,8 @@ def _single_blas_thread() -> None:
 
 @contextmanager
 def _one_blas_thread():
-    """Run the block with one BLAS thread, then restore the previous counts."""
+    """Run the block (or, as a decorator, each call) with one BLAS thread,
+    then restore the previous counts."""
     blas = _openblas()
     before = [get() for get, _ in blas]
     for _, set_threads in blas:
@@ -270,6 +272,7 @@ def _provenance(config: ExperimentConfig, **extra) -> dict:
     }
 
 
+@_one_blas_thread()
 def fa_calibration(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Oracle-statistic calibration on the chain model: exceedance rates at the
     exact and union thresholds plus the empirical upper quantile."""
@@ -302,6 +305,7 @@ def fa_calibration(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     return ExperimentResult(kind=config.kind, cells=[cell], provenance=prov)
 
 
+@_one_blas_thread()
 def plugin_calibration(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Plug-in calibration over a burn-in grid: several CLIME fits per cell,
     pooled no-rejection rate p_N and averaged normalized error e_N."""
@@ -394,6 +398,7 @@ def _power_engine(
     return ExperimentResult(kind=config.kind, cells=cells, provenance=prov)
 
 
+@_one_blas_thread()
 def power_curve(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Mis-detection rate over (s, beta, w) grids for the leading-block change,
     testing the first full post-change window with a plug-in (or oracle) fit."""
@@ -402,12 +407,14 @@ def power_curve(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     )
 
 
+@_one_blas_thread()
 def lcpd_block_power(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Oracle-mode power against added anti-corner edges; beta values are
     fractions of the pre-change smallest eigenvalue (the PD limit)."""
     return _power_engine(config, jobs, change="antidiag", oracle=True)
 
 
+@_one_blas_thread()
 def delay_profile(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Mean sup-norm trajectory around a change plus first-crossing delays.
 
@@ -506,10 +513,8 @@ _KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """Run ``config``'s experiment with ``jobs`` workers on one BLAS thread.
-    The runners called directly keep the caller's BLAS setting."""
-    with _one_blas_thread():
-        return _RUNNERS[config.kind](config, jobs=jobs)
+    """Run ``config``'s experiment with ``jobs`` workers."""
+    return _RUNNERS[config.kind](config, jobs=jobs)
 
 
 def _preset(kind: str, replicates: int, **params) -> ExperimentConfig:

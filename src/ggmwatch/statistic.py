@@ -63,8 +63,9 @@ def _window_deviation(xs, omega: np.ndarray) -> DeviationMatrix:
         raise DimensionMismatch(
             f"window dimension {x.shape[1]} != matrix dimension {omega.shape[0]}"
         )
+    w = x.shape[0]
     y = x @ omega
-    e = deviation(y.T @ y, x.shape[0], omega, scale_entries(omega))
+    e = deviation(y.T @ y, w * omega, np.sqrt(w), scale_entries(omega))
     return DeviationMatrix(entries=e, sup_norm=float(np.abs(e).max()))
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ggmwatch as gw
-from ggmwatch.cli import main
+from ggmwatch.cli import _parse_row, main
 from ggmwatch.iofmt import read_matrix
 
 
@@ -231,6 +231,25 @@ class TestMonitor:
         code = run_cli(["monitor", "--config", str(cfg), "--input", str(bad), "--trace"])
         assert code == 3
         assert "line 17" in capsys.readouterr().err
+
+    def test_csv_tokens_parse_as_float(self):
+        # one numpy conversion of the split line gives float()'s bits on edge tokens
+        tokens = ["-0.0", "5e-324", "1e308", " 1", "1_000", "0.1", "1e-400",
+                  "2.2250738585072014e-308", "-1.7976931348623157e+308",
+                  "0.30000000000000004", "+7.", ".5e1 "]
+        _, x = _parse_row(",".join(tokens), 1, ndjson=False)
+        assert x.tobytes() == np.array([float(tok) for tok in tokens]).tobytes()
+
+    @pytest.mark.parametrize("token", ["x", "", "1e", "0x10", "1 2", "--1"])
+    def test_malformed_token_names_lineno(self, oracle_setup, capsys, token):
+        tmp, pre, cfg = oracle_setup
+        bad = self._bad_line_17(tmp, False, ["0.1"] * 4 + [token] + ["0.1"] * 5)
+        code = run_cli(["monitor", "--config", str(cfg), "--input", str(bad), "--trace"])
+        assert code == 3
+        with pytest.raises(ValueError) as exc:
+            float(token)
+        err = capsys.readouterr().err
+        assert "line 17" in err and str(exc.value) in err
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_huge_finite_row_exits_3_with_strict_json(self, oracle_setup, capsys):

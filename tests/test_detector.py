@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +93,9 @@ class TestStep:
         ids=["no_burnin", "burnin", "restarts", "burnin_restarts"],
     )
     def test_oracle_statistic_bitwise(self, rng, n_burnin, zeta):
+        # every decision and every event statistic is bitwise that of
+        # oracle_statistic on the window; the per-step trace is within 1e-12
+        # relative of it (rolling Gram steps between exact ones)
         w = 6
         omega = gw.gen_chain_precision(5, 0.5)
         config = gw.DetectorConfig(
@@ -111,7 +116,107 @@ class TestStep:
             if t - t_last - n_burnin < w:
                 assert stat is None
             else:
-                assert stat == gw.oracle_statistic(omega, xs[t - w : t]).sup_norm
+                exact = gw.oracle_statistic(omega, xs[t - w : t]).sup_norm
+                assert (exact >= zeta) == (t in det.detections)
+                assert abs(stat - exact) <= 1e-12 * exact
+        for event in det.events:
+            assert event.statistic == gw.oracle_statistic(omega, xs[event.t - w : event.t]).sup_norm
+            assert event.statistic == seen[event.t - 1]
+
+    @pytest.mark.parametrize(
+        "oracle, scale",
+        [(True, 1.0), (True, 1e6), (False, 1.0)],
+        ids=["oracle", "oracle_rows_1e6", "plugin_batch"],
+    )
+    def test_decision_at_exact_statistic(self, oracle, scale):
+        """With zeta set to the exact statistic at a step t* well past several
+        drift-guard resyncs, the detector fires at t*; with zeta one ulp above,
+        it does not. Each t* is a record: no earlier test reaches its value.
+        Rows of size 1e6 put the rolling Gram's rounding error far above any
+        fixed tolerance."""
+        p, w, n_burnin, batch = 5, 6, 30, 20
+        omega = gw.gen_chain_precision(p, 0.5)
+        chol = gw.cholesky_factor(gw.invert_spd(omega.entries))
+        xs = scale * Generator(Philox(key=11)).standard_normal((400, p)) @ chol.T
+        config = gw.DetectorConfig(
+            p=p, w=w, zeta=1e30, n_burnin=n_burnin, batch=None if oracle else batch,
+            oracle_omega=omega if oracle else None,
+        )
+        # the exact statistic of every test of a run that never fires, with the
+        # estimate in force at that test (a batch refit follows its test)
+        quiet = gw.Detector(config)
+        records, best, refits = [], -np.inf, 0
+        for t, x in enumerate(xs, start=1):
+            estimate = quiet._omega_hat
+            quiet.step(x)
+            if quiet.last_statistic is not None:
+                window = xs[t - w : t]
+                stat = (gw.oracle_statistic(omega, window) if oracle
+                        else gw.plugin_statistic(estimate, window)).sup_norm
+                refits += quiet._omega_hat is not estimate
+                if stat > best:
+                    best = stat
+                    if t > n_burnin + 3 * w:
+                        records.append((t, stat))
+        assert refits >= (0 if oracle else 10)
+        assert len(records) >= 2
+        for t_star, stat in records:
+            for zeta, fires in ((stat, True), (np.nextafter(stat, np.inf), False)):
+                det = gw.Detector(dataclasses.replace(config, zeta=zeta))
+                for x in xs[:t_star]:
+                    det.step(x)
+                if fires:
+                    assert det.detections == [t_star]
+                    assert det.events[0].statistic == stat
+                else:
+                    assert det.detections == []
+                    assert det.last_statistic < zeta
+
+    def test_huge_rows_keep_the_trace_exact(self, rng):
+        # 1e6-valued rows enter and leave the rolling window below a huge zeta;
+        # once they have left, the rolling Gram has lost their rounding error's
+        # worth of precision, so the following steps are exact
+        w = 6
+        omega = gw.gen_chain_precision(5, 0.5)
+        xs = rng.standard_normal((200, 5))
+        xs[60] *= 1e6
+        xs[130, 2] = -1e6
+        det = gw.Detector(
+            gw.DetectorConfig(p=5, w=w, zeta=1e13, n_burnin=0, batch=None, oracle_omega=omega)
+        )
+        for t, x in enumerate(xs, start=1):
+            assert det.step(x) is None
+            if t >= w:
+                exact = gw.oracle_statistic(omega, xs[t - w : t]).sup_norm
+                assert abs(det.last_statistic - exact) <= 1e-12 * exact
+
+    def test_long_stream_drift_and_memory(self):
+        """2e5 oracle steps at p=5, w=6: sampled rolling statistics stay within
+        1e-12 relative of oracle_statistic on the same window, and the traced
+        peak memory does not grow with the stream (O(w p + p^2) state)."""
+        p, w, n = 5, 6, 200_000
+        omega = gw.gen_chain_precision(p, 0.5)
+        xs = list(Generator(Philox(key=4)).standard_normal((n, p)))  # rows made untraced
+        det = gw.Detector(
+            gw.DetectorConfig(p=p, w=w, zeta=1e9, n_burnin=0, batch=None, oracle_omega=omega)
+        )
+        worst = 0.0
+        tracemalloc.start()
+        try:
+            for x in xs[:1000]:
+                det.step(x)
+            early_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            for t in range(1001, n + 1):
+                det.step(xs[t - 1])
+                if t % 997 == 0:
+                    exact = gw.oracle_statistic(omega, np.array(xs[t - w : t])).sup_norm
+                    worst = max(worst, abs(det.last_statistic - exact) / exact)
+            late_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert worst <= 1e-12
+        assert late_peak <= early_peak + 16_384
 
     def test_dimension_mismatch(self):
         det = gw.Detector(_oracle_config(p=5))

@@ -1,5 +1,6 @@
 import json
 import math
+from contextlib import contextmanager
 
 import pytest
 
@@ -247,25 +248,68 @@ class TestWriters:
         assert len(lines) == 1 + len(res.cells[0].metrics)
 
 
+@contextmanager
+def _blas_threads_at(n):
+    """Set every OpenBLAS in this process to ``n`` threads for the block."""
+    blas = hz._openblas()
+    before = [get() for get, _ in blas]
+    for _, set_threads in blas:
+        set_threads(n)
+    try:
+        yield
+    finally:
+        for (_, set_threads), k in zip(blas, before):
+            set_threads(k)
+
+
 class TestSingleThreadedBlas:
+    @staticmethod
+    def _record_blas(monkeypatch) -> list:
+        """Make every ``_map_cells`` call first record the BLAS thread counts of
+        the calling process and of one chunk task, then do its real work."""
+        seen = []
+        map_cells = hz._map_cells
+
+        def recording(worker, ctxs, n, jobs):
+            ((chunk,),) = map_cells(_blas_threads, [{}], 1, jobs=jobs)
+            seen.append((_blas_threads(None, 0, 1), chunk))
+            return map_cells(worker, ctxs, n, jobs)
+
+        monkeypatch.setattr(hz, "_map_cells", recording)
+        return seen
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_chunks_run_single_threaded_blas(self, monkeypatch, jobs):
         """``run_experiment`` pins the runner's own work and every chunk, in
         process or in a pool worker, to one BLAS thread, and restores the
         previous counts afterwards."""
-        seen = []
-
-        def runner(config, jobs):
-            ((chunk,),) = hz._map_cells(_blas_threads, [{}], 1, jobs=jobs)
-            seen.extend([_blas_threads(None, 0, 1), chunk])
-
-        monkeypatch.setitem(hz._RUNNERS, "fa_calibration", runner)
+        seen = self._record_blas(monkeypatch)
         before = _blas_threads(None, 0, 1)
         hz.run_experiment(FA_SMALL, jobs=jobs)
-        parent, chunk = seen
+        ((parent, chunk),) = seen
         assert parent and chunk  # numpy and scipy each load an OpenBLAS
         assert set(parent) == set(chunk) == {1}
         assert _blas_threads(None, 0, 1) == before
+
+    @pytest.mark.parametrize(
+        "runner",
+        [hz.fa_calibration, hz.plugin_calibration, hz.power_curve, hz.lcpd_block_power,
+         hz.delay_profile],
+        ids=lambda f: f.__name__,
+    )
+    def test_direct_runner_call_pins_blas(self, monkeypatch, runner):
+        """A public runner called directly, not through ``run_experiment``,
+        also runs on one BLAS thread where its caller runs two."""
+        seen = self._record_blas(monkeypatch)
+        kind = next(k for k, f in hz._RUNNERS.items() if f is runner)
+        params = FA_SMALL.params if kind == "fa_calibration" else TestJobsByteIdentity.CONFIGS[kind]
+        with _blas_threads_at(2):
+            before = _blas_threads(None, 0, 1)
+            runner(_config(kind, 20, **params), jobs=1)
+            assert _blas_threads(None, 0, 1) == before
+        assert seen
+        for parent, chunk in seen:
+            assert parent and set(parent) == set(chunk) == {1}
 
 
 class TestJobsByteIdentity:
