@@ -25,7 +25,14 @@ import numpy as np
 from . import __version__
 from .clime import ClimeConfig
 from .detector import Detector, DetectorConfig
-from .errors import DimensionMismatch, GgmWatchError, NonFiniteSample
+from .errors import (
+    DimensionMismatch,
+    GgmWatchError,
+    Infeasible,
+    NonFiniteSample,
+    NonPositiveDiagonal,
+    SolverStall,
+)
 from .harness import PRESETS, run_experiment
 from .iofmt import (
     load_config,
@@ -364,12 +371,17 @@ def cmd_monitor(args, argv: list[str]) -> int:
             if ndjson is None:
                 ndjson = line.startswith("{")
             t_in, x = _parse_row(line, lineno, ndjson)
+            failed = None
             try:
                 event = detector.step(x)
             # a row of the wrong length or with a non-finite value, or a
             # plug-in fit whose covariance overflows
             except (DimensionMismatch, NonFiniteSample) as exc:
                 raise DataError(f"line {lineno}: {exc}") from None
+            # any other failed fit leaves the detector able to go on: burn-in
+            # starts again, or a batch refit keeps the previous estimate
+            except (Infeasible, SolverStall, NonPositiveDiagonal) as exc:
+                event, failed = None, type(exc).__name__
             stat = detector.last_statistic
             if stat is not None and not math.isfinite(stat):
                 raise DataError(f"line {lineno}: statistic is {stat}; values too large")
@@ -385,6 +397,10 @@ def cmd_monitor(args, argv: list[str]) -> int:
                     "stat": event.statistic,
                     "zeta": event.zeta,
                 }
+                out.write(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
+                out.flush()
+            if failed is not None:  # a batch refit follows its step's test
+                obj = {"type": "fit_failed", "t": t_out, "error": failed}
                 out.write(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
                 out.flush()
     finally:

@@ -1,10 +1,11 @@
 """Sparse precision estimation via column-wise l1-constrained linear programs.
 
-Each column solves  min |b|_1  s.t.  |S b - e_j|_inf <= lambda  through the
-standard positive/negative split (2p nonnegative variables, 2p inequality
-rows), delegated to scipy's HiGHS solver with a duality-gap certificate.
-Columns are symmetrized by the smaller-magnitude rule and optionally
-projected onto the PSD cone by dropping negative eigenvalues.
+Each column solves  min |b|_1  s.t.  |S b - e_j|_inf <= lambda  in equality
+form: with b = u - v,  S u - S v - r = e_j,  u, v >= 0,  r in [-lambda,
+lambda].  That is p ranged rows over 3p bounded variables, delegated to
+scipy's HiGHS solver with a duality-gap certificate. Columns are symmetrized
+by the smaller-magnitude rule and optionally projected onto the PSD cone by
+dropping negative eigenvalues.
 """
 
 from __future__ import annotations
@@ -99,19 +100,26 @@ def clime_column(
         raise IndexError(f"column index {j} out of range for p={p}")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    a_ub = np.block([[s, -s], [-s, s]])
     e = np.zeros(p)
     e[j] = 1.0
-    b_ub = np.concatenate([lam + e, lam - e])
-    res = linprog(np.ones(2 * p), A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+    a_eq = np.hstack((s, -s, -np.eye(p)))
+    bounds = np.empty((3 * p, 2))
+    bounds[:2 * p] = (0.0, np.inf)
+    bounds[2 * p:] = (-lam, lam)
+    cost = np.concatenate((np.ones(2 * p), np.zeros(p)))
+    res = linprog(cost, A_eq=a_eq, b_eq=e, bounds=bounds, method="highs")
     if res.status == 2:
         raise Infeasible(f"column {j} infeasible at lambda={lam}")
     if res.status != 0:
         raise SolverStall(f"column {j}: solver status {res.status}: {res.message}")
-    gap = abs(res.fun - b_ub @ res.ineqlin.marginals)
+    # dual objective: e_j . y plus lambda times the net marginal of the r bounds
+    dual = e @ res.eqlin.marginals + lam * (
+        res.upper.marginals[2 * p:].sum() - res.lower.marginals[2 * p:].sum()
+    )
+    gap = abs(res.fun - dual)
     if gap > 1e-8 * max(1.0, abs(res.fun)):
         raise SolverStall(f"column {j}: duality gap {gap:.3g} exceeds certificate tolerance")
-    beta = res.x[:p] - res.x[p:]
+    beta = res.x[:p] - res.x[p:2 * p]
     violation = np.abs(s @ beta - e).max() - lam
     if violation > lp_tolerance:
         raise Infeasible(

@@ -206,18 +206,24 @@ class Detector:
 
     def _exact(self, m: int) -> float:
         """Sup-norm of the window ending at monitored row ``m``, evaluated
-        from the window; the Gram matrix is recomputed with it."""
+        from the window; unless it reaches ``zeta`` (the step then restarts),
+        the Gram matrix is recomputed with it."""
         i = m % self.config.w
         window = np.concatenate((self._ring[i:], self._ring[:i]))
         if self.config.oracle_omega is not None:
             stat = oracle_statistic(self.config.oracle_omega, window)
         else:
             stat = plugin_statistic(self._omega_hat, window)
+        if not stat.sup_norm >= self.config.zeta:  # nan included: the step does not fire
+            self._rebuild()
+        return stat.sup_norm
+
+    def _rebuild(self) -> None:
+        """Recompute the transformed ring and the Gram from the raw ring."""
         np.matmul(self._ring, self._omega, out=self._yring)
         self._gram[...] = self._yring.T @ self._yring
         self._rolled = 0
         self._mass = self._window = sum(self._sq)
-        return stat.sup_norm
 
     def step(self, x) -> DetectionEvent | None:
         """Consume one sample; returns a DetectionEvent when the test fires."""

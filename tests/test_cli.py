@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import ggmwatch as gw
+import ggmwatch.detector as detector_module
 from ggmwatch.cli import _parse_row, main
+from ggmwatch.errors import Infeasible
 from ggmwatch.iofmt import read_matrix
 
 
@@ -289,6 +291,69 @@ class TestMonitor:
 
         objs = [json.loads(s, parse_constant=reject) for s in captured.out.splitlines()]
         assert [o["type"] for o in objs] == ["run_manifest"]
+
+    @staticmethod
+    def _monitor_failing_fit(tmp_path, monkeypatch, capsys, failing):
+        """Plug-in monitor (p=4, w=4, burn-in 12, batch 3) over 40 rows, with
+        the fits numbered ``failing`` (from 1) raising Infeasible; returns the
+        exit code, the strictly parsed output objects, the rows and
+        ``{fit number: (rows fitted, estimate or None)}``."""
+        rows = np.random.default_rng(9).standard_normal((40, 4))
+        path = tmp_path / "rows.csv"
+        path.write_text("".join(",".join(map(str, r.tolist())) + "\n" for r in rows))
+        estimate, fits = detector_module.clime_estimate, {}
+
+        def flaky(samples, config):
+            n = len(fits) + 1
+            fits[n] = (len(samples), None)
+            if n in failing:
+                raise Infeasible(f"fit {n}")
+            result = estimate(samples, config)
+            fits[n] = (len(samples), result.omega_hat)
+            return result
+
+        monkeypatch.setattr(detector_module, "clime_estimate", flaky)
+        capsys.readouterr()
+        code = run_cli(["monitor", "--p", "4", "--w", "4", "--n_burnin", "12", "--batch", "3",
+                        "--zeta", "1e9", "--input", str(path), "--trace"])
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        objs = [json.loads(s, parse_constant=reject) for s in capsys.readouterr().out.splitlines()]
+        return code, objs, rows, fits
+
+    def test_failed_batch_refit_writes_fit_failed(self, tmp_path, monkeypatch, capsys):
+        code, objs, rows, fits = self._monitor_failing_fit(tmp_path, monkeypatch, capsys, {2})
+        assert code == 0
+        assert objs[0]["type"] == "run_manifest"
+        # tests from t=16; the refit after the third test (t=18) fails, the
+        # next one (t=21) succeeds
+        assert [o for o in objs if "type" in o and o["type"] != "run_manifest"] == [
+            {"type": "fit_failed", "t": 18, "error": "Infeasible"}
+        ]
+        stats = {o["t"]: o["stat"] for o in objs if set(o) == {"t", "stat"}}
+        assert sorted(stats) == list(range(16, 41))
+        assert [o.get("t") for o in objs[1:5]] == [16, 17, 18, 18]  # the refit follows its test
+        assert [n for n, _ in fits.values()][:3] == [12, 18, 21]
+        for t in range(16, 41):
+            # the estimate of the last successful fit before the test: the
+            # first one until the third fit
+            omega = [om for n, om in fits.values() if n < t and om is not None][-1]
+            exact = gw.plugin_statistic(omega, rows[t - 4 : t]).sup_norm
+            assert abs(stats[t] - exact) <= 1e-12 * exact
+
+    def test_failed_burnin_fit_writes_fit_failed(self, tmp_path, monkeypatch, capsys):
+        code, objs, rows, fits = self._monitor_failing_fit(tmp_path, monkeypatch, capsys, {1})
+        assert code == 0
+        assert objs[1] == {"type": "fit_failed", "t": 12, "error": "Infeasible"}
+        # burn-in starts again at t=13 and fits at t=24; tests from t=28
+        stats = {o["t"]: o["stat"] for o in objs if set(o) == {"t", "stat"}}
+        assert sorted(stats) == list(range(28, 41))
+        assert len(objs) == 2 + len(stats)
+        assert fits[2][0] == 12  # the rows since the restart
+        exact = gw.plugin_statistic(fits[2][1], rows[24:28]).sup_norm
+        assert stats[28] == exact
 
     @pytest.mark.parametrize("zeta", ["nan", "inf", "0", "-1"])
     def test_invalid_zeta_exits_2(self, oracle_setup, capsys, zeta):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
 
 import ggmwatch as gw
-from ggmwatch.errors import DimensionMismatch, Infeasible, NonFiniteSample
+import ggmwatch.clime as clime_module
+from ggmwatch.errors import DimensionMismatch, Infeasible, NonFiniteSample, SolverStall
 
 from lp_bruteforce import clime_column_bruteforce
 
@@ -77,6 +79,53 @@ class TestClimeColumn:
         s = a.T @ a / 12
         norms = [np.abs(gw.clime_column(s, 2, lam)).sum() for lam in (0.0, 0.1, 0.2, 0.4)]
         assert all(x >= y - 1e-9 for x, y in zip(norms, norms[1:]))
+
+    @pytest.mark.parametrize("p", [20, 40])
+    @pytest.mark.parametrize("lam", [0.02, 0.1])
+    def test_matches_inequality_form(self, p, lam):
+        # the textbook split: 2p inequality rows over 2p nonnegative variables
+        rng = Generator(Philox(key=2000 + p))
+        a = rng.standard_normal((2 * p, p))
+        s = a.T @ a / (2 * p)
+        e = np.zeros(p)
+        for j in (0, p // 2, p - 1):
+            e[:] = 0.0
+            e[j] = 1.0
+            beta = gw.clime_column(s, j, lam)
+            ref = linprog(
+                np.ones(2 * p), A_ub=np.block([[s, -s], [-s, s]]),
+                b_ub=np.concatenate([lam + e, lam - e]), bounds=(0, None), method="highs",
+            )
+            assert ref.status == 0
+            ref_beta = ref.x[:p] - ref.x[p:]
+            assert abs(np.abs(beta).sum() - ref.fun) <= 1e-9 * ref.fun
+            for b in (beta, ref_beta):
+                assert np.abs(s @ b - e).max() <= lam + 1e-9
+
+    @pytest.mark.parametrize("scale", [1.0, 0.9])
+    def test_duality_certificate(self, monkeypatch, scale):
+        # the certificate reads the equality duals and the bound marginals of
+        # r: the solver's own result passes, and one with its equality duals
+        # scaled by 0.9 is a stall
+        rng = Generator(Philox(key=7))
+        a = rng.standard_normal((30, 10))
+        s = a.T @ a / 30
+        bound_terms = []
+
+        def scaled_linprog(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            res.eqlin.marginals = scale * res.eqlin.marginals
+            r = slice(20, 30)  # the columns of r at p=10
+            bound_terms.append(res.upper.marginals[r].sum() - res.lower.marginals[r].sum())
+            return res
+
+        monkeypatch.setattr(clime_module, "linprog", scaled_linprog)
+        if scale == 1.0:
+            gw.clime_column(s, 3, 0.1)
+            assert abs(bound_terms[0]) > 1.0  # the bound marginals carry the dual
+        else:
+            with pytest.raises(SolverStall):
+                gw.clime_column(s, 3, 0.1)
 
     def test_infeasible_singular(self):
         s = np.zeros((3, 3))

@@ -123,6 +123,45 @@ class TestStep:
             assert event.statistic == gw.oracle_statistic(omega, xs[event.t - w : event.t]).sup_norm
             assert event.statistic == seen[event.t - 1]
 
+    def test_firing_exact_step_skips_the_rebuild(self, rng):
+        # a step that fires restarts at once, so its exact evaluation leaves the
+        # transformed ring and the Gram as they were; the first window after
+        # the next burn-in is still evaluated exactly
+        w, n_burnin, zeta = 6, 5, 3.0
+        omega = gw.gen_chain_precision(5, 0.5)
+        det = gw.Detector(
+            gw.DetectorConfig(p=5, w=w, zeta=zeta, n_burnin=n_burnin, batch=None,
+                              oracle_omega=omega)
+        )
+        rebuilds = []
+        rebuild, exact = det._rebuild, det._exact
+
+        def spy_rebuild():
+            rebuilds.append(det.t)
+            rebuild()
+
+        def spy_exact(m):
+            gram, yring = det._gram.copy(), det._yring.copy()
+            before = len(rebuilds)
+            sup = exact(m)
+            if sup >= zeta:
+                assert len(rebuilds) == before
+                assert np.array_equal(det._gram, gram)
+                assert np.array_equal(det._yring, yring)
+            else:
+                assert rebuilds[before:] == [det.t]
+            return sup
+
+        det._rebuild, det._exact = spy_rebuild, spy_exact
+        xs = rng.standard_normal((200, 5))
+        for x in xs:
+            det.step(x)
+            if det.t - det.t_last - n_burnin == w:  # first test after a start or detection
+                window = xs[det.t - w : det.t]
+                assert det.last_statistic == gw.oracle_statistic(omega, window).sup_norm
+        assert len(det.detections) >= 3
+        assert len(rebuilds) >= len(det.detections)
+
     @pytest.mark.parametrize(
         "oracle, scale",
         [(True, 1.0), (True, 1e6), (False, 1.0)],
