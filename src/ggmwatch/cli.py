@@ -346,6 +346,9 @@ def _parse_row(line: str, lineno: int, ndjson: bool) -> tuple[int | None, np.nda
             t = None
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"line {lineno}: malformed row: {exc}") from None
+    # bool is a subclass of int, but JSON true is not an integer index
+    if t is not None and (not isinstance(t, int) or isinstance(t, bool)):
+        raise DataError(f"line {lineno}: malformed row: \"t\" is {t!r}, not an integer")
     return t, x
 
 

@@ -6,22 +6,26 @@ bit-for-bit for a given ``(config, master_seed)`` at any worker count.
 Every experiment follows one recipe: draw a model (``_sparse_model``, or the
 chain model for false-alarm calibration), take its covariance factor
 (``_cov_factor``), fit CLIME on seeded burn-in rows (``_burnin_fit``), then
-build one list of cell contexts and map one of two chunk workers over every
-(cell, replicate-chunk) task, cell-major with chunks of ``_CHUNK``
+build a list of task contexts and map one of two chunk workers over every
+(context, replicate-chunk) task, context-major with chunks of ``_CHUNK``
 replicates, through at most one process pool. The workers only draw and
-score: ``_window_chunk`` returns one window's sup-norm per replicate
-(calibration and power), ``_path_chunk`` one path's sliding sup-norm
-trajectory (delay profile and its no-change control). The runners reduce
-each cell's chunk results, in chunk order, to rates, delays and
-trajectories. Each runner runs all of it, in this process and in the
-workers, on one BLAS thread (restored afterwards), whether it is called
-directly or through ``run_experiment``: threaded Gram products round
+score. ``_group_chunk`` takes a stream group: one stream key, the distinct
+covariance factors of its cells and the cells, each a ``(factor, w, fits)``
+triple. It draws each replicate once, at the group's largest ``w``, and
+returns the sup-norm of every cell's first window (calibration and power);
+it holds ``_SUB`` replicates' draws at a time. ``_path_chunk`` returns one
+path's sliding sup-norm trajectory (delay profile and its no-change
+control). The runners reduce each cell's chunk results, in chunk order, to
+rates, delays and trajectories. Each runner runs all of it, in this process
+and in the workers, on one BLAS thread (restored afterwards), whether it is
+called directly or through ``run_experiment``: threaded Gram products round
 differently, so results depend only on the config and master seed, not on
 ``--jobs`` or the BLAS setting.
 
-Power grids share replicate streams along the beta and w axes (common random
-numbers), which makes the monotonicity properties of the curves visible at
-desk-scale replicate counts.
+The cells of a group share replicate streams (common random numbers): the
+calibration cells of one experiment, and the (beta, w) cells of one ``s`` in
+a power grid. That makes the monotonicity properties of the curves visible
+at desk-scale replicate counts, and every draw serves all of them.
 """
 
 from __future__ import annotations
@@ -72,6 +76,9 @@ __all__ = [
 
 DEFAULT_MASTER_SEED = 1729
 _CHUNK = 250
+# Replicates drawn at a time by ``_group_chunk``: about 6 MB of rows at
+# w=300, p=100.
+_SUB = 25
 
 
 @dataclass(frozen=True)
@@ -173,9 +180,9 @@ def _one_blas_thread():
 
 
 def _map_cells(worker, ctxs: list[dict], n: int, jobs: int) -> list[list]:
-    """Run ``worker(ctx, start, stop)`` over every (cell, replicate-chunk) task,
-    cell-major, through at most one process pool; returns each cell's chunk
-    results in chunk order."""
+    """Run ``worker(ctx, start, stop)`` over every (context, replicate-chunk)
+    task, context-major, through at most one process pool of no more workers
+    than tasks; returns each context's chunk results in chunk order."""
     spans = [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
     tasks = [(ctx, a, b) for ctx in ctxs for a, b in spans]
     if not tasks:
@@ -183,7 +190,8 @@ def _map_cells(worker, ctxs: list[dict], n: int, jobs: int) -> list[list]:
     if jobs <= 1:
         results = list(map(worker, *zip(*tasks)))
     else:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_single_blas_thread) as pool:
+        workers = min(jobs, len(tasks))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_single_blas_thread) as pool:
             results = list(pool.map(worker, *zip(*tasks)))
     k = len(spans)
     return [results[i : i + k] for i in range(0, len(results), k)]
@@ -193,20 +201,38 @@ def _map_cells(worker, ctxs: list[dict], n: int, jobs: int) -> list[list]:
 # chunk workers (top-level for pickling)
 
 
-def _window_chunk(ctx: dict, start: int, stop: int) -> np.ndarray:
-    """Sup-norm of one independent window per replicate. Replicate ``r`` draws
-    from the stream ``(*key, r)`` through ``chol`` and is scored with fit
-    ``r % len(fits)``."""
-    w, chol, fits = ctx["w"], ctx["chol"], ctx["fits"]
-    xs = np.empty((stop - start, w, chol.shape[0]))
-    for i, r in enumerate(range(start, stop)):
-        z = _generator(ctx["master_seed"], *ctx["key"], r).standard_normal(xs.shape[1:])
-        xs[i] = z @ chol.T
-    m = len(fits)
-    out = np.empty(stop - start)
-    for f, (omega, psi) in enumerate(fits):
-        k = (f - start) % m
-        out[k::m] = kernels.window_supnorms(xs[k::m], omega, psi)
+def _group_chunk(group: dict, start: int, stop: int) -> np.ndarray:
+    """Sup-norms, shape ``(cells, stop - start)``, of the first window of each
+    replicate for every cell of a stream group. Replicate ``r`` draws
+    ``(max w, p)`` rows from the stream ``(*key, r)`` once; for each cell
+    ``(factor, w, fits)`` they are transformed by ``chols[factor]`` (once per
+    factor) and the first ``w`` rows are scored with fit ``r % len(fits)``.
+    Philox draws are prefix-consistent, so a cell scores the rows a draw of
+    ``(w, p)`` alone would give. Draws are held ``_SUB`` replicates at a time."""
+    chols, cells = group["chols"], group["cells"]
+    out = np.empty((len(cells), stop - start))
+    if not cells:  # an empty grid axis
+        return out
+    shape = (max(w for _, w, _ in cells), chols[0].shape[0])
+    for a in range(start, stop, _SUB):
+        b = min(a + _SUB, stop)
+        z = np.empty((b - a, *shape))
+        for i, r in enumerate(range(a, b)):
+            _generator(group["master_seed"], *group["key"], r).standard_normal(out=z[i])
+        for f, chol in enumerate(chols):
+            # the last factor transforms the draw in place
+            xs = z if f == len(chols) - 1 else np.empty_like(z)
+            for i in range(b - a):
+                xs[i] = z[i] @ chol.T
+            for c, (cf, w, fits) in enumerate(cells):
+                if cf != f:
+                    continue
+                m = len(fits)
+                for g, (omega, psi) in enumerate(fits):
+                    k = (g - a) % m
+                    out[c, a - start + k : b - start : m] = kernels.window_supnorms(
+                        xs[k::m, :w], omega, psi
+                    )
     return out
 
 
@@ -283,15 +309,14 @@ def fa_calibration(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     ze = critical_value_exact(pi0, p, w)
     zu = critical_value_union(pi0, p) if pi0 < 0.5 else None
     za = critical_value_asymptotic(pi0, p)
-    ctx = {
+    group = {
         "master_seed": config.master_seed,
         "key": ("fa",),
-        "w": w,
-        "chol": chol,
-        "fits": [(omega.entries, scale_entries(omega.entries))],
+        "chols": [chol],
+        "cells": [(0, w, [(omega.entries, scale_entries(omega.entries))])],
     }
-    (parts,) = _map_cells(_window_chunk, [ctx], config.replicates, jobs)
-    sups = np.concatenate(parts)
+    (parts,) = _map_cells(_group_chunk, [group], config.replicates, jobs)
+    (sups,) = np.concatenate(parts, axis=1)
     n = len(sups)
     metrics = {
         "exceed_exact": _rate_metric(int(np.sum(sups >= ze)), n),
@@ -324,14 +349,15 @@ def plugin_calibration(config: ExperimentConfig, jobs: int = 1) -> ExperimentRes
         fit_sets.append([(omega.entries, scale_entries(omega.entries))])
         errs.append(np.zeros(1))  # the true model: e_N = 0 with no standard error
         cell_keys.append({"n_burnin": 0, "oracle": 1})
-    ctxs = [
-        {"master_seed": config.master_seed, "key": ("window",), "w": w, "chol": chol, "fits": fits}
-        for fits in fit_sets
-    ]
-    results = _map_cells(_window_chunk, ctxs, config.replicates, jobs)
+    group = {
+        "master_seed": config.master_seed,
+        "key": ("window",),
+        "chols": [chol],
+        "cells": [(0, w, fits) for fits in fit_sets],
+    }
+    (parts,) = _map_cells(_group_chunk, [group], config.replicates, jobs)
     cells = []
-    for parts, e, key in zip(results, errs, cell_keys):
-        sups = np.concatenate(parts)
+    for sups, e, key in zip(np.concatenate(parts, axis=1), errs, cell_keys):
         metrics = {
             "p_n": _rate_metric(int(np.sum(sups <= ze)), len(sups)),
             "e_n": MetricValue(
@@ -366,26 +392,26 @@ def _power_engine(
         cells_axis = [(f * lam_min, {"beta_frac": f, "beta": f * lam_min}) for f in fracs]
     w_grid = [int(w) for w in prm["w_grid"]]
     zetas = {w: critical_value_exact(pi0, p, w) for w in w_grid}
-    ctxs, cell_keys = [], []
+    groups, cell_keys = [], []
     for s in prm["s_grid"]:
+        chols, group_cells = [], []
         for beta, beta_cell in cells_axis:
-            post = make_change(omega, s, beta) if beta != 0.0 else omega
-            chol_post = _cov_factor(post)
+            chols.append(_cov_factor(make_change(omega, s, beta)) if beta != 0.0 else chol_pre)
             for w in w_grid:
-                ctxs.append(
-                    {
-                        "master_seed": config.master_seed,
-                        "key": ("rep", s),
-                        "w": w,
-                        "chol": chol_post,
-                        "fits": [(omega_hat, psi_hat)],
-                    }
-                )
+                group_cells.append((len(chols) - 1, w, [(omega_hat, psi_hat)]))
                 cell_keys.append({"s": s, "w": w, **beta_cell})
-    results = _map_cells(_window_chunk, ctxs, config.replicates, jobs)
+        groups.append(
+            {
+                "master_seed": config.master_seed,
+                "key": ("rep", s),
+                "chols": chols,
+                "cells": group_cells,
+            }
+        )
+    results = _map_cells(_group_chunk, groups, config.replicates, jobs)
+    all_sups = [sups for parts in results for sups in np.concatenate(parts, axis=1)]
     cells = []
-    for parts, cell in zip(results, cell_keys):
-        sups = np.concatenate(parts)
+    for sups, cell in zip(all_sups, cell_keys):
         metrics = {"pi1": _rate_metric(int(np.sum(sups < zetas[cell["w"]])), len(sups))}
         cells.append(CellResult(cell=cell, n=len(sups), metrics=metrics))
     prov = _provenance(

@@ -234,6 +234,33 @@ class TestMonitor:
         assert code == 3
         assert "line 17" in capsys.readouterr().err
 
+    @staticmethod
+    def _identity_monitor(tmp, capsys, ts):
+        """Monitor NDJSON rows with the given ``"t"`` values under an identity
+        oracle at p=3, w=3, zeta=0.5, where every full window fires; returns
+        the exit code, the output objects and stderr."""
+        pre = tmp / "eye.txt"
+        pre.write_text("p 3\n1 0 0\n0 1 0\n0 0 1\n")
+        rows = tmp / "rows.ndjson"
+        rows.write_text("".join(json.dumps({"t": t, "x": [3.0, -3.0, 3.0]}) + "\n" for t in ts))
+        capsys.readouterr()
+        code = run_cli(["monitor", "--p", "3", "--w", "3", "--zeta", "0.5", "--oracle_matrix",
+                        str(pre), "--input", str(rows)])
+        captured = capsys.readouterr()
+        return code, [json.loads(s) for s in captured.out.splitlines()], captured.err
+
+    def test_integer_t_is_echoed(self, tmp_path, capsys):
+        code, objs, _ = self._identity_monitor(tmp_path, capsys, [10, 11, 12, 13, 14, 15])
+        assert code == 0
+        assert [o["t"] for o in objs if o.get("type") == "change_point"] == [12, 15]
+
+    @pytest.mark.parametrize("bad", ["row-2", 2.5, True], ids=repr)
+    def test_non_integer_t_names_lineno(self, tmp_path, capsys, bad):
+        code, objs, err = self._identity_monitor(tmp_path, capsys, [10, 11, bad, 13])
+        assert code == 3
+        assert "line 3" in err and '"t"' in err
+        assert [o for o in objs if o.get("type") == "change_point"] == []
+
     def test_csv_tokens_parse_as_float(self):
         # one numpy conversion of the split line gives float()'s bits on edge tokens
         tokens = ["-0.0", "5e-324", "1e308", " 1", "1_000", "0.1", "1e-400",

@@ -1,11 +1,16 @@
 import json
 import math
+import tracemalloc
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 import ggmwatch.harness as hz
+from ggmwatch import kernels
 from ggmwatch.iofmt import write_result_csv, write_result_ndjson
+from ggmwatch.modelgen import gen_chain_precision
+from ggmwatch.statistic import scale_entries
 
 
 def _blas_threads(ctx, start, stop):
@@ -354,3 +359,101 @@ class TestJobsByteIdentity:
         assert all(c.n == 260 for c in res.cells)
         assert len(pools) == 1
         assert outputs[0] == outputs[1]
+
+
+class TestSharedDraws:
+    """``_group_chunk`` draws each replicate once for all the cells of its
+    stream group, and scores each cell bitwise as if it drew alone."""
+
+    SPARSE = dict(p=12, density=0.2, inflation=0.1, pi0=0.05)
+    CONFIGS = {
+        "power_curve": dict(
+            SPARSE, n_burnin=150, s_grid=[1, 2], beta_grid=[0.0, 4.0], w_grid=[16, 24, 40]
+        ),
+        "plugin_calibration": dict(SPARSE, w=20, n_grid=[60, 120], fits=3, include_oracle=True),
+    }
+
+    @staticmethod
+    def _recompute(group: dict, n: int) -> np.ndarray:
+        """Each cell on its own: replicate ``r`` draws ``(w, p)`` rows from
+        ``(*key, r)``, transforms them and scores them with fit ``r % len(fits)``."""
+        chols = group["chols"]
+        out = np.empty((len(group["cells"]), n))
+        for c, (f, w, fits) in enumerate(group["cells"]):
+            for r in range(n):
+                rng = hz._generator(group["master_seed"], *group["key"], r)
+                x = rng.standard_normal((w, chols[f].shape[0])) @ chols[f].T
+                omega, psi = fits[r % len(fits)]
+                out[c, r] = kernels.window_supnorms(x[None], omega, psi)[0]
+        return out
+
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_bitwise_per_cell_recompute(self, monkeypatch, kind):
+        # chunks of 40 replicates start off the fit cycle and split into
+        # sub-chunks of 25 and 15
+        monkeypatch.setattr(hz, "_CHUNK", 40)
+        calls = []
+        map_cells = hz._map_cells
+
+        def recording(worker, ctxs, n, jobs):
+            results = map_cells(worker, ctxs, n, jobs)
+            calls.append((worker, ctxs, n, results))
+            return results
+
+        monkeypatch.setattr(hz, "_map_cells", recording)
+        res = hz.run_experiment(_config(kind, 90, **self.CONFIGS[kind]))
+        ((worker, groups, n, results),) = calls
+        assert worker is hz._group_chunk
+        assert sum(len(g["cells"]) for g in groups) == len(res.cells) >= 3
+        with hz._one_blas_thread():
+            for group, parts in zip(groups, results):
+                assert [part.shape[1] for part in parts] == [40, 40, 10]
+                shared = np.concatenate(parts, axis=1)
+                assert shared.tobytes() == self._recompute(group, n).tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, empty",
+        [("plugin_calibration", dict(n_grid=[], include_oracle=False)),
+         ("power_curve", dict(w_grid=[])),
+         ("power_curve", dict(beta_grid=[]))],
+    )
+    def test_empty_grid_gives_no_cells(self, kind, empty):
+        res = hz.run_experiment(_config(kind, 20, **dict(self.CONFIGS[kind], **empty)))
+        assert res.cells == []
+
+    def test_task_memory_is_bounded(self):
+        """One 250-replicate task at w=300, p=100 holds ``_SUB`` replicates'
+        rows at a time, not the whole chunk's (a full-chunk draw peaks at
+        about 180 MB)."""
+        omega = gen_chain_precision(100, 0.5)
+        group = {
+            "master_seed": 1,
+            "key": ("fa",),
+            "chols": [hz._cov_factor(omega)],
+            "cells": [(0, 300, [(omega.entries, scale_entries(omega.entries))])],
+        }
+        tracemalloc.start()
+        try:
+            with hz._one_blas_thread():
+                out = hz._group_chunk(group, 0, 250)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 250)
+        assert peak < 25e6
+
+
+class TestPoolSize:
+    def test_no_more_workers_than_tasks(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(hz.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                # two tasks need no more than two processes, whatever was asked
+                super().__init__(max_workers=min(max_workers, 2), **kwargs)
+
+        monkeypatch.setattr(hz, "ProcessPoolExecutor", RecordingPool)
+        assert math.ceil(FA_SMALL.replicates / hz._CHUNK) == 2  # one group, two tasks
+        hz.run_experiment(FA_SMALL, jobs=8)
+        assert sizes == [2]
