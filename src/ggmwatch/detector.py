@@ -9,24 +9,14 @@ All phase state follows from the step count ``t`` and the last detection
 ``t_last``: with ``m = t - t_last - n_burnin``, steps with ``m < 0`` are
 burn-in, step ``m == 0`` fits the estimate, and every step with ``m >= 1`` is
 monitored. Monitored row ``m`` goes to slot ``(m - 1) % w`` of one ``(w, p)``
-ring, its transform ``x @ omega`` to the same slot of a second ring, and from
-``m >= w`` on each step tests the last ``w`` rows.
+ring, and from ``m >= w`` on each step tests the last ``w`` rows.
 
-A test costs O(p^2): :func:`ggmwatch.kernels.roll_supnorm` slides the
-window's Gram matrix by the new row and the dropped one. Rolling sums gather
-rounding error, so a step is *exact* instead, and passes the last ``w`` rows,
-in time order, as one ``(w, p)`` array to
-:func:`ggmwatch.statistic.oracle_statistic` / ``plugin_statistic``, on the
-first full window after a start, fit or detection, after ``w`` rolling steps,
-and whenever the rolling sup-norm is not finite or comes within an error
-bound of ``zeta``. The bound grows with the magnitude of every row the
-rolling Gram has seen since its last exact recompute, so a rolling step
-provably falls short of ``zeta`` and every decision, and every detection
-event's statistic, is bit-for-bit that of an exact evaluation at every step.
-``last_statistic`` is exact on exact steps and within about 1e-12 relative
-in between; to keep it so, a step is also exact once the rows that have left
-the window since the last exact Gram outweigh (in squared magnitude) three
-times those in it, as after a huge outlier leaves.
+A test costs O(p^2): a :class:`ggmwatch.kernels.RollingSupnorm` rolls the
+window's Gram matrix (see :mod:`ggmwatch.kernels` for its error bound).
+Where it gives no value, the step is *exact*: it passes the last ``w`` rows,
+in time order, to :func:`ggmwatch.statistic.oracle_statistic` /
+``plugin_statistic``. Decisions and detection statistics are bit-for-bit
+those of an exact evaluation at every step.
 
 Plug-in fits (at ``m == 0`` and every ``batch`` tests) use every sample
 observed since the last detection (an expanding window, burn-in samples
@@ -52,7 +42,7 @@ from .errors import (
     NonFiniteSample,
     NonPositiveDiagonal,
 )
-from .kernels import roll_supnorm
+from .kernels import RollingSupnorm
 from .modelgen import PrecisionMatrix
 from .statistic import oracle_statistic, plugin_statistic, scale_entries
 
@@ -130,15 +120,7 @@ class Detector:
         self.last_statistic: float | None = None
         p, w = config.p, config.w
         self._ring = np.empty((w, p))
-        self._yring = np.empty((w, p))  # the ring's rows times the estimate
-        self._sq = [0.0] * w  # squared 2-norm of each ring row
-        # Y'Y of the yring rows; like every (p, p) array a test reads, it is
-        # Fortran-ordered, the layout in which BLAS updates it in place
-        self._gram = np.empty((p, p), order="F")
-        self._scratch = np.empty((p, p), order="F")
-        self._rolled = w  # rolling steps since the last exact Gram; w forces an exact step
-        self._mass = 0.0  # sum of |x|_2^2 over the rows the Gram has seen since then
-        self._window = 0.0  # and over the rows in the window
+        self._scorer = RollingSupnorm(p, w, config.zeta)
         self._history: list[np.ndarray] = []
         self._omega_hat: np.ndarray | None = None
         if config.oracle_omega is not None:
@@ -152,24 +134,8 @@ class Detector:
         """Cache what a test needs of the estimate ``omega``; the next test is exact."""
         if np.any(omega.diagonal() <= 0.0):
             raise NonPositiveDiagonal("plug-in estimate has a nonpositive diagonal entry")
-        p, w = self.config.p, self.config.w
         self._omega = omega
-        self._w_omega = np.asfortranarray(w * omega)
-        self._sqrt_w = np.sqrt(w)
-        self._psi = np.asfortranarray(scale_entries(omega))
-        # Error bound of a rolling sup-norm. For y = x @ omega, |y|_inf and the
-        # entries of |x| @ |omega| are at most |x|_2 * c, with c the largest
-        # column 2-norm of omega. Counting the rounding of the transforms, the
-        # Gram sums, the 2 * rolled rank-one updates and the deviation,
-        # |rolling - exact| <= 4 u (p + w + rolled + 2) (c^2 mass + w max|omega|)
-        # * max(psi) / sqrt(w) to first order in u = eps / 2, where mass sums
-        # |x|_2^2 over the window of the last exact Gram and every row added
-        # since; _roll takes four times that.
-        self._col2 = float((omega * omega).sum(axis=0).max())
-        self._w_omega_max = float(np.abs(self._w_omega).max())
-        self._tol = 8.0 * np.finfo(np.float64).eps * float(self._psi.max()) / float(self._sqrt_w)
-        self._terms = p + w + 2
-        self._rolled = w
+        self._scorer.set_estimate(omega, scale_entries(omega))
 
     def _refit(self) -> None:
         if self.config.oracle_omega is None:  # only plug-in fits read the history
@@ -182,27 +148,7 @@ class Detector:
         self.t_last = self.t
         self._history = []
         self.b = 0
-        self._rolled = self.config.w
-
-    def _roll(self, slot: int, x: np.ndarray, sq: float) -> float | None:
-        """Rolling sup-norm of the window with ``x`` in ``slot``, or None where
-        it may not stand in for the exact one: when it is not finite, when its
-        error bound reaches ``zeta``, or when rows that have left the window
-        were so large that the rolling Gram kept little precision."""
-        y = x @ self._omega
-        sup = roll_supnorm(
-            self._gram, y, self._yring[slot], self._w_omega, self._sqrt_w, self._psi,
-            self._scratch,
-        )
-        self._yring[slot] = y
-        self._rolled += 1
-        self._mass += sq
-        self._window += sq - self._sq[slot]
-        if self._mass > 4.0 * self._window:
-            return None
-        bound = (self._tol * (self._terms + self._rolled)
-                 * (self._col2 * self._mass + self._w_omega_max))
-        return sup if sup + bound < self.config.zeta else None  # False for nan
+        self._scorer.reset()
 
     def _exact(self, m: int) -> float:
         """Sup-norm of the window ending at monitored row ``m``, evaluated
@@ -215,15 +161,8 @@ class Detector:
         else:
             stat = plugin_statistic(self._omega_hat, window)
         if not stat.sup_norm >= self.config.zeta:  # nan included: the step does not fire
-            self._rebuild()
+            self._scorer.rebuild(self._ring @ self._omega)
         return stat.sup_norm
-
-    def _rebuild(self) -> None:
-        """Recompute the transformed ring and the Gram from the raw ring."""
-        np.matmul(self._ring, self._omega, out=self._yring)
-        self._gram[...] = self._yring.T @ self._yring
-        self._rolled = 0
-        self._mass = self._window = sum(self._sq)
 
     def step(self, x) -> DetectionEvent | None:
         """Consume one sample; returns a DetectionEvent when the test fires."""
@@ -249,9 +188,8 @@ class Detector:
             return None
         w = cfg.w
         slot = (m - 1) % w
-        sup = self._roll(slot, x, sq) if self._rolled < w else None
+        sup = self._scorer.push(slot, None if self._scorer.stale else x @ self._omega, sq)
         self._ring[slot] = x
-        self._sq[slot] = sq
         if m < w:
             return None
         if sup is None:

@@ -483,9 +483,9 @@ def delay_profile(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     sups = np.concatenate(change_parts)
     n = len(sups)
     first_post = t0 - w + 1  # first window index containing post-change data
-    post = sups[:, first_post:] >= zeta
+    crossed = sups[:, first_post:] >= zeta
     # post-change samples inside the first window at or above zeta
-    delays = post.argmax(axis=1)[post.any(axis=1)] + 1.0
+    delays = crossed.argmax(axis=1)[crossed.any(axis=1)] + 1.0
     detected = len(delays)
     mean_delay = float(delays.sum()) / detected if detected else math.nan
     delay_se = (

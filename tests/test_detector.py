@@ -125,7 +125,7 @@ class TestStep:
 
     def test_firing_exact_step_skips_the_rebuild(self, rng):
         # a step that fires restarts at once, so its exact evaluation leaves the
-        # transformed ring and the Gram as they were; the first window after
+        # scorer's transformed ring and Gram as they were; the first window after
         # the next burn-in is still evaluated exactly
         w, n_burnin, zeta = 6, 5, 3.0
         omega = gw.gen_chain_precision(5, 0.5)
@@ -134,25 +134,26 @@ class TestStep:
                               oracle_omega=omega)
         )
         rebuilds = []
-        rebuild, exact = det._rebuild, det._exact
+        scorer, exact = det._scorer, det._exact
+        rebuild = scorer.rebuild
 
-        def spy_rebuild():
+        def spy_rebuild(y):
             rebuilds.append(det.t)
-            rebuild()
+            rebuild(y)
 
         def spy_exact(m):
-            gram, yring = det._gram.copy(), det._yring.copy()
+            gram, ring = scorer._gram.copy(), scorer._ring.copy()
             before = len(rebuilds)
             sup = exact(m)
             if sup >= zeta:
                 assert len(rebuilds) == before
-                assert np.array_equal(det._gram, gram)
-                assert np.array_equal(det._yring, yring)
+                assert np.array_equal(scorer._gram, gram)
+                assert np.array_equal(scorer._ring, ring)
             else:
                 assert rebuilds[before:] == [det.t]
             return sup
 
-        det._rebuild, det._exact = spy_rebuild, spy_exact
+        scorer.rebuild, det._exact = spy_rebuild, spy_exact
         xs = rng.standard_normal((200, 5))
         for x in xs:
             det.step(x)
