@@ -106,7 +106,8 @@ class Detector:
     ``phase`` is ``"burn_in"`` while collecting estimation samples and
     ``"monitoring"`` from the fit step on. ``last_statistic`` holds the
     sup-norm of the most recent evaluated test (None when no test ran this
-    step). ``b`` counts tests since the last fit or detection.
+    step). The detector keeps no record of its detections: callers keep the
+    events that :meth:`step` returns.
     """
 
     def __init__(self, config: DetectorConfig):
@@ -114,15 +115,12 @@ class Detector:
         self.config = config
         self.t = 0
         self.t_last = 0
-        self.detections: list[int] = []
-        self.events: list[DetectionEvent] = []
-        self.b = 0
         self.last_statistic: float | None = None
         p, w = config.p, config.w
         self._ring = np.empty((w, p))
         self._scorer = RollingSupnorm(p, w, config.zeta)
         self._history: list[np.ndarray] = []
-        self._omega_hat: np.ndarray | None = None
+        self._omega: np.ndarray | None = None
         if config.oracle_omega is not None:
             self._set_estimate(config.oracle_omega.entries)
 
@@ -139,15 +137,13 @@ class Detector:
 
     def _refit(self) -> None:
         if self.config.oracle_omega is None:  # only plug-in fits read the history
-            omega_hat = clime_estimate(np.array(self._history), self.config.clime).omega_hat
-            self._set_estimate(omega_hat)
-            self._omega_hat = omega_hat
+            fit = clime_estimate(np.array(self._history), self.config.clime)
+            self._set_estimate(fit.omega_hat)
 
     def _restart(self) -> None:
         """Begin a new burn-in with the next row."""
         self.t_last = self.t
         self._history = []
-        self.b = 0
         self._scorer.reset()
 
     def _exact(self, m: int) -> float:
@@ -159,7 +155,7 @@ class Detector:
         if self.config.oracle_omega is not None:
             stat = oracle_statistic(self.config.oracle_omega, window)
         else:
-            stat = plugin_statistic(self._omega_hat, window)
+            stat = plugin_statistic(self._omega, window)
         if not stat.sup_norm >= self.config.zeta:  # nan included: the step does not fire
             self._scorer.rebuild(self._ring @ self._omega)
         return stat.sup_norm
@@ -197,14 +193,10 @@ class Detector:
         self.last_statistic = sup
         zeta = cfg.zeta
         if sup >= zeta:
-            event = DetectionEvent(t=self.t, statistic=sup, zeta=zeta, delay_estimate=m)
-            self.detections.append(self.t)
-            self.events.append(event)
             self._restart()
-            return event
-        self.b += 1
-        if cfg.batch is not None and self.b >= cfg.batch:
-            self.b = 0  # reset even when the refit below raises
+            return DetectionEvent(t=self.t, statistic=sup, zeta=zeta, delay_estimate=m)
+        # every batch-th test since the fit, whether or not an earlier refit raised
+        if cfg.batch is not None and (m - w + 1) % cfg.batch == 0:
             self._refit()
         return None
 
@@ -216,8 +208,11 @@ def run_offline(config: DetectorConfig, stream) -> tuple[list[DetectionEvent], l
     statistic (NaN on steps where no test ran).
     """
     det = Detector(config)
+    events: list[DetectionEvent] = []
     trace: list[float] = []
     for x in stream:
-        det.step(x)
+        event = det.step(x)
+        if event is not None:
+            events.append(event)
         trace.append(math.nan if det.last_statistic is None else det.last_statistic)
-    return det.events, trace
+    return events, trace

@@ -58,9 +58,8 @@ class TestNewDetector:
 class TestStep:
     def test_unreachable_threshold_never_fires(self, rng):
         det = gw.Detector(_oracle_config(zeta=1e6))
-        for x in rng.standard_normal((200, 5)):
-            assert det.step(x) is None
-        assert det.detections == []
+        events = [e for x in rng.standard_normal((200, 5)) if (e := det.step(x))]
+        assert events == []
 
     def test_zero_threshold_immediate(self, rng):
         # a zeta just above 0 (0 itself is rejected) fires on the first full window
@@ -74,10 +73,9 @@ class TestStep:
     def test_detection_spacing_with_burnin(self, rng):
         # a zeta just above 0 forces detection at every full window: spacings N + w
         det = gw.Detector(_oracle_config(zeta=1e-300, w=3, n_burnin=5))
-        for x in rng.standard_normal((40, 5)):
-            det.step(x)
-        assert det.detections[0] == 5 + 3
-        gaps = np.diff(det.detections)
+        detections = [e.t for x in rng.standard_normal((40, 5)) if (e := det.step(x))]
+        assert detections[0] == 5 + 3
+        gaps = np.diff(detections)
         assert np.all(gaps == 5 + 3)
 
     def test_event_invariant(self, rng):
@@ -103,23 +101,26 @@ class TestStep:
         )
         det = gw.Detector(config)
         xs = rng.standard_normal((120, 5))
-        seen = []
+        seen, events = [], []
         for x in xs:
-            det.step(x)
+            event = det.step(x)
+            if event is not None:
+                events.append(event)
             seen.append(det.last_statistic)
+        detections = [event.t for event in events]
         if zeta < 1e9:
-            assert len(det.detections) >= 3
+            assert len(detections) >= 3
         # the test at step t covers rows t-w+1..t once w rows are monitored
         # after the burn-in that follows the last detection before t
         for t, stat in enumerate(seen, start=1):
-            t_last = max([d for d in det.detections if d < t], default=0)
+            t_last = max([d for d in detections if d < t], default=0)
             if t - t_last - n_burnin < w:
                 assert stat is None
             else:
                 exact = gw.oracle_statistic(omega, xs[t - w : t]).sup_norm
-                assert (exact >= zeta) == (t in det.detections)
+                assert (exact >= zeta) == (t in detections)
                 assert abs(stat - exact) <= 1e-12 * exact
-        for event in det.events:
+        for event in events:
             assert event.statistic == gw.oracle_statistic(omega, xs[event.t - w : event.t]).sup_norm
             assert event.statistic == seen[event.t - 1]
 
@@ -155,13 +156,14 @@ class TestStep:
 
         scorer.rebuild, det._exact = spy_rebuild, spy_exact
         xs = rng.standard_normal((200, 5))
+        detections = 0
         for x in xs:
-            det.step(x)
+            detections += det.step(x) is not None
             if det.t - det.t_last - n_burnin == w:  # first test after a start or detection
                 window = xs[det.t - w : det.t]
                 assert det.last_statistic == gw.oracle_statistic(omega, window).sup_norm
-        assert len(det.detections) >= 3
-        assert len(rebuilds) >= len(det.detections)
+        assert detections >= 3
+        assert len(rebuilds) >= detections
 
     @pytest.mark.parametrize(
         "oracle, scale",
@@ -187,13 +189,13 @@ class TestStep:
         quiet = gw.Detector(config)
         records, best, refits = [], -np.inf, 0
         for t, x in enumerate(xs, start=1):
-            estimate = quiet._omega_hat
+            estimate = quiet._omega
             quiet.step(x)
             if quiet.last_statistic is not None:
                 window = xs[t - w : t]
                 stat = (gw.oracle_statistic(omega, window) if oracle
                         else gw.plugin_statistic(estimate, window)).sup_norm
-                refits += quiet._omega_hat is not estimate
+                refits += quiet._omega is not estimate
                 if stat > best:
                     best = stat
                     if t > n_burnin + 3 * w:
@@ -203,13 +205,12 @@ class TestStep:
         for t_star, stat in records:
             for zeta, fires in ((stat, True), (np.nextafter(stat, np.inf), False)):
                 det = gw.Detector(dataclasses.replace(config, zeta=zeta))
-                for x in xs[:t_star]:
-                    det.step(x)
+                events = [e for x in xs[:t_star] if (e := det.step(x))]
                 if fires:
-                    assert det.detections == [t_star]
-                    assert det.events[0].statistic == stat
+                    assert [e.t for e in events] == [t_star]
+                    assert events[0].statistic == stat
                 else:
-                    assert det.detections == []
+                    assert events == []
                     assert det.last_statistic < zeta
 
     def test_huge_rows_keep_the_trace_exact(self, rng):
@@ -258,6 +259,30 @@ class TestStep:
         assert worst <= 1e-12
         assert late_peak <= early_peak + 16_384
 
+    def test_memory_bounded_across_detections(self):
+        """2e4 oracle steps at p=5, w=6 with a zeta just above 0 fire 3333
+        times; the detector keeps no record of them, so the traced memory
+        after a warm-up does not grow with the number of detections."""
+        p, w, n, warm = 5, 6, 20_000, 600
+        omega = gw.gen_chain_precision(p, 0.5)
+        xs = list(Generator(Philox(key=6)).standard_normal((n, p)))  # rows made untraced
+        det = gw.Detector(
+            gw.DetectorConfig(p=p, w=w, zeta=1e-300, n_burnin=0, batch=None, oracle_omega=omega)
+        )
+        fired = 0
+        tracemalloc.start()
+        try:
+            for x in xs[:warm]:
+                fired += det.step(x) is not None
+            early = tracemalloc.get_traced_memory()[0]
+            for x in xs[warm:]:
+                fired += det.step(x) is not None
+            late = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert fired == n // w
+        assert late <= early + 16_384
+
     def test_dimension_mismatch(self):
         det = gw.Detector(_oracle_config(p=5))
         with pytest.raises(DimensionMismatch):
@@ -304,7 +329,7 @@ class TestStep:
             assert reused.last_statistic == fresh.last_statistic
 
     def test_batch_reestimation_schedule(self):
-        # omega-hat object changes exactly at steps where b wraps to zero
+        # the estimate object changes exactly at every batch-th test
         rng = Generator(Philox(key=77))
         omega = gw.gen_chain_precision(4, 0.4)
         chol = gw.cholesky_factor(gw.invert_spd(omega.entries))
@@ -314,7 +339,7 @@ class TestStep:
         prev = None
         for t, x in enumerate(rng.standard_normal((30, 4)) @ chol.T, start=1):
             det.step(x)
-            cur = det._omega_hat
+            cur = det._omega
             if prev is not None and cur is not prev and t > 10:
                 refit_steps.append(t)
             prev = cur
@@ -330,7 +355,7 @@ class TestStep:
         for x in rng.standard_normal((40, 4)) @ chol.T:
             det.step(x)
             if det.phase == "monitoring":
-                seen.add(id(det._omega_hat))
+                seen.add(id(det._omega))
         assert len(seen) == 1
 
     def test_failed_burnin_fit_restarts_burnin(self):
@@ -351,7 +376,7 @@ class TestStep:
             det.step(x)
             if t == 13:
                 assert det.phase == "burn_in"
-            if fitted_at is None and det._omega_hat is not None:
+            if fitted_at is None and det._omega is not None:
                 fitted_at = t
         assert fitted_at == 24
 
@@ -363,7 +388,7 @@ class TestStep:
         xs = rng.standard_normal((20, 4)) @ chol.T
         for x in xs[:15]:
             det.step(x)
-        estimate = det._omega_hat
+        estimate = det._omega
 
         def infeasible(*args, **kwargs):
             raise Infeasible("no feasible point")
@@ -371,11 +396,15 @@ class TestStep:
         monkeypatch.setattr(detector_module, "clime_estimate", infeasible)
         with pytest.raises(Infeasible):
             det.step(xs[15])  # the fourth test: batch refit
-        assert det._omega_hat is estimate
-        assert det.b == 0
-        det.step(xs[16])
-        assert det.last_statistic is not None
-        assert det.b == 1
+        assert det._omega is estimate
+        monkeypatch.undo()
+        # the next refit is due batch tests after the failed one, at t=20
+        for x in xs[16:19]:
+            det.step(x)
+            assert det.last_statistic is not None
+            assert det._omega is estimate
+        det.step(xs[19])
+        assert det._omega is not estimate
 
 
 class TestRunOffline:
