@@ -3,11 +3,12 @@
 The standardized deviation of a window ``X`` of ``w`` samples (rows) with
 respect to a precision matrix ``omega`` and its entry-wise scale ``psi`` is
 
-    E = (Y'Y - w * omega) / sqrt(w) * psi,    Y = X @ omega.
+    E = (Y'Y - w * omega) * scale,    Y = X @ omega,    scale = psi / sqrt(w).
 
 :func:`deviation` is the single source of this formula: the statistic
 module's oracle and plug-in statistics, :func:`window_supnorms` and
-:class:`RollingSupnorm` all call it on a Gram matrix ``Y'Y``.
+:class:`RollingSupnorm` all call it on a Gram matrix ``Y'Y``, each with a
+``scale`` it computes once per estimate.
 
 :class:`RollingSupnorm` serves the detector's monitoring step and
 :func:`sliding_supnorms`, the delay profile's scan. It slides the window's
@@ -16,7 +17,7 @@ the rounding error: with ``c`` the largest column 2-norm of ``omega``, the
 entries of ``x @ omega`` and of ``|x| @ |omega|`` are at most ``|x|_2 c``, so
 counting the transforms, the Gram sums, the ``2 rolled`` rank-one updates and
 the deviation, ``|rolling - exact| <= 4 u (p + w + rolled + 2) (c^2 mass +
-w max|omega|) max(psi) / sqrt(w)`` to first order in ``u = eps / 2``, where
+w max|omega|) max(scale)`` to first order in ``u = eps / 2``, where
 ``mass`` sums ``|x|_2^2`` over the window of the last exact Gram and every
 row added since. The scorer takes four times that. It asks for an exact
 evaluation when the rolling value is not finite or comes within the bound of
@@ -36,16 +37,13 @@ __all__ = ["BACKEND", "deviation", "window_supnorms", "sliding_supnorms", "Rolli
 BACKEND = "numpy"
 
 
-def deviation(
-    gram: np.ndarray, w_omega: np.ndarray, sqrt_w: float, psi: np.ndarray, out=None
-) -> np.ndarray:
+def deviation(gram: np.ndarray, w_omega: np.ndarray, scale: np.ndarray, out=None) -> np.ndarray:
     """Standardized deviation of the Gram matrix ``gram = Y'Y`` of ``w``
-    transformed samples, given ``w_omega = w * omega`` and ``sqrt_w =
+    transformed samples, given ``w_omega = w * omega`` and ``scale = psi /
     np.sqrt(w)``, broadcast over the leading axes of ``gram``. Written into
     ``out`` when given."""
     e = np.subtract(gram, w_omega, out=out)
-    e /= sqrt_w
-    e *= psi
+    e *= scale
     return e
 
 
@@ -66,7 +64,7 @@ def window_supnorms(samples: np.ndarray, omega: np.ndarray, psi: np.ndarray) -> 
     w = samples.shape[1]
     y = samples @ omega
     gram = np.matmul(y.transpose(0, 2, 1), y)
-    return np.abs(deviation(gram, w * omega, np.sqrt(w), psi)).max(axis=(1, 2))
+    return np.abs(deviation(gram, w * omega, psi / np.sqrt(w))).max(axis=(1, 2))
 
 
 class RollingSupnorm:
@@ -92,12 +90,11 @@ class RollingSupnorm:
     def set_estimate(self, omega: np.ndarray, psi: np.ndarray) -> None:
         """Standardize with ``omega`` and its scale ``psi`` from now on."""
         self._w_omega = np.asfortranarray(self.w * omega)
-        self._sqrt_w = np.sqrt(self.w)
-        self._psi = np.asfortranarray(psi)
+        self._scale = np.asfortranarray(psi / np.sqrt(self.w))
         # constants of the error bound in the module docstring
         self._col2 = float((omega * omega).sum(axis=0).max())
         self._w_omega_max = float(np.abs(self._w_omega).max())
-        self._tol = 8.0 * np.finfo(np.float64).eps * float(self._psi.max()) / float(self._sqrt_w)
+        self._tol = 8.0 * np.finfo(np.float64).eps * float(self._scale.max())
         self._terms = omega.shape[0] + self.w + 2
         self.reset()
 
@@ -142,7 +139,7 @@ class RollingSupnorm:
 
     def supnorm(self) -> float:
         """Sup-norm of the deviation of the current Gram matrix."""
-        e = deviation(self._gram, self._w_omega, self._sqrt_w, self._psi, self._scratch)
+        e = deviation(self._gram, self._w_omega, self._scale, self._scratch)
         return float(np.abs(e, out=e).max())
 
 

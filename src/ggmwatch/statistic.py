@@ -65,7 +65,7 @@ def _window_deviation(xs, omega: np.ndarray) -> DeviationMatrix:
         )
     w = x.shape[0]
     y = x @ omega
-    e = deviation(y.T @ y, w * omega, np.sqrt(w), scale_entries(omega))
+    e = deviation(y.T @ y, w * omega, scale_entries(omega) / np.sqrt(w))
     return DeviationMatrix(entries=e, sup_norm=float(np.abs(e).max()))
 
 
