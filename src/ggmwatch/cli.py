@@ -362,6 +362,11 @@ def cmd_monitor(args, argv: list[str]) -> int:
         json.dumps({"type": "run_manifest", **manifest}, sort_keys=True, allow_nan=False) + "\n"
     )
     out.flush()
+
+    def emit(obj: dict) -> None:
+        out.write(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
+        out.flush()
+
     fh = sys.stdin if args.input == "-" else open(args.input)
     try:
         ndjson = None
@@ -390,22 +395,12 @@ def cmd_monitor(args, argv: list[str]) -> int:
                 raise DataError(f"line {lineno}: statistic is {stat}; values too large")
             t_out = t_in if t_in is not None else detector.t
             if args.trace and stat is not None:
-                obj = {"t": t_out, "stat": stat}
-                out.write(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
-                out.flush()
+                emit({"t": t_out, "stat": stat})
             if event is not None:
-                obj = {
-                    "type": "change_point",
-                    "t": t_out,
-                    "stat": event.statistic,
-                    "zeta": event.zeta,
-                }
-                out.write(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
-                out.flush()
+                emit({"type": "change_point", "t": t_out, "stat": event.statistic,
+                      "zeta": event.zeta})
             if failed is not None:  # a batch refit follows its step's test
-                obj = {"type": "fit_failed", "t": t_out, "error": failed}
-                out.write(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
-                out.flush()
+                emit({"type": "fit_failed", "t": t_out, "error": failed})
     finally:
         if fh is not sys.stdin:
             fh.close()

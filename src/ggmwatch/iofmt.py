@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -126,13 +127,21 @@ def write_result_csv(result, path: str) -> None:
                 )
 
 
+def _json_number(x: float | None) -> float | None:
+    """``x``, or None (JSON ``null``) where it is not finite: JSON has no NaN."""
+    return x if x is None or math.isfinite(x) else None
+
+
 def write_result_ndjson(result, path: str) -> None:
-    """One JSON object per cell, plus a leading provenance object."""
+    """One JSON object per cell, plus a leading provenance object. A metric
+    value or se that is not finite, such as the mean delay of a cell where no
+    replicate detects, is written as ``null``."""
     with open(path, "w") as fh:
         fh.write(
             json.dumps(
                 {"type": "provenance", "experiment": result.kind, **result.provenance},
                 sort_keys=True,
+                allow_nan=False,
             )
             + "\n"
         )
@@ -144,9 +153,10 @@ def write_result_ndjson(result, path: str) -> None:
                 "cell": cell.cell,
                 "n": cell.n,
                 "metrics": {
-                    k: {"value": v.value, "se": v.se} for k, v in sorted(cell.metrics.items())
+                    k: {"value": _json_number(v.value), "se": _json_number(v.se)}
+                    for k, v in sorted(cell.metrics.items())
                 },
             }
             if cell.series is not None:
                 obj["series"] = cell.series
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            fh.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")

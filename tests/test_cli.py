@@ -13,6 +13,8 @@ from ggmwatch.cli import _parse_row, main
 from ggmwatch.errors import Infeasible
 from ggmwatch.iofmt import read_matrix
 
+from conftest import strict_json, strict_ndjson
+
 
 # ``python -m ggmwatch.cli`` subprocesses import the package from this checkout
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -105,7 +107,7 @@ class TestThreshold:
     def test_manifest_on_stderr(self, capsys):
         run_cli(["threshold", "--pi0", "0.05", "--p", "10", "--w", "20"])
         err = capsys.readouterr().err.strip()
-        assert json.loads(err)["tool_version"] == gw.__version__
+        assert strict_json(err)["tool_version"] == gw.__version__
 
     def test_invalid_pi0_exits_2(self, capsys):
         assert run_cli(["threshold", "--pi0", "0", "--p", "100", "--w", "50"]) == 2
@@ -140,8 +142,7 @@ class TestMonitor:
                  "--out", str(rows)])
         capsys.readouterr()
         assert run_cli(["monitor", "--config", str(cfg), "--input", str(rows)]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        objs = [json.loads(s) for s in lines]
+        objs = strict_ndjson(capsys.readouterr().out)
         assert objs[0]["type"] == "run_manifest"
         assert [o for o in objs if o["type"] == "change_point"] == []
 
@@ -158,11 +159,7 @@ class TestMonitor:
                  "--out", str(rows)])
         capsys.readouterr()
         assert run_cli(["monitor", "--config", str(cfg), "--input", str(rows)]) == 0
-        events = [
-            json.loads(s)
-            for s in capsys.readouterr().out.splitlines()
-            if json.loads(s)["type"] == "change_point"
-        ]
+        events = [o for o in strict_ndjson(capsys.readouterr().out) if o["type"] == "change_point"]
         assert len(events) == 1
         assert 61 <= events[0]["t"] <= 90
         assert events[0]["stat"] >= events[0]["zeta"]
@@ -177,7 +174,7 @@ class TestMonitor:
                  "--out", str(rows)])
         capsys.readouterr()
         run_cli(["monitor", "--config", str(cfg), "--input", str(rows), "--trace"])
-        objs = [json.loads(s) for s in capsys.readouterr().out.splitlines()]
+        objs = strict_ndjson(capsys.readouterr().out)
         traces = [o for o in objs if set(o) == {"t", "stat"}]
         assert len(traces) == 35 - 30 + 1
         assert traces[0]["t"] == 30
@@ -191,7 +188,7 @@ class TestMonitor:
                 fh.write(json.dumps({"t": t, "x": rng.standard_normal(10).tolist()}) + "\n")
         capsys.readouterr()
         run_cli(["monitor", "--config", str(cfg), "--input", str(rows), "--trace"])
-        objs = [json.loads(s) for s in capsys.readouterr().out.splitlines()]
+        objs = strict_ndjson(capsys.readouterr().out)
         traces = [o for o in objs if set(o) == {"t", "stat"}]
         assert traces[0]["t"] == 1029  # echoes the provided index
 
@@ -247,7 +244,7 @@ class TestMonitor:
         code = run_cli(["monitor", "--p", "3", "--w", "3", "--zeta", "0.5", "--oracle_matrix",
                         str(pre), "--input", str(rows)])
         captured = capsys.readouterr()
-        return code, [json.loads(s) for s in captured.out.splitlines()], captured.err
+        return code, strict_ndjson(captured.out), captured.err
 
     def test_integer_t_is_echoed(self, tmp_path, capsys):
         code, objs, _ = self._identity_monitor(tmp_path, capsys, [10, 11, 12, 13, 14, 15])
@@ -291,12 +288,7 @@ class TestMonitor:
         captured = capsys.readouterr()
         assert code == 3
         assert "line 32" in captured.err
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
-        lines = captured.out.splitlines()
-        objs = [json.loads(s, parse_constant=reject) for s in lines]
+        objs = strict_ndjson(captured.out)
         assert objs[0]["type"] == "run_manifest"
         assert [o["t"] for o in objs[1:]] == [30, 31]
         assert all(o.get("type") != "change_point" for o in objs)
@@ -312,11 +304,7 @@ class TestMonitor:
         captured = capsys.readouterr()
         assert code == 3
         assert "line 12" in captured.err  # the fit at the end of the burn-in
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
-        objs = [json.loads(s, parse_constant=reject) for s in captured.out.splitlines()]
+        objs = strict_ndjson(captured.out)
         assert [o["type"] for o in objs] == ["run_manifest"]
 
     @staticmethod
@@ -343,12 +331,7 @@ class TestMonitor:
         capsys.readouterr()
         code = run_cli(["monitor", "--p", "4", "--w", "4", "--n_burnin", "12", "--batch", "3",
                         "--zeta", "1e9", "--input", str(path), "--trace"])
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
-        objs = [json.loads(s, parse_constant=reject) for s in capsys.readouterr().out.splitlines()]
-        return code, objs, rows, fits
+        return code, strict_ndjson(capsys.readouterr().out), rows, fits
 
     def test_failed_batch_refit_writes_fit_failed(self, tmp_path, monkeypatch, capsys):
         code, objs, rows, fits = self._monitor_failing_fit(tmp_path, monkeypatch, capsys, {2})
@@ -413,7 +396,7 @@ class TestMonitor:
         code = run_cli(["monitor", "--config", str(cfg), "--input", str(rows), "--trace"])
         captured = capsys.readouterr()
         assert code == 0, captured.err
-        objs = [json.loads(s) for s in captured.out.splitlines()]
+        objs = strict_ndjson(captured.out)
         assert list(objs[0]["inputs"]) == ["mon.cfg", "pre.txt"]
         assert [o["t"] for o in objs[1:]] == [30, 31]
         # the flag stays relative to the working directory
@@ -437,7 +420,7 @@ class TestMonitor:
         capsys.readouterr()
         # override w from 30 to 20: traces start at t=20
         run_cli(["monitor", "--config", str(cfg), "--input", str(rows), "--trace", "--w", "20"])
-        objs = [json.loads(s) for s in capsys.readouterr().out.splitlines()]
+        objs = strict_ndjson(capsys.readouterr().out)
         traces = [o for o in objs if set(o) == {"t", "stat"}]
         assert traces[0]["t"] == 20
 
@@ -464,7 +447,7 @@ class TestExperiment:
         assert code == 0
         assert (tmp_path / "fa.csv").exists()
         assert (tmp_path / "fa.ndjson").exists()
-        manifest = json.loads((tmp_path / "fa.manifest.json").read_text())
+        manifest = strict_json((tmp_path / "fa.manifest.json").read_text())
         assert manifest["preset"] == "fig1-desk"
         assert manifest["replicates"] == 300
 

@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 from contextlib import contextmanager
@@ -11,6 +10,8 @@ from ggmwatch import kernels
 from ggmwatch.iofmt import write_result_csv, write_result_ndjson
 from ggmwatch.modelgen import gen_chain_precision
 from ggmwatch.statistic import scale_entries
+
+from conftest import strict_ndjson
 
 
 def _blas_threads(ctx, start, stop):
@@ -237,12 +238,25 @@ class TestWriters:
         res = hz.fa_calibration(FA_SMALL)
         path = tmp_path / "out.ndjson"
         write_result_ndjson(res, path)
-        lines = path.read_text().splitlines()
-        head = json.loads(lines[0])
+        head, cell = strict_ndjson(path.read_text())
         assert head["type"] == "provenance"
-        cell = json.loads(lines[1])
         assert cell["type"] == "cell"
         assert set(cell["metrics"]) == {"exceed_exact", "exceed_union", "quantile", "mean_sup"}
+
+    def test_non_finite_metrics_are_null(self, tmp_path):
+        # pi0=1e-9 and no change: no replicate crosses zeta, so the mean delay,
+        # its se and the trajectory's crossing delay are NaN
+        cfg = _config("delay_profile", 4, p=10, density=0.2, inflation=0.1, n_burnin=200,
+                      t0=30, w=10, pi0=1e-9, attenuation=0.0)
+        res = hz.run_experiment(cfg)
+        assert math.isnan(res.cells[0].metrics["mean_delay"].value)
+        write_result_ndjson(res, tmp_path / "out.ndjson")
+        _, change, _ = strict_ndjson((tmp_path / "out.ndjson").read_text())
+        assert change["metrics"]["mean_delay"] == {"value": None, "se": None}
+        assert change["metrics"]["traj_cross_delay"] == {"value": None, "se": None}
+        assert change["metrics"]["miss_rate"] == {"value": 1.0, "se": 0.0}
+        write_result_csv(res, tmp_path / "out.csv")
+        assert ",mean_delay,nan,nan,4" in (tmp_path / "out.csv").read_text()
 
     def test_csv_schema(self, tmp_path):
         res = hz.fa_calibration(FA_SMALL)
