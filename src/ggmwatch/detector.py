@@ -18,7 +18,8 @@ in time order, to :func:`ggmwatch.statistic.oracle_statistic` /
 ``plugin_statistic``. Decisions and detection statistics are bit-for-bit
 those of an exact evaluation at every step.
 
-Plug-in fits (at ``m == 0`` and every ``batch`` tests) use every sample
+Plug-in fits (at ``m == 0``, and after a test that does not fire whenever its
+number ``m - w + 1`` is a multiple of ``batch``) use every sample
 observed since the last detection (an expanding window, burn-in samples
 included); only plug-in mode keeps that history. A failed fit (including an
 estimate with a nonpositive diagonal) raises its error after leaving a
@@ -195,7 +196,6 @@ class Detector:
         if sup >= zeta:
             self._restart()
             return DetectionEvent(t=self.t, statistic=sup, zeta=zeta, delay_estimate=m)
-        # every batch-th test since the fit, whether or not an earlier refit raised
         if cfg.batch is not None and (m - w + 1) % cfg.batch == 0:
             self._refit()
         return None
