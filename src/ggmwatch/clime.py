@@ -2,10 +2,15 @@
 
 Each column solves  min |b|_1  s.t.  |S b - e_j|_inf <= lambda  in equality
 form: with b = u - v,  S u - S v - r = e_j,  u, v >= 0,  r in [-lambda,
-lambda].  That is p ranged rows over 3p bounded variables, delegated to
-scipy's HiGHS solver (presolve off) with a duality-gap certificate. Columns
-are symmetrized by the smaller-magnitude rule and optionally projected onto
-the PSD cone by dropping negative eigenvalues.
+lambda].  That is p rows over 3p bounded variables. One fit builds one HiGHS
+model (presolve and logging off) and solves all p columns on it: between
+columns only the row bounds move from e_{j-1} to e_j, so the dual simplex
+starts from the previous column's optimal basis, which stays dual feasible
+(the basis-sharing idea of the parametric simplex for CLIME, fastclime). No
+model outlives its fit. Each column carries a duality-gap certificate read
+from the solution's row duals and the reduced costs of r. Columns are
+symmetrized by the smaller-magnitude rule and optionally projected onto the
+PSD cone by dropping negative eigenvalues.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DimensionMismatch, Infeasible, NonFiniteSample, SolverStall
 from .modelgen import _as_array
@@ -28,6 +32,26 @@ __all__ = [
     "normalized_error",
     "psd_project",
 ]
+
+
+def _highs():
+    """HiGHS's own binding, private to scipy but shipped inside it. It is
+    imported on the first LP: ``scipy.optimize`` is a large share of the
+    package's start-up, and a run without a CLIME fit never needs it."""
+    from scipy.optimize._highspy import _core
+
+    return _core
+
+
+def __getattr__(name: str):
+    # perfbench/tracer.py counts LPs by wrapping ``clime.linprog``, which no
+    # fit calls any more; this name goes away once the tracer counts fits
+    # another way (ROADMAP item 3)
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -80,10 +104,75 @@ def sample_covariance(samples, center: bool = False) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
+class _ColumnLPs:
+    """The p column programs of one ``(S, lambda)`` on one HiGHS model.
+
+    The programs share the matrix ``[S, -S, -I]``, the cost and the bounds;
+    only the row bounds ``e_j`` differ. Moving them leaves the previous
+    column's optimal basis dual feasible, so every solve after the first is a
+    dual simplex warm start from it.
+    """
+
+    def __init__(self, s: np.ndarray, lam: float):
+        core = _highs()
+        p = s.shape[0]
+        a = np.hstack((s, -s, -np.eye(p)))
+        nonzero = (a != 0).T  # column-major pattern, as a CSC matrix drops zeros
+        lp = core.HighsLp()
+        lp.num_col_ = 3 * p
+        lp.num_row_ = p
+        lp.col_cost_ = np.concatenate((np.ones(2 * p), np.zeros(p)))
+        lp.col_lower_ = np.concatenate((np.zeros(2 * p), np.full(p, -lam)))
+        lp.col_upper_ = np.concatenate((np.full(2 * p, np.inf), np.full(p, lam)))
+        lp.row_lower_ = lp.row_upper_ = np.zeros(p)
+        matrix = lp.a_matrix_
+        matrix.format_ = core.MatrixFormat.kColwise
+        matrix.num_col_ = 3 * p
+        matrix.num_row_ = p
+        matrix.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
+        matrix.index_ = np.nonzero(nonzero)[1]
+        matrix.value_ = a.T[nonzero]
+        self._highs = core._Highs()
+        self._highs.setOptionValue("output_flag", False)
+        # presolve reduces nothing on a dense S, and costs a quarter of the solve
+        self._highs.setOptionValue("presolve", "off")
+        self._highs.passModel(lp)
+        self._row: int | None = None
+        self.s = s
+        self.lam = lam
+
+    def solve(self, j: int):
+        """Move the right-hand side to ``e_j`` and solve from the current basis.
+
+        Returns ``(status, objective, x, row_dual, col_dual)``.
+        """
+        highs = self._highs
+        if self._row is not None:
+            highs.changeRowBounds(self._row, 0.0, 0.0)
+        highs.changeRowBounds(j, 1.0, 1.0)
+        self._row = j
+        highs.run()
+        sol = highs.getSolution()
+        return (
+            highs.getModelStatus(),
+            highs.getInfo().objective_function_value,
+            np.asarray(sol.col_value),
+            np.asarray(sol.row_dual),
+            np.asarray(sol.col_dual),
+        )
+
+
+# the model of the fit in progress; clime_estimate sets it and always drops it
+_fit: _ColumnLPs | None = None
+
+
 def clime_column(
     s_hat: np.ndarray, j: int, lam: float, lp_tolerance: float = 1e-6
 ) -> np.ndarray:
     """Solve one column program; returns the minimizing coefficient vector.
+
+    Inside :func:`clime_estimate` the column is solved on that fit's model,
+    warm; any other call builds a model for this one column.
 
     Raises
     ------
@@ -100,29 +189,23 @@ def clime_column(
         raise IndexError(f"column index {j} out of range for p={p}")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
+    lp = _fit
+    if lp is None or lp.s is not s_hat or lp.lam != lam:
+        lp = _ColumnLPs(s, lam)
+    status, fun, x, row_dual, col_dual = lp.solve(j)
+    statuses = _highs().HighsModelStatus
+    if status == statuses.kInfeasible:
+        raise Infeasible(f"column {j} infeasible at lambda={lam}")
+    if status != statuses.kOptimal:
+        raise SolverStall(f"column {j}: solver status {status.name}")
+    # dual objective: e_j . y, less lambda times the reduced costs of r at its bounds
+    dual = row_dual[j] - lam * np.abs(col_dual[2 * p:]).sum()
+    gap = abs(fun - dual)
+    if gap > 1e-8 * max(1.0, abs(fun)):
+        raise SolverStall(f"column {j}: duality gap {gap:.3g} exceeds certificate tolerance")
+    beta = x[:p] - x[p:2 * p]
     e = np.zeros(p)
     e[j] = 1.0
-    a_eq = np.hstack((s, -s, -np.eye(p)))
-    bounds = np.empty((3 * p, 2))
-    bounds[:2 * p] = (0.0, np.inf)
-    bounds[2 * p:] = (-lam, lam)
-    cost = np.concatenate((np.ones(2 * p), np.zeros(p)))
-    # presolve reduces nothing on a dense S, and costs a quarter of the solve
-    res = linprog(
-        cost, A_eq=a_eq, b_eq=e, bounds=bounds, method="highs", options={"presolve": False}
-    )
-    if res.status == 2:
-        raise Infeasible(f"column {j} infeasible at lambda={lam}")
-    if res.status != 0:
-        raise SolverStall(f"column {j}: solver status {res.status}: {res.message}")
-    # dual objective: e_j . y plus lambda times the net marginal of the r bounds
-    dual = e @ res.eqlin.marginals + lam * (
-        res.upper.marginals[2 * p:].sum() - res.lower.marginals[2 * p:].sum()
-    )
-    gap = abs(res.fun - dual)
-    if gap > 1e-8 * max(1.0, abs(res.fun)):
-        raise SolverStall(f"column {j}: duality gap {gap:.3g} exceeds certificate tolerance")
-    beta = res.x[:p] - res.x[p:2 * p]
     violation = np.abs(s @ beta - e).max() - lam
     if violation > lp_tolerance:
         raise Infeasible(
@@ -156,8 +239,13 @@ def clime_estimate(samples, config: ClimeConfig = ClimeConfig()) -> PrecisionEst
         raise NonFiniteSample("sample covariance is not finite; values too large")
     lam = config.resolve_lambda(p, n)
     cols = np.empty((p, p))
-    for j in range(p):
-        cols[:, j] = clime_column(s, j, lam, config.lp_tolerance)
+    global _fit
+    _fit = _ColumnLPs(s, lam)
+    try:
+        for j in range(p):
+            cols[:, j] = clime_column(s, j, lam, config.lp_tolerance)
+    finally:
+        _fit = None
     gap = float(np.abs(s @ cols - np.eye(p)).max(axis=0).max() - lam)
     picked = np.where(np.abs(cols) <= np.abs(cols.T), cols, cols.T)
     omega = np.triu(picked) + np.triu(picked, 1).T

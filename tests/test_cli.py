@@ -131,7 +131,35 @@ def oracle_setup(tmp_path):
     return tmp_path, pre, cfg
 
 
+# runs the CLI in a fresh interpreter and reports whether it imported the LP solver
+_IMPORT_PROBE = """
+import sys
+from ggmwatch.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def _imports_lp_solver(args, cwd) -> bool:
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *args], capture_output=True,
+                          text=True, cwd=cwd, env=SRC_ENV, check=True, timeout=120)
+    return proc.stdout.splitlines()[-1] == "True"
+
+
 class TestMonitor:
+    def test_lp_solver_imported_only_for_a_fit(self, oracle_setup):
+        tmp, pre, cfg = oracle_setup
+        rows = tmp / "rows.csv"
+        np.savetxt(rows, np.random.default_rng(2).standard_normal((40, 10)), delimiter=",")
+        assert not _imports_lp_solver(["--version"], tmp)
+        assert not _imports_lp_solver(["monitor", "--config", str(cfg), "--input", str(rows)], tmp)
+        plugin = tmp / "plugin.cfg"
+        plugin.write_text("p=10\nw=10\nn_burnin=30\n")
+        assert _imports_lp_solver(["monitor", "--config", str(plugin), "--input", str(rows)], tmp)
+
     def test_h0_stream_no_events(self, oracle_setup, capsys):
         tmp, pre, cfg = oracle_setup
         scn = tmp / "sc.json"

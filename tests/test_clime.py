@@ -104,25 +104,24 @@ class TestClimeColumn:
 
     @pytest.mark.parametrize("scale", [1.0, 0.9])
     def test_duality_certificate(self, monkeypatch, scale):
-        # the certificate reads the equality duals and the bound marginals of
-        # r: the solver's own result passes, and one with its equality duals
-        # scaled by 0.9 is a stall
+        # the certificate reads the row duals and the reduced costs of r: the
+        # solver's own solution passes, and one with its row duals scaled by
+        # 0.9 is a stall
         rng = Generator(Philox(key=7))
         a = rng.standard_normal((30, 10))
         s = a.T @ a / 30
         bound_terms = []
+        solve = clime_module._ColumnLPs.solve
 
-        def scaled_linprog(*args, **kwargs):
-            res = linprog(*args, **kwargs)
-            res.eqlin.marginals = scale * res.eqlin.marginals
-            r = slice(20, 30)  # the columns of r at p=10
-            bound_terms.append(res.upper.marginals[r].sum() - res.lower.marginals[r].sum())
-            return res
+        def scaled_solve(self, j):
+            status, fun, x, row_dual, col_dual = solve(self, j)
+            bound_terms.append(np.abs(col_dual[20:30]).sum())  # the columns of r at p=10
+            return status, fun, x, scale * row_dual, col_dual
 
-        monkeypatch.setattr(clime_module, "linprog", scaled_linprog)
+        monkeypatch.setattr(clime_module._ColumnLPs, "solve", scaled_solve)
         if scale == 1.0:
             gw.clime_column(s, 3, 0.1)
-            assert abs(bound_terms[0]) > 1.0  # the bound marginals carry the dual
+            assert bound_terms[0] > 1.0  # the reduced costs of r carry the dual
         else:
             with pytest.raises(SolverStall):
                 gw.clime_column(s, 3, 0.1)
@@ -189,6 +188,86 @@ class TestClimeEstimate:
         xs[4, 1] = 1e200  # finite, but its square is not
         with pytest.raises(NonFiniteSample):
             gw.clime_estimate(xs)
+
+
+def _equality_oracle(s, j, lam):
+    """The column program in equality form, solved cold by ``linprog``."""
+    p = s.shape[0]
+    e = np.zeros(p)
+    e[j] = 1.0
+    bounds = [(0.0, None)] * (2 * p) + [(-lam, lam)] * p
+    res = linprog(
+        np.concatenate((np.ones(2 * p), np.zeros(p))), A_eq=np.hstack((s, -s, -np.eye(p))),
+        b_eq=e, bounds=bounds, method="highs",
+    )
+    assert res.status == 0
+    return res.fun
+
+
+def _record_columns(monkeypatch):
+    """Record every (S, j, lambda, beta) that clime_estimate asks for."""
+    calls = []
+    column = clime_module.clime_column
+
+    def recorded(s_hat, j, lam, lp_tolerance=1e-6):
+        beta = column(s_hat, j, lam, lp_tolerance)
+        calls.append((s_hat, j, lam, beta))
+        return beta
+
+    monkeypatch.setattr(clime_module, "clime_column", recorded)
+    return calls
+
+
+class TestWarmStartedFit:
+    """One HiGHS model per fit, through scipy's private binding: a scipy
+    upgrade that moves or changes it fails here."""
+
+    def test_binding_importable(self):
+        from scipy.optimize._highspy._core import _Highs
+
+        assert callable(_Highs)
+
+    @pytest.mark.parametrize(
+        "n, p, lam",
+        [(200, 12, 0.05), (40, 20, 0.1), (60, 15, 0.0), (6, 10, 0.5)],  # last: N < p, rank 6
+    )
+    def test_matches_equality_oracle(self, monkeypatch, n, p, lam):
+        xs = Generator(Philox(key=300 + n + p)).standard_normal((n, p))
+        cfg = gw.ClimeConfig(lambda_rule="fixed", lambda_level=lam)
+        calls = _record_columns(monkeypatch)
+        gw.clime_estimate(xs, cfg)
+        s = calls[0][0]
+        assert [c[1] for c in calls] == list(range(p))
+        if n < p:
+            assert np.linalg.matrix_rank(s) == n
+        for _, j, _, beta in calls:
+            ref = _equality_oracle(s, j, lam)
+            assert abs(np.abs(beta).sum() - ref) <= 1e-9 * ref
+            e = np.zeros(p)
+            e[j] = 1.0
+            assert np.abs(s @ beta - e).max() <= lam + cfg.lp_tolerance
+
+    def test_rank_one_infeasible_partway(self, monkeypatch):
+        xs = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])  # S = diag(1, 0, 0)
+        calls = _record_columns(monkeypatch)
+        with pytest.raises(Infeasible):
+            gw.clime_estimate(xs, gw.ClimeConfig(lambda_rule="fixed", lambda_level=0.0))
+        assert [c[1] for c in calls] == [0]  # column 0 solved, column 1 raised
+        assert_allclose(calls[0][3], [1.0, 0.0, 0.0], atol=1e-9)
+        assert clime_module._fit is None
+
+    def test_model_scoped_to_one_fit(self, monkeypatch):
+        cfg = gw.ClimeConfig(lambda_rule="fixed", lambda_level=0.1, psd_project=False)
+        rng = Generator(Philox(key=41))
+        gw.clime_estimate(rng.standard_normal((50, 8)), cfg)
+        assert clime_module._fit is None
+        # same lambda, another S: every column equals its own one-shot solve
+        calls = _record_columns(monkeypatch)
+        gw.clime_estimate(rng.standard_normal((50, 8)), cfg)
+        assert clime_module._fit is None
+        for s, j, lam, beta in calls:
+            one_shot = gw.clime_column(s.copy(), j, lam)
+            assert np.abs(beta - one_shot).max() <= 1e-9
 
 
 class TestPsdProject:
