@@ -1,14 +1,13 @@
 """Sparse precision estimation via column-wise l1-constrained linear programs.
 
-Each column solves  min |b|_1  s.t.  |S b - e_j|_inf <= lambda  in equality
-form: with b = u - v,  S u - S v - r = e_j,  u, v >= 0,  r in [-lambda,
-lambda].  That is p rows over 3p bounded variables. One fit builds one HiGHS
-model (presolve and logging off) and solves all p columns on it: between
-columns only the row bounds move from e_{j-1} to e_j, so the dual simplex
-starts from the previous column's optimal basis, which stays dual feasible
-(the basis-sharing idea of the parametric simplex for CLIME, fastclime). No
-model outlives its fit. Each column carries a duality-gap certificate read
-from the solution's row duals and the reduced costs of r. Columns are
+Column j solves  min |b|_1  s.t.  |S b - e_j|_inf <= lambda  as p ranged rows
+over 2p variables: b = u - v,  min 1'u + 1'v  s.t.  e_j - lambda <= S (u - v)
+<= e_j + lambda,  u, v >= 0.  One fit builds one HiGHS model (presolve and
+logging off) and solves all p columns on it, moving only the bounds of two
+rows between columns. Each solve starts the dual simplex from the logical
+basis u = v = 0, dual feasible for every e_j since every reduced cost is 1, so
+no state crosses columns and no model outlives its fit. Each column carries a
+duality-gap certificate read from the solution's row duals. Columns are
 symmetrized by the smaller-magnitude rule and optionally projected onto the
 PSD cone by dropping negative eigenvalues.
 """
@@ -32,15 +31,6 @@ __all__ = [
     "normalized_error",
     "psd_project",
 ]
-
-
-def _highs():
-    """HiGHS's own binding, private to scipy but shipped inside it. It is
-    imported on the first LP: ``scipy.optimize`` is a large share of the
-    package's start-up, and a run without a CLIME fit never needs it."""
-    from scipy.optimize._highspy import _core
-
-    return _core
 
 
 def __getattr__(name: str):
@@ -107,27 +97,30 @@ def sample_covariance(samples, center: bool = False) -> np.ndarray:
 class _ColumnLPs:
     """The p column programs of one ``(S, lambda)`` on one HiGHS model.
 
-    The programs share the matrix ``[S, -S, -I]``, the cost and the bounds;
-    only the row bounds ``e_j`` differ. Moving them leaves the previous
-    column's optimal basis dual feasible, so every solve after the first is a
-    dual simplex warm start from it.
+    They share the matrix ``[S, -S]``, the costs and the column bounds; only
+    row j's bounds differ. Every solve starts from the logical basis, so no
+    column depends on the ones solved before it.
     """
 
     def __init__(self, s: np.ndarray, lam: float):
-        core = _highs()
+        # HiGHS's own binding, private to scipy but shipped inside it, imported
+        # at the first fit: scipy.optimize is a large share of start-up
+        from scipy.optimize._highspy import _core as core
+
         p = s.shape[0]
-        a = np.hstack((s, -s, -np.eye(p)))
+        a = np.hstack((s, -s))
         nonzero = (a != 0).T  # column-major pattern, as a CSC matrix drops zeros
         lp = core.HighsLp()
-        lp.num_col_ = 3 * p
+        lp.num_col_ = 2 * p
         lp.num_row_ = p
-        lp.col_cost_ = np.concatenate((np.ones(2 * p), np.zeros(p)))
-        lp.col_lower_ = np.concatenate((np.zeros(2 * p), np.full(p, -lam)))
-        lp.col_upper_ = np.concatenate((np.full(2 * p, np.inf), np.full(p, lam)))
-        lp.row_lower_ = lp.row_upper_ = np.zeros(p)
+        lp.col_cost_ = np.ones(2 * p)
+        lp.col_lower_ = np.zeros(2 * p)
+        lp.col_upper_ = np.full(2 * p, np.inf)
+        lp.row_lower_ = np.full(p, -lam)
+        lp.row_upper_ = np.full(p, lam)
         matrix = lp.a_matrix_
         matrix.format_ = core.MatrixFormat.kColwise
-        matrix.num_col_ = 3 * p
+        matrix.num_col_ = 2 * p
         matrix.num_row_ = p
         matrix.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
         matrix.index_ = np.nonzero(nonzero)[1]
@@ -137,28 +130,28 @@ class _ColumnLPs:
         # presolve reduces nothing on a dense S, and costs a quarter of the solve
         self._highs.setOptionValue("presolve", "off")
         self._highs.passModel(lp)
-        self._row: int | None = None
+        self._row = 0  # the row holding e_j's bounds; row 0 is unmoved before a solve
+        self.statuses = core.HighsModelStatus
         self.s = s
         self.lam = lam
 
     def solve(self, j: int):
-        """Move the right-hand side to ``e_j`` and solve from the current basis.
+        """Move the ranged row to ``e_j`` and solve from the logical basis.
 
-        Returns ``(status, objective, x, row_dual, col_dual)``.
+        Returns ``(status, objective, x, row_dual)``.
         """
-        highs = self._highs
-        if self._row is not None:
-            highs.changeRowBounds(self._row, 0.0, 0.0)
-        highs.changeRowBounds(j, 1.0, 1.0)
+        highs, lam = self._highs, self.lam
+        highs.changeRowBounds(self._row, -lam, lam)
+        highs.changeRowBounds(j, 1.0 - lam, 1.0 + lam)
         self._row = j
+        highs.setBasis()  # the logical basis: u = v = 0, dual feasible for any e_j
         highs.run()
         sol = highs.getSolution()
         return (
             highs.getModelStatus(),
-            highs.getInfo().objective_function_value,
+            highs.getObjectiveValue(),
             np.asarray(sol.col_value),
             np.asarray(sol.row_dual),
-            np.asarray(sol.col_dual),
         )
 
 
@@ -172,7 +165,7 @@ def clime_column(
     """Solve one column program; returns the minimizing coefficient vector.
 
     Inside :func:`clime_estimate` the column is solved on that fit's model,
-    warm; any other call builds a model for this one column.
+    any other call on a model of its own; both give the same bits.
 
     Raises
     ------
@@ -192,18 +185,18 @@ def clime_column(
     lp = _fit
     if lp is None or lp.s is not s_hat or lp.lam != lam:
         lp = _ColumnLPs(s, lam)
-    status, fun, x, row_dual, col_dual = lp.solve(j)
-    statuses = _highs().HighsModelStatus
+    status, fun, x, row_dual = lp.solve(j)
+    statuses = lp.statuses
     if status == statuses.kInfeasible:
         raise Infeasible(f"column {j} infeasible at lambda={lam}")
     if status != statuses.kOptimal:
         raise SolverStall(f"column {j}: solver status {status.name}")
-    # dual objective: e_j . y, less lambda times the reduced costs of r at its bounds
-    dual = row_dual[j] - lam * np.abs(col_dual[2 * p:]).sum()
+    # dual objective of the ranged rows e_j -+ lambda: e_j . y - lambda |y|_1
+    dual = row_dual[j] - lam * np.abs(row_dual).sum()
     gap = abs(fun - dual)
     if gap > 1e-8 * max(1.0, abs(fun)):
         raise SolverStall(f"column {j}: duality gap {gap:.3g} exceeds certificate tolerance")
-    beta = x[:p] - x[p:2 * p]
+    beta = x[:p] - x[p:]
     e = np.zeros(p)
     e[j] = 1.0
     violation = np.abs(s @ beta - e).max() - lam

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -233,31 +235,44 @@ class TestStep:
 
     def test_long_stream_drift_and_memory(self):
         """2e5 oracle steps at p=5, w=6: sampled rolling statistics stay within
-        1e-12 relative of oracle_statistic on the same window, and the traced
-        peak memory does not grow with the stream (O(w p + p^2) state)."""
-        p, w, n = 5, 6, 200_000
+        1e-12 relative of oracle_statistic on the same window, and the state
+        does not grow with the stream (O(w p + p^2)). tracemalloc bounds the
+        peak over a 2e4-step stretch against the first 1000 steps; over the
+        untraced rest, the count of allocated blocks must not grow, which one
+        object kept per step would break."""
+        p, w, n, traced = 5, 6, 200_000, 21_000
         omega = gw.gen_chain_precision(p, 0.5)
         xs = list(Generator(Philox(key=4)).standard_normal((n, p)))  # rows made untraced
         det = gw.Detector(
             gw.DetectorConfig(p=p, w=w, zeta=1e9, n_burnin=0, batch=None, oracle_omega=omega)
         )
         worst = 0.0
-        tracemalloc.start()
-        try:
-            for x in xs[:1000]:
-                det.step(x)
-            early_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            for t in range(1001, n + 1):
+
+        def steps(start, stop):
+            nonlocal worst
+            for t in range(start, stop + 1):
                 det.step(xs[t - 1])
                 if t % 997 == 0:
                     exact = gw.oracle_statistic(omega, np.array(xs[t - w : t])).sup_norm
                     worst = max(worst, abs(det.last_statistic - exact) / exact)
+
+        tracemalloc.start()
+        try:
+            steps(1, 1000)
+            early_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            steps(1001, traced)
             late_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        gc.collect()
+        blocks = sys.getallocatedblocks()
+        steps(traced + 1, n)
+        gc.collect()
         assert worst <= 1e-12
         assert late_peak <= early_peak + 16_384
+        # a few blocks of allocator noise; one object kept per step adds 1.79e5
+        assert sys.getallocatedblocks() <= blocks + 256
 
     def test_memory_bounded_across_detections(self):
         """2e4 oracle steps at p=5, w=6 with a zeta just above 0 fire 3333
