@@ -21,6 +21,7 @@ import os
 import sys
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .clime import ClimeConfig
@@ -70,7 +71,9 @@ class DataError(Exception):
 
 
 def _flag(text: str) -> bool:
-    return bool(int(text))
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return text == "1"
 
 
 # monitor config keys: name -> (parser, default); threshold_method and the
@@ -335,6 +338,25 @@ def _monitor_detector(settings: dict) -> Detector:
     return Detector(config)
 
 
+def _csv_values(line: str) -> np.ndarray:
+    """The comma-separated tokens of ``line``, each parsed as ``float()`` would.
+
+    JSON's number grammar is a subset of ``float()``'s and orjson rounds
+    correctly, so a row that orjson reads as floats only gets ``float()``'s
+    bits from one call instead of one ``float()`` per token. Any other row
+    goes through ``float()`` token by token, which also raises its
+    ``ValueError``: orjson reads integer tokens as ints (``-0`` as 0, losing
+    the sign) and takes ``true``, ``null``, strings and lists.
+    """
+    try:
+        vals = orjson.loads("[" + line + "]")
+    except orjson.JSONDecodeError:
+        vals = ()
+    if set(map(type, vals)) == {float}:
+        return np.array(vals, dtype=np.float64)
+    return np.array(line.split(","), dtype=np.float64)
+
+
 def _parse_row(line: str, lineno: int, ndjson: bool) -> tuple[int | None, np.ndarray]:
     try:
         if ndjson:
@@ -342,7 +364,7 @@ def _parse_row(line: str, lineno: int, ndjson: bool) -> tuple[int | None, np.nda
             x = np.asarray(obj["x"], dtype=np.float64)
             t = obj.get("t")
         else:
-            x = np.array(line.split(","), dtype=np.float64)  # parses each token as float()
+            x = _csv_values(line)
             t = None
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"line {lineno}: malformed row: {exc}") from None
@@ -367,8 +389,11 @@ def cmd_monitor(args, argv: list[str]) -> int:
         out.write(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
         out.flush()
 
-    fh = sys.stdin if args.input == "-" else open(args.input)
-    try:
+    # a byte that is not UTF-8 becomes a lone surrogate, which no number
+    # contains, so its row fails to parse and names its line
+    stdin = args.input == "-"
+    with open(sys.stdin.fileno() if stdin else args.input, encoding="utf-8",
+              errors="surrogateescape", closefd=not stdin) as fh:
         ndjson = None
         lineno = 0
         for raw in fh:
@@ -401,9 +426,6 @@ def cmd_monitor(args, argv: list[str]) -> int:
                       "zeta": event.zeta})
             if failed is not None:  # a batch refit follows its step's test
                 emit({"type": "fit_failed", "t": t_out, "error": failed})
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
     return 0
 
 

@@ -63,8 +63,10 @@ class ClimeConfig:
     def __post_init__(self) -> None:
         if self.lambda_rule not in ("fixed", "scaled"):
             raise ValueError(f"unknown lambda_rule {self.lambda_rule!r}")
-        if self.lambda_level < 0:
-            raise ValueError("lambda_level must be nonnegative")
+        if not (math.isfinite(self.lambda_level) and self.lambda_level >= 0):
+            raise ValueError(
+                f"lambda_level must be finite and nonnegative, got {self.lambda_level}"
+            )
         if not 0.0 < self.lp_tolerance <= 1e-4:
             raise ValueError("lp_tolerance must lie in (0, 1e-4]")
 

@@ -1,11 +1,14 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ggmwatch as gw
 import ggmwatch.detector as detector_module
@@ -24,6 +27,22 @@ SRC_ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, SRC_ENV.get("PYTHONPA
 
 def run_cli(args):
     return main(list(args))
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# CSV tokens: any binary64 bit pattern written by repr, %.17g or %.40e (nan and
+# inf included), and integers of any size, -0 among them
+_TOKENS = st.one_of(
+    st.integers(0, 2**64 - 1).map(_double).flatmap(
+        lambda v: st.sampled_from([repr(v), "%.17g" % v, "%.40e" % v])
+    ),
+    st.integers().map(str),
+    st.integers(-(2**1100), 2**1100).map(str),
+    st.just("-0"),
+)
 
 
 class TestGen:
@@ -287,14 +306,26 @@ class TestMonitor:
         assert [o for o in objs if o.get("type") == "change_point"] == []
 
     def test_csv_tokens_parse_as_float(self):
-        # one numpy conversion of the split line gives float()'s bits on edge tokens
+        # edge tokens get float()'s bits in a row that only float() reads, alone,
+        # and next to a JSON float
         tokens = ["-0.0", "5e-324", "1e308", " 1", "1_000", "0.1", "1e-400",
                   "2.2250738585072014e-308", "-1.7976931348623157e+308",
-                  "0.30000000000000004", "+7.", ".5e1 "]
+                  "0.30000000000000004", "+7.", ".5e1 ", "-0", "0", "18446744073709551617",
+                  "1e400", "1234567890123456789012345678901234567890e-30",
+                  # 1 + 2**-53, halfway between 1 and the next double: rounds to even
+                  "1.00000000000000011102230246251565404236316680908203125"]
+        for row in [tokens, *([tok] for tok in tokens), *([tok, "0.5"] for tok in tokens)]:
+            _, x = _parse_row(",".join(row), 1, ndjson=False)
+            assert x.tobytes() == np.array([float(tok) for tok in row]).tobytes(), row
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_TOKENS, min_size=1, max_size=6))
+    def test_csv_row_parses_as_float_property(self, tokens):
         _, x = _parse_row(",".join(tokens), 1, ndjson=False)
         assert x.tobytes() == np.array([float(tok) for tok in tokens]).tobytes()
 
-    @pytest.mark.parametrize("token", ["x", "", "1e", "0x10", "1 2", "--1"])
+    @pytest.mark.parametrize("token", ["x", "", "1e", "0x10", "1 2", "--1",
+                                       "true", "null", '"1"', "[1]"])
     def test_malformed_token_names_lineno(self, oracle_setup, capsys, token):
         tmp, pre, cfg = oracle_setup
         bad = self._bad_line_17(tmp, False, ["0.1"] * 4 + [token] + ["0.1"] * 5)
@@ -304,6 +335,34 @@ class TestMonitor:
             float(token)
         err = capsys.readouterr().err
         assert "line 17" in err and str(exc.value) in err
+
+    @staticmethod
+    def _bad_byte_line_5(ndjson: bool) -> bytes:
+        """Eight rows of 10 values, CSV or NDJSON, with the byte 0xff, which
+        is not UTF-8, ending a token on line 5."""
+        rows = [b",".join([b"0.1"] * 10)] * 8
+        rows[4] = b",".join([b"0.1"] * 3 + [b"0.1\xff"] + [b"0.1"] * 6)
+        if ndjson:
+            rows = [b'{"x":[%s]}' % r for r in rows]
+        return b"".join(r + b"\n" for r in rows)
+
+    @pytest.mark.parametrize("ndjson", [False, True])
+    def test_non_utf8_byte_names_lineno(self, oracle_setup, capsys, ndjson):
+        tmp, pre, cfg = oracle_setup
+        bad = tmp / "bad.txt"
+        bad.write_bytes(self._bad_byte_line_5(ndjson))
+        code = run_cli(["monitor", "--config", str(cfg), "--input", str(bad)])
+        assert code == 3
+        assert "line 5" in capsys.readouterr().err
+
+    def test_non_utf8_byte_on_stdin_names_lineno(self, oracle_setup):
+        tmp, pre, cfg = oracle_setup
+        env = dict(SRC_ENV, PYTHONIOENCODING="utf-8:strict")
+        proc = subprocess.run([sys.executable, "-m", "ggmwatch.cli", "monitor", "--config",
+                               str(cfg)], input=self._bad_byte_line_5(False),
+                              capture_output=True, cwd=tmp, env=env, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert b"line 5" in proc.stderr
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_huge_finite_row_exits_3_with_strict_json(self, oracle_setup, capsys):
@@ -403,6 +462,16 @@ class TestMonitor:
         assert code == 2
         assert "zeta" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("level", ["nan", "inf"])
+    def test_non_finite_lambda_level_exits_2(self, tmp_path, capsys, level):
+        rows = tmp_path / "rows.csv"
+        np.savetxt(rows, np.random.default_rng(2).standard_normal((20, 4)), delimiter=",")
+        code = run_cli(["monitor", "--p", "4", "--w", "4", "--n_burnin", "12",
+                        "--clime_lambda_level", level, "--input", str(rows)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "lambda_level" in captured.err and captured.out == ""
+
     def test_unknown_threshold_method_exits_2(self, oracle_setup, capsys):
         tmp, pre, cfg = oracle_setup
         code = run_cli(["monitor", "--config", str(cfg), "--threshold_method", "magic"])
@@ -451,6 +520,27 @@ class TestMonitor:
         objs = strict_ndjson(capsys.readouterr().out)
         traces = [o for o in objs if set(o) == {"t", "stat"}]
         assert traces[0]["t"] == 20
+
+    @pytest.mark.parametrize("value", ["7", "2", "-1", "true", ""])
+    @pytest.mark.parametrize("key", ["clime_psd_project", "clime_center"])
+    def test_flag_key_takes_only_0_or_1(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "mon.cfg"
+        cfg.write_text(f"p=4\nw=4\n{key}={value}\n")
+        assert run_cli(["monitor", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "0 or 1" in captured.err and captured.out == ""
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["monitor", "--p", "4", "--w", "4", f"--{key}", value])
+        assert exc.value.code == 2
+        assert f"--{key}" in capsys.readouterr().err
+
+    def test_flag_keys_take_0_and_1(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        np.savetxt(rows, np.random.default_rng(2).standard_normal((20, 4)), delimiter=",")
+        cfg = tmp_path / "mon.cfg"
+        cfg.write_text("p=4\nw=4\nn_burnin=12\nclime_center=1\nclime_psd_project=0\n")
+        assert run_cli(["monitor", "--config", str(cfg), "--input", str(rows),
+                        "--clime_center", "0", "--clime_psd_project", "1"]) == 0
 
 
 class TestExperiment:

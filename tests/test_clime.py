@@ -328,3 +328,8 @@ class TestClimeConfig:
             gw.ClimeConfig(lambda_rule="magic")
         with pytest.raises(ValueError):
             gw.ClimeConfig(lp_tolerance=1.0)
+
+    @pytest.mark.parametrize("level", [float("nan"), float("inf"), -float("inf"), -0.1])
+    def test_lambda_level_finite_and_nonnegative(self, level):
+        with pytest.raises(ValueError, match="lambda_level"):
+            gw.ClimeConfig(lambda_level=level)
