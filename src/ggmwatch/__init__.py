@@ -33,7 +33,6 @@ from .modelgen import (
     make_uniform_change,
 )
 from .statistic import (
-    ChangeSignal,
     DeviationMatrix,
     change_signal,
     detectability_margin,
@@ -54,7 +53,6 @@ __all__ = [
     "__version__",
     "AssumptionReport",
     "ChangeScenario",
-    "ChangeSignal",
     "ClimeConfig",
     "DetectionEvent",
     "Detector",

@@ -21,7 +21,6 @@ import os
 import sys
 
 import numpy as np
-import orjson
 
 from . import __version__
 from .clime import ClimeConfig
@@ -214,12 +213,16 @@ def cmd_gen(args, argv: list[str]) -> int:
     elif args.gen_kind == "scenario":
         inputs = [args.pre, args.post]
         scenario = _load_scenario_parts(args.pre, args.post, args.t0, args.burnin, args.horizon)
+        # `gen stream` reads the matrix paths relative to the scenario file
+        base = os.path.dirname(os.path.abspath(args.out))
+        pre, post = (path if os.path.isabs(path) else os.path.relpath(path, base)
+                     for path in (args.pre, args.post))
         with open(args.out, "w") as fh:
             fh.write(
                 json.dumps(
                     {
-                        "pre_matrix": args.pre,
-                        "post_matrix": args.post,
+                        "pre_matrix": pre,
+                        "post_matrix": post,
                         "t0": scenario.t0,
                         "n_burnin": scenario.n_burnin,
                         "horizon": scenario.horizon,
@@ -286,7 +289,10 @@ def _monitor_settings(args) -> dict:
         for key, value in raw.items():
             if key not in _MONITOR_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            settings[key] = _MONITOR_KEYS[key][0](value)
+            try:
+                settings[key] = _MONITOR_KEYS[key][0](value)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
         if settings["oracle_matrix"]:  # relative to the config file, as in `gen stream`
             base = os.path.dirname(os.path.abspath(args.config))
             settings["oracle_matrix"] = os.path.join(base, settings["oracle_matrix"])
@@ -338,8 +344,9 @@ def _monitor_detector(settings: dict) -> Detector:
     return Detector(config)
 
 
-def _csv_values(line: str) -> np.ndarray:
-    """The comma-separated tokens of ``line``, each parsed as ``float()`` would.
+def _csv_values(line: str, orjson) -> np.ndarray:
+    """The comma-separated tokens of ``line``, each parsed as ``float()`` would,
+    with the ``orjson`` module that ``cmd_monitor`` imports.
 
     JSON's number grammar is a subset of ``float()``'s and orjson rounds
     correctly, so a row that orjson reads as floats only gets ``float()``'s
@@ -357,14 +364,14 @@ def _csv_values(line: str) -> np.ndarray:
     return np.array(line.split(","), dtype=np.float64)
 
 
-def _parse_row(line: str, lineno: int, ndjson: bool) -> tuple[int | None, np.ndarray]:
+def _parse_row(line: str, lineno: int, ndjson: bool, orjson) -> tuple[int | None, np.ndarray]:
     try:
         if ndjson:
             obj = json.loads(line)
             x = np.asarray(obj["x"], dtype=np.float64)
             t = obj.get("t")
         else:
-            x = _csv_values(line)
+            x = _csv_values(line, orjson)
             t = None
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"line {lineno}: malformed row: {exc}") from None
@@ -375,6 +382,8 @@ def _parse_row(line: str, lineno: int, ndjson: bool) -> tuple[int | None, np.nda
 
 
 def cmd_monitor(args, argv: list[str]) -> int:
+    import orjson  # only CSV rows use it; imported before the first line is written
+
     settings = _monitor_settings(args)
     detector = _monitor_detector(settings)
     inputs = [p for p in (args.config, settings["oracle_matrix"]) if p]
@@ -403,7 +412,7 @@ def cmd_monitor(args, argv: list[str]) -> int:
                 continue
             if ndjson is None:
                 ndjson = line.startswith("{")
-            t_in, x = _parse_row(line, lineno, ndjson)
+            t_in, x = _parse_row(line, lineno, ndjson, orjson)
             failed = None
             try:
                 event = detector.step(x)

@@ -149,8 +149,8 @@ class Detector:
 
     def _exact(self, m: int) -> float:
         """Sup-norm of the window ending at monitored row ``m``, evaluated
-        from the window; unless it reaches ``zeta`` (the step then restarts),
-        the Gram matrix is recomputed with it."""
+        from the window in time order; unless it reaches ``zeta`` (the step
+        then restarts), the scorer restarts from the same window's Gram."""
         i = m % self.config.w
         window = np.concatenate((self._ring[i:], self._ring[:i]))
         if self.config.oracle_omega is not None:
@@ -158,7 +158,7 @@ class Detector:
         else:
             stat = plugin_statistic(self._omega, window)
         if not stat.sup_norm >= self.config.zeta:  # nan included: the step does not fire
-            self._scorer.rebuild(self._ring @ self._omega)
+            self._scorer.recompute(window @ self._omega, i)
         return stat.sup_norm
 
     def step(self, x) -> DetectionEvent | None:

@@ -71,7 +71,10 @@ def load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+            out[key] = value.strip()
     return out
 
 

@@ -24,7 +24,9 @@ evaluation when the rolling value is not finite or comes within the bound of
 ``zeta``, after ``w`` rolls, and once the rows that have left the window
 since the last exact Gram outweigh three times those in it (as after a huge
 outlier leaves): a rolling value it returns is on the exact one's side of
-``zeta``, and within about 1e-12 relative of it.
+``zeta``, and within about 1e-12 relative of it. An exact evaluation,
+:meth:`RollingSupnorm.recompute`, restarts the roll from the Gram of the
+window's transformed rows in time order, the statistic's own Gram.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ class RollingSupnorm:
 
     The caller keeps the window in a ring of ``w`` slots and passes each new
     row, times the estimate, to :meth:`push` with the slot it overwrites.
-    Where ``push`` returns None the caller evaluates the window exactly and
-    calls :meth:`rebuild`."""
+    Where ``push`` returns None the caller evaluates the window exactly with
+    :meth:`recompute`."""
 
     def __init__(self, p: int, w: int, zeta: float):
         self.w, self.zeta = w, zeta
@@ -130,12 +132,15 @@ class RollingSupnorm:
                  * (self._col2 * self._mass + self._w_omega_max))
         return sup if sup + bound < self.zeta else None  # False for nan
 
-    def rebuild(self, y: np.ndarray) -> None:
-        """Recompute the Gram exactly from the window's transformed rows ``y``, by slot."""
-        self._ring[...] = y
-        self._gram[...] = self._ring.T @ self._ring
+    def recompute(self, y: np.ndarray, first: int) -> float:
+        """Recompute the Gram as ``y.T @ y`` from the window's transformed rows
+        ``y``, oldest first and in slot ``first``, and return its sup-norm."""
+        self._gram[...] = y.T @ y
+        self._ring[first:] = y[: self.w - first]
+        self._ring[:first] = y[self.w - first :]
         self._rolled = 0
         self._mass = self._window = sum(self._sq)
+        return self.supnorm()
 
     def supnorm(self) -> float:
         """Sup-norm of the deviation of the current Gram matrix."""
@@ -159,7 +164,6 @@ def sliding_supnorms(x: np.ndarray, omega: np.ndarray, psi: np.ndarray, w: int) 
         sup = scorer.push(k % w, y[k], sq[k])  # row k lives in slot k % w
         if k >= w - 1:
             if sup is None:
-                scorer.rebuild(np.roll(y[k - w + 1 : k + 1], k + 1, axis=0))
-                sup = scorer.supnorm()
+                sup = scorer.recompute(y[k - w + 1 : k + 1], (k + 1) % w)
             out[k - w + 1] = sup
     return out

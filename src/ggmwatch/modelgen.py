@@ -7,6 +7,7 @@ deterministic in their ``seed`` argument via a counter-based Philox stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ class PrecisionMatrix:
         e = np.array(entries, dtype=np.float64)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {e.shape}")
+        if not np.isfinite(e).all():
+            raise ValueError("precision matrix entries must be finite")
         if not np.array_equal(e, e.T):
             raise ValueError("precision matrix entries must be exactly symmetric")
         cholesky_factor(e)
@@ -152,6 +155,8 @@ def gen_chain_precision(p: int, rho0: float) -> PrecisionMatrix:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    if not math.isfinite(rho0):
+        raise ValueError(f"rho0 must be finite, got {rho0}")
     if abs(rho0) > 0.5 + 1e-12:
         raise ValueError(f"|rho0| = {abs(rho0)} exceeds 0.5; chain would be indefinite")
     e = np.eye(p)
@@ -175,6 +180,8 @@ def _standardize(weights: np.ndarray, diag_inflation: float) -> PrecisionMatrix:
     positive semidefinite before the inflation is added; the result is then
     rescaled so the implied covariance has unit diagonal.
     """
+    if not 0.0 < diag_inflation < math.inf:
+        raise ValueError(f"diag_inflation must be finite and positive, got {diag_inflation}")
     p = weights.shape[0]
     lam_min = float(np.linalg.eigvalsh(weights)[0]) if np.any(weights) else 0.0
     raw = weights + (abs(lam_min) + diag_inflation) * np.eye(p)
@@ -204,8 +211,6 @@ def gen_random_sparse(
         raise ValueError("p must be >= 1")
     if not 0.0 <= row_density <= 1.0:
         raise ValueError(f"row_density must lie in [0, 1], got {row_density}")
-    if diag_inflation <= 0:
-        raise ValueError("diag_inflation must be positive")
     rng = Generator(Philox(key=seed))
     k = int(round(row_density * p))
     m = int(round(p * k / 2))
@@ -237,8 +242,6 @@ def gen_hub_precision(
         raise ValueError("spokes_per_hub cannot exceed p - 1")
     if n_hubs * spokes_per_hub > p * (p - 1) // 2:
         raise ValueError("requested more edges than the graph can hold")
-    if diag_inflation <= 0:
-        raise ValueError("diag_inflation must be positive")
     rng = Generator(Philox(key=seed))
     weights = np.zeros((p, p))
     for hub in range(n_hubs):

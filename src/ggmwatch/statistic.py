@@ -24,7 +24,6 @@ from .modelgen import PrecisionMatrix, _as_array
 
 __all__ = [
     "DeviationMatrix",
-    "ChangeSignal",
     "scale_entries",
     "oracle_statistic",
     "plugin_statistic",
@@ -35,15 +34,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DeviationMatrix:
-    """Standardized deviation matrix with its sup-norm."""
-
-    entries: np.ndarray
-    sup_norm: float
-
-
-@dataclass(frozen=True)
-class ChangeSignal:
-    """Expected per-sample deviation under a covariance shift."""
+    """Standardized deviation matrix with its sup-norm: of a window, or the
+    expected per-sample deviation under a change (:func:`change_signal`)."""
 
     entries: np.ndarray
     sup_norm: float
@@ -91,7 +83,7 @@ def plugin_statistic(omega_hat, xs) -> DeviationMatrix:
     return _window_deviation(xs, om)
 
 
-def change_signal(omega_pre: PrecisionMatrix, sigma_post: np.ndarray) -> ChangeSignal:
+def change_signal(omega_pre: PrecisionMatrix, sigma_post: np.ndarray) -> DeviationMatrix:
     """Per-sample mean shift of the statistic when the covariance becomes
     ``sigma_post``: ``(omega sigma_post omega - omega) * psi``."""
     om = _as_array(omega_pre)
@@ -101,11 +93,11 @@ def change_signal(omega_pre: PrecisionMatrix, sigma_post: np.ndarray) -> ChangeS
             f"covariance shape {sig.shape} != precision shape {om.shape}"
         )
     e = (om @ sig @ om - om) * scale_entries(om)
-    return ChangeSignal(entries=e, sup_norm=float(np.abs(e).max()))
+    return DeviationMatrix(entries=e, sup_norm=float(np.abs(e).max()))
 
 
 def detectability_margin(
-    signal: ChangeSignal,
+    signal: DeviationMatrix,
     zeta: float,
     p: int,
     w: int,

@@ -3,9 +3,11 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,6 +116,38 @@ class TestGen:
         assert len(rows[0].split(",")) == 6
 
 
+    def test_scenario_paths_relative_to_scenario_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_cli(["gen", "chain", "--p", "4", "--rho", "0.3", "--out", "omega.txt"])
+        run_cli(["gen", "chain", "--p", "4", "--rho", "0.1", "--out", "post.txt"])
+        (tmp_path / "sub").mkdir()
+        scenario = ["gen", "scenario", "--pre", "omega.txt", "--post", "post.txt", "--t0", "5",
+                    "--burnin", "0", "--horizon", "20", "--out"]
+        assert run_cli([*scenario, "sub/scenario.json"]) == 0
+        spec = json.loads((tmp_path / "sub" / "scenario.json").read_text())
+        assert (spec["pre_matrix"], spec["post_matrix"]) == ("../omega.txt", "../post.txt")
+        assert run_cli(["gen", "stream", "--scenario", "sub/scenario.json", "--count", "10",
+                        "--out", "rows.csv"]) == 0
+        assert len((tmp_path / "rows.csv").read_text().splitlines()) == 10
+        # in the working directory the paths are written as given
+        assert run_cli([*scenario, "scenario.json"]) == 0
+        spec = json.loads((tmp_path / "scenario.json").read_text())
+        assert (spec["pre_matrix"], spec["post_matrix"]) == ("omega.txt", "post.txt")
+
+    @pytest.mark.parametrize("args, name", [
+        (["chain", "--p", "5", "--rho", "nan"], "rho0"),
+        (["sparse", "--p", "10", "--density", "0.2", "--inflation", "nan"], "diag_inflation"),
+        (["hub", "--p", "10", "--hubs", "2", "--spokes", "3", "--inflation", "inf"],
+         "diag_inflation"),
+    ], ids=["chain_rho_nan", "sparse_inflation_nan", "hub_inflation_inf"])
+    def test_non_finite_model_input_exits_2(self, tmp_path, capsys, args, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            assert run_cli(["gen", *args, "--out", str(tmp_path / "m.txt")]) == 2
+        err = capsys.readouterr().err
+        assert f"{name} must be finite" in err and "Warning" not in err
+
+
 class TestThreshold:
     def test_values_printed(self, capsys):
         assert run_cli(["threshold", "--pi0", "0.05", "--p", "100", "--w", "50"]) == 0
@@ -150,22 +184,33 @@ def oracle_setup(tmp_path):
     return tmp_path, pre, cfg
 
 
-# runs the CLI in a fresh interpreter and reports whether it imported the LP solver
+# runs CLI commands one after another in a fresh interpreter and reports,
+# after the import and after each command, which of the lazily imported
+# modules are loaded
 _IMPORT_PROBE = """
-import sys
+import json, sys
 from ggmwatch.cli import main
-try:
-    main(sys.argv[1:])
-except SystemExit:
-    pass
-print("scipy.optimize" in sys.modules)
+loaded = lambda: sorted({"scipy.optimize", "orjson"} & set(sys.modules))
+print("loaded:", json.dumps(loaded()))
+for argv in json.loads(sys.argv[1]):
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    print("loaded:", json.dumps(loaded()))
 """
 
 
+def _lazy_imports(commands, cwd) -> list[list[str]]:
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, cwd=cwd, env=SRC_ENV, check=True,
+                          timeout=120)
+    return [json.loads(line.removeprefix("loaded:")) for line in proc.stdout.splitlines()
+            if line.startswith("loaded:")]
+
+
 def _imports_lp_solver(args, cwd) -> bool:
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *args], capture_output=True,
-                          text=True, cwd=cwd, env=SRC_ENV, check=True, timeout=120)
-    return proc.stdout.splitlines()[-1] == "True"
+    return "scipy.optimize" in _lazy_imports([args], cwd)[-1]
 
 
 class TestMonitor:
@@ -178,6 +223,20 @@ class TestMonitor:
         plugin = tmp / "plugin.cfg"
         plugin.write_text("p=10\nw=10\nn_burnin=30\n")
         assert _imports_lp_solver(["monitor", "--config", str(plugin), "--input", str(rows)], tmp)
+
+    def test_orjson_imported_only_by_monitor(self, oracle_setup):
+        tmp, pre, cfg = oracle_setup
+        rows = tmp / "rows.csv"
+        np.savetxt(rows, np.random.default_rng(2).standard_normal((40, 10)), delimiter=",")
+        commands = [["--version"],
+                    ["gen", "chain", "--p", "5", "--rho", "0.3", "--out", str(tmp / "c.txt")],
+                    ["threshold", "--pi0", "0.05", "--p", "10", "--w", "20"],
+                    ["experiment", "fa-calibration", "--preset", "fig1-desk",
+                     "--replicates", "2", "--jobs", "1", "--out", str(tmp / "fa")],
+                    ["monitor", "--config", str(cfg), "--input", str(rows)]]
+        loaded = _lazy_imports(commands, tmp)
+        # the import and every command before monitor leave orjson unloaded
+        assert ["orjson" in now for now in loaded] == [False] * 5 + [True]
 
     def test_h0_stream_no_events(self, oracle_setup, capsys):
         tmp, pre, cfg = oracle_setup
@@ -315,13 +374,13 @@ class TestMonitor:
                   # 1 + 2**-53, halfway between 1 and the next double: rounds to even
                   "1.00000000000000011102230246251565404236316680908203125"]
         for row in [tokens, *([tok] for tok in tokens), *([tok, "0.5"] for tok in tokens)]:
-            _, x = _parse_row(",".join(row), 1, ndjson=False)
+            _, x = _parse_row(",".join(row), 1, False, orjson)
             assert x.tobytes() == np.array([float(tok) for tok in row]).tobytes(), row
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(_TOKENS, min_size=1, max_size=6))
     def test_csv_row_parses_as_float_property(self, tokens):
-        _, x = _parse_row(",".join(tokens), 1, ndjson=False)
+        _, x = _parse_row(",".join(tokens), 1, False, orjson)
         assert x.tobytes() == np.array([float(tok) for tok in tokens]).tobytes()
 
     @pytest.mark.parametrize("token", ["x", "", "1e", "0x10", "1 2", "--1",
@@ -500,6 +559,25 @@ class TestMonitor:
         code = run_cli(["monitor", "--config", str(cfg), "--oracle_matrix", "pre.txt",
                         "--input", str(rows)])
         assert code == 2
+
+    @pytest.mark.parametrize("line, message", [
+        ("p=abc", "config key 'p': invalid literal for int()"),
+        ("clime_center=2", "config key 'clime_center': expected 0 or 1, got '2'"),
+        ("pi0=high", "config key 'pi0': could not convert string to float"),
+    ])
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"w=5\n{line}\n")
+        assert run_cli(["monitor", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    def test_repeated_config_key_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("p=4\n# comment\nw=5\n\nw=7\n")
+        assert run_cli(["monitor", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert f"{cfg}:5: repeated key 'w'" in captured.err and captured.out == ""
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -126,7 +126,7 @@ class TestStep:
             assert event.statistic == gw.oracle_statistic(omega, xs[event.t - w : event.t]).sup_norm
             assert event.statistic == seen[event.t - 1]
 
-    def test_firing_exact_step_skips_the_rebuild(self, rng):
+    def test_firing_exact_step_skips_the_recompute(self, rng):
         # a step that fires restarts at once, so its exact evaluation leaves the
         # scorer's transformed ring and Gram as they were; the first window after
         # the next burn-in is still evaluated exactly
@@ -136,27 +136,27 @@ class TestStep:
             gw.DetectorConfig(p=5, w=w, zeta=zeta, n_burnin=n_burnin, batch=None,
                               oracle_omega=omega)
         )
-        rebuilds = []
+        recomputes = []
         scorer, exact = det._scorer, det._exact
-        rebuild = scorer.rebuild
+        recompute = scorer.recompute
 
-        def spy_rebuild(y):
-            rebuilds.append(det.t)
-            rebuild(y)
+        def spy_recompute(y, first):
+            recomputes.append(det.t)
+            return recompute(y, first)
 
         def spy_exact(m):
             gram, ring = scorer._gram.copy(), scorer._ring.copy()
-            before = len(rebuilds)
+            before = len(recomputes)
             sup = exact(m)
             if sup >= zeta:
-                assert len(rebuilds) == before
+                assert len(recomputes) == before
                 assert np.array_equal(scorer._gram, gram)
                 assert np.array_equal(scorer._ring, ring)
             else:
-                assert rebuilds[before:] == [det.t]
+                assert recomputes[before:] == [det.t]
             return sup
 
-        scorer.rebuild, det._exact = spy_rebuild, spy_exact
+        scorer.recompute, det._exact = spy_recompute, spy_exact
         xs = rng.standard_normal((200, 5))
         detections = 0
         for x in xs:
@@ -165,7 +165,7 @@ class TestStep:
                 window = xs[det.t - w : det.t]
                 assert det.last_statistic == gw.oracle_statistic(omega, window).sup_norm
         assert detections >= 3
-        assert len(rebuilds) >= detections
+        assert len(recomputes) >= detections
 
     @pytest.mark.parametrize(
         "oracle, scale",

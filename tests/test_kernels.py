@@ -57,3 +57,23 @@ def test_short_path_rejected(setup):
     om, chol, psi, rng = setup
     with pytest.raises(ValueError):
         kernels.sliding_supnorms(np.zeros((4, 20)), om, psi, 10)
+
+
+@pytest.mark.parametrize("first", [0, 3, 7])
+def test_recompute_is_the_statistic(setup, first):
+    # recompute returns the statistic of the time-ordered window to the bit,
+    # puts its oldest row in slot ``first``, and the next push replaces it
+    om, chol, psi, rng = setup
+    w = 8
+    x = rng.standard_normal((w + 1, 20)) @ chol.T
+    scorer = kernels.RollingSupnorm(20, w, np.inf)
+    scorer.set_estimate(om, psi)
+    sq = np.einsum("ij,ij->i", x, x)
+    for j in range(w):
+        scorer.push((first + j) % w, None, sq[j])
+    y = x[:w] @ om
+    assert scorer.recompute(y, first) == gw.plugin_statistic(om, x[:w]).sup_norm
+    assert np.array_equal(scorer._ring, np.roll(y, first, axis=0))
+    sup = scorer.push(first, x[w] @ om, sq[w])
+    exact = gw.plugin_statistic(om, x[1:]).sup_norm
+    assert abs(sup - exact) <= 1e-12 * exact

@@ -254,6 +254,25 @@ class TestTypes:
         with pytest.raises(ValueError):
             gw.PrecisionMatrix.from_entries([[1.0, 0.1], [0.2, 1.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_precision_matrix_rejects_non_finite(self, bad):
+        # on the diagonal and, symmetrically, off it
+        for entries in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [bad, 1.0]]):
+            with pytest.raises(ValueError, match="must be finite"):
+                gw.PrecisionMatrix.from_entries(entries)
+
+    @pytest.mark.parametrize("rho0", [np.nan, np.inf, -np.inf])
+    def test_chain_rejects_non_finite_rho0(self, rho0):
+        with pytest.raises(ValueError, match="rho0 must be finite"):
+            gw.gen_chain_precision(5, rho0)
+
+    @pytest.mark.parametrize("inflation", [np.nan, np.inf, 0.0, -0.1])
+    def test_generators_reject_bad_inflation(self, inflation):
+        with pytest.raises(ValueError, match="diag_inflation must be finite and positive"):
+            gw.gen_random_sparse(10, 0.2, inflation, 0)
+        with pytest.raises(ValueError, match="diag_inflation must be finite and positive"):
+            gw.gen_hub_precision(10, 2, 3, inflation, 0)
+
     def test_precision_matrix_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             gw.PrecisionMatrix.from_entries([[1.0, 2.0], [2.0, 1.0]])

@@ -166,6 +166,7 @@ class TestPluginStatistic:
 class TestChangeSignal:
     def test_null_is_zero(self, chain5, chain5_cov):
         sig = gw.change_signal(chain5, chain5_cov)
+        assert isinstance(sig, gw.DeviationMatrix)
         assert sig.sup_norm <= 1e-10
 
     def test_uniform_change_sup(self, ):
@@ -198,14 +199,14 @@ class TestDetectabilityMargin:
 
     def test_boundary_zero(self):
         zeta = gw.critical_value(0.05, 100, 50, method="asymptotic")
-        sig = gw.ChangeSignal(entries=np.zeros((100, 100)), sup_norm=zeta / math.sqrt(50))
+        sig = gw.DeviationMatrix(entries=np.zeros((100, 100)), sup_norm=zeta / math.sqrt(50))
         assert gw.detectability_margin(sig, zeta, 100, 50, 3, 1.0, 0.0) == pytest.approx(
             0.0, abs=1e-14
         )
 
     def test_arithmetic_case(self):
         # independent arithmetic: 2 - sqrt(4.44^2/150) - 1*(25/0.5)*sqrt(log(100)/150)
-        sig = gw.ChangeSignal(entries=np.zeros((100, 100)), sup_norm=2.0)
+        sig = gw.DeviationMatrix(entries=np.zeros((100, 100)), sup_norm=2.0)
         expect = 2.0 - math.sqrt(4.44**2 / 150.0) - 1.0 * (25.0 / 0.5) * math.sqrt(
             math.log(100.0) / 150.0
         )
