@@ -98,7 +98,7 @@ _EXPERIMENT_KINDS = {
     "fa-calibration": "fa_calibration",
     "plugin-calibration": "plugin_calibration",
     "power": "power_curve",
-    "delay-curve": "delay_curve",
+    "delay-curve": "power_curve",  # fig5-desk: mis-detection versus window length
     "delay": "delay_profile",
     "lcpd-block": "lcpd_block",
 }
@@ -318,10 +318,6 @@ def _monitor_detector(settings: dict) -> Detector:
         oracle = PrecisionMatrix.from_entries(read_matrix(settings["oracle_matrix"]))
         if settings["p"] is None:
             settings["p"] = oracle.p
-        elif settings["p"] != oracle.p:
-            raise ValueError(
-                f"p={settings['p']} does not match oracle matrix dimension {oracle.p}"
-            )
     for key in ("p", "w"):
         if settings[key] is None:
             raise ValueError(f"missing required setting {key!r}")
@@ -447,6 +443,9 @@ def cmd_experiment(args, argv: list[str]) -> int:
         raise ValueError(
             f"preset {args.preset!r} is a {preset.kind} experiment, not {expected_kind}"
         )
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        raise ValueError(f"output directory {out_dir!r} does not exist")
     config = preset
     if args.replicates is not None:
         config = dataclasses.replace(config, replicates=args.replicates)
@@ -479,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except (GgmWatchError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (GgmWatchError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
 

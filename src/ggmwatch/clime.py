@@ -33,15 +33,9 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # perfbench/tracer.py counts LPs by wrapping ``clime.linprog``, which no
-    # fit calls any more; this name goes away once the tracer counts fits
-    # another way (ROADMAP item 3)
-    if name == "linprog":
-        from scipy.optimize import linprog
-
-        return linprog
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# the name perfbench/tracer.py reads and replaces to count LPs; no fit calls
+# it, and it goes once the tracer counts the HiGHS solves instead
+linprog = None
 
 
 @dataclass(frozen=True)

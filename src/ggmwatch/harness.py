@@ -12,10 +12,10 @@ replicates, through at most one process pool. The workers only draw and
 score. ``_group_chunk`` takes a stream group: one stream key, the distinct
 covariance factors of its cells and the cells, each a ``(factor, w, fits)``
 triple. It draws each replicate once, at the group's largest ``w``, and
-returns the sup-norm of every cell's first window (calibration and power);
-it holds ``_SUB`` replicates' draws at a time. ``_path_chunk`` returns one
-path's sliding sup-norm trajectory (delay profile and its no-change
-control). The runners reduce each cell's chunk results, in chunk order, to
+returns the sup-norm of every cell's first window (calibration and power,
+through ``_first_windows``); it holds ``_SUB`` replicates' draws at a time.
+``_path_chunk`` returns one path's sliding sup-norm trajectory (delay
+profile and its no-change control). The runners reduce each cell's chunk results, in chunk order, to
 rates, delays and trajectories. Each runner runs all of it, in this process
 and in the workers, on one BLAS thread (restored afterwards), whether it is
 called directly or through ``run_experiment``: threaded Gram products round
@@ -89,7 +89,7 @@ class ExperimentConfig:
     params: dict
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in _RUNNERS:
             raise InvalidConfig(f"unknown experiment kind {self.kind!r}")
         if self.replicates < 1:
             raise InvalidConfig("replicates must be >= 1")
@@ -253,18 +253,6 @@ def _path_chunk(ctx: dict, start: int, stop: int) -> np.ndarray:
     return sups
 
 
-def _trajectory(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error over replicates of chunked trajectories, summed
-    chunk by chunk in chunk order."""
-    total, total_sq = np.zeros(parts[0].shape[1]), np.zeros(parts[0].shape[1])
-    for c in parts:
-        total += c.sum(axis=0)
-        total_sq += (c * c).sum(axis=0)
-    n = sum(map(len, parts))
-    mean = total / n
-    return mean, np.sqrt(np.maximum(total_sq / n - mean**2, 0.0) / n)
-
-
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -284,6 +272,18 @@ def _burnin_fit(config: ExperimentConfig, chol: np.ndarray, n: int, *key) -> np.
     """CLIME fit on ``n`` rows drawn through ``chol`` from the stream ``("burnin", *key)``."""
     z = _generator(config.master_seed, "burnin", *key).standard_normal((n, chol.shape[0]))
     return clime_estimate(z @ chol.T).omega_hat
+
+
+def _first_windows(config: ExperimentConfig, jobs: int, groups: list[tuple]) -> list[np.ndarray]:
+    """Sup-norms of every replicate's first window, one array per cell, for
+    ``(key, chols, cells)`` stream groups as ``_group_chunk`` takes them; cells
+    in group order."""
+    ctxs = [
+        {"master_seed": config.master_seed, "key": key, "chols": chols, "cells": cells}
+        for key, chols, cells in groups
+    ]
+    results = _map_cells(_group_chunk, ctxs, config.replicates, jobs)
+    return [sups for parts in results for sups in np.concatenate(parts, axis=1)]
 
 
 def _provenance(config: ExperimentConfig, **extra) -> dict:
@@ -309,14 +309,8 @@ def fa_calibration(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     ze = critical_value_exact(pi0, p, w)
     zu = critical_value_union(pi0, p) if pi0 < 0.5 else None
     za = critical_value_asymptotic(pi0, p)
-    group = {
-        "master_seed": config.master_seed,
-        "key": ("fa",),
-        "chols": [chol],
-        "cells": [(0, w, [(omega.entries, scale_entries(omega.entries))])],
-    }
-    (parts,) = _map_cells(_group_chunk, [group], config.replicates, jobs)
-    (sups,) = np.concatenate(parts, axis=1)
+    fit = (omega.entries, scale_entries(omega.entries))
+    (sups,) = _first_windows(config, jobs, [(("fa",), [chol], [(0, w, [fit])])])
     n = len(sups)
     metrics = {
         "exceed_exact": _rate_metric(int(np.sum(sups >= ze)), n),
@@ -333,7 +327,8 @@ def fa_calibration(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
 @_one_blas_thread()
 def plugin_calibration(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Plug-in calibration over a burn-in grid: several CLIME fits per cell,
-    pooled no-rejection rate p_N and averaged normalized error e_N."""
+    pooled no-rejection rate p_N and averaged normalized error e_N, plus the
+    true model's cell."""
     prm = config.params
     p, w, pi0 = prm["p"], prm["w"], prm["pi0"]
     omega = _sparse_model(config)
@@ -345,19 +340,14 @@ def plugin_calibration(config: ExperimentConfig, jobs: int = 1) -> ExperimentRes
         fit_sets.append([(omh, scale_entries(omh)) for omh in fits])
         errs.append(np.array([normalized_error(omh, omega) for omh in fits]))
         cell_keys.append({"n_burnin": n_burn})
-    if prm["include_oracle"]:
-        fit_sets.append([(omega.entries, scale_entries(omega.entries))])
-        errs.append(np.zeros(1))  # the true model: e_N = 0 with no standard error
-        cell_keys.append({"n_burnin": 0, "oracle": 1})
-    group = {
-        "master_seed": config.master_seed,
-        "key": ("window",),
-        "chols": [chol],
-        "cells": [(0, w, fits) for fits in fit_sets],
-    }
-    (parts,) = _map_cells(_group_chunk, [group], config.replicates, jobs)
+    fit_sets.append([(omega.entries, scale_entries(omega.entries))])
+    errs.append(np.zeros(1))  # the true model: e_N = 0 with no standard error
+    cell_keys.append({"n_burnin": 0, "oracle": 1})
+    all_sups = _first_windows(
+        config, jobs, [(("window",), [chol], [(0, w, fits) for fits in fit_sets])]
+    )
     cells = []
-    for sups, e, key in zip(np.concatenate(parts, axis=1), errs, cell_keys):
+    for sups, e, key in zip(all_sups, errs, cell_keys):
         metrics = {
             "p_n": _rate_metric(int(np.sum(sups <= ze)), len(sups)),
             "e_n": MetricValue(
@@ -369,49 +359,38 @@ def plugin_calibration(config: ExperimentConfig, jobs: int = 1) -> ExperimentRes
     return ExperimentResult(kind=config.kind, cells=cells, provenance=prov)
 
 
-def _power_engine(
-    config: ExperimentConfig, jobs: int, change: str, oracle: bool
-) -> ExperimentResult:
+def _power_engine(config: ExperimentConfig, jobs: int, change: str) -> ExperimentResult:
+    """Block changes are tested with the burn-in fit, anti-corner changes with
+    the true model."""
     prm = config.params
     p, pi0 = prm["p"], prm["pi0"]
     omega = _sparse_model(config)
     chol_pre = _cov_factor(omega)
     lam_min = float(np.linalg.eigvalsh(omega.entries)[0])
-    if oracle:
-        omega_hat, e_n = omega.entries, 0.0
-    else:
+    if change == "block":
         omega_hat = _burnin_fit(config, chol_pre, prm["n_burnin"])
         e_n = normalized_error(omega_hat, omega)
-    psi_hat = scale_entries(omega_hat)
-    if change == "block":
         make_change = make_block_change
         cells_axis = [(b, {"beta": b}) for b in map(float, prm["beta_grid"])]
     else:
+        omega_hat, e_n = omega.entries, 0.0
         make_change = make_antidiag_change
         fracs = map(float, prm["beta_fracs"])
         cells_axis = [(f * lam_min, {"beta_frac": f, "beta": f * lam_min}) for f in fracs]
     w_grid = [int(w) for w in prm["w_grid"]]
     zetas = {w: critical_value_exact(pi0, p, w) for w in w_grid}
+    fit = (omega_hat, scale_entries(omega_hat))
     groups, cell_keys = [], []
     for s in prm["s_grid"]:
         chols, group_cells = [], []
         for beta, beta_cell in cells_axis:
             chols.append(_cov_factor(make_change(omega, s, beta)) if beta != 0.0 else chol_pre)
             for w in w_grid:
-                group_cells.append((len(chols) - 1, w, [(omega_hat, psi_hat)]))
+                group_cells.append((len(chols) - 1, w, [fit]))
                 cell_keys.append({"s": s, "w": w, **beta_cell})
-        groups.append(
-            {
-                "master_seed": config.master_seed,
-                "key": ("rep", s),
-                "chols": chols,
-                "cells": group_cells,
-            }
-        )
-    results = _map_cells(_group_chunk, groups, config.replicates, jobs)
-    all_sups = [sups for parts in results for sups in np.concatenate(parts, axis=1)]
+        groups.append((("rep", s), chols, group_cells))
     cells = []
-    for sups, cell in zip(all_sups, cell_keys):
+    for sups, cell in zip(_first_windows(config, jobs, groups), cell_keys):
         metrics = {"pi1": _rate_metric(int(np.sum(sups < zetas[cell["w"]])), len(sups))}
         cells.append(CellResult(cell=cell, n=len(sups), metrics=metrics))
     prov = _provenance(
@@ -419,7 +398,7 @@ def _power_engine(
         zetas={str(w): z for w, z in zetas.items()},
         e_n=e_n,
         lambda_min=lam_min,
-        oracle=oracle,
+        oracle=change != "block",
     )
     return ExperimentResult(kind=config.kind, cells=cells, provenance=prov)
 
@@ -427,17 +406,15 @@ def _power_engine(
 @_one_blas_thread()
 def power_curve(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Mis-detection rate over (s, beta, w) grids for the leading-block change,
-    testing the first full post-change window with a plug-in (or oracle) fit."""
-    return _power_engine(
-        config, jobs, change="block", oracle=bool(config.params.get("oracle", False))
-    )
+    testing the first full post-change window with a plug-in fit."""
+    return _power_engine(config, jobs, change="block")
 
 
 @_one_blas_thread()
 def lcpd_block_power(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Oracle-mode power against added anti-corner edges; beta values are
     fractions of the pre-change smallest eigenvalue (the PD limit)."""
-    return _power_engine(config, jobs, change="antidiag", oracle=True)
+    return _power_engine(config, jobs, change="antidiag")
 
 
 @_one_blas_thread()
@@ -477,21 +454,20 @@ def delay_profile(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     ]
     change_parts, control_parts = _map_cells(_path_chunk, ctxs, config.replicates, jobs)
     rel_t = list(range(-t0, 1))
-    traj_mean, traj_se = _trajectory(change_parts)
-    over = np.nonzero(traj_mean >= zeta)[0]
-    traj_cross_delay = float(over[0] - t0 + w) if len(over) else math.nan
     sups = np.concatenate(change_parts)
     n = len(sups)
+    traj_mean, traj_se = sups.mean(axis=0), sups.std(axis=0) / math.sqrt(n)
+    over = np.nonzero(traj_mean >= zeta)[0]
+    traj_cross_delay = float(over[0] - t0 + w) if len(over) else math.nan
     first_post = t0 - w + 1  # first window index containing post-change data
     crossed = sups[:, first_post:] >= zeta
     # post-change samples inside the first window at or above zeta
     delays = crossed.argmax(axis=1)[crossed.any(axis=1)] + 1.0
     detected = len(delays)
-    mean_delay = float(delays.sum()) / detected if detected else math.nan
-    delay_se = (
-        math.sqrt(max(float((delays * delays).sum()) / detected - mean_delay**2, 0.0) / detected)
+    mean_delay, delay_se = (
+        (float(delays.mean()), float(delays.std()) / math.sqrt(detected))
         if detected
-        else math.nan
+        else (math.nan, math.nan)
     )
     pre_cross = int(np.any(sups[:, :first_post] >= zeta, axis=1).sum())
     metrics = {
@@ -504,7 +480,7 @@ def delay_profile(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     }
     series = {"t": rel_t, "mean": traj_mean.tolist(), "se": traj_se.tolist()}
     ctl = np.concatenate(control_parts)
-    ctl_mean, _ = _trajectory(control_parts)
+    ctl_mean = ctl.mean(axis=0)
     ctl_metrics = {
         "window_exceed": _rate_metric(int((ctl >= zeta).sum()), ctl.size),
         "traj_max": MetricValue(float(ctl_mean.max()), None),
@@ -531,11 +507,9 @@ _RUNNERS = {
     "fa_calibration": fa_calibration,
     "plugin_calibration": plugin_calibration,
     "power_curve": power_curve,
-    "delay_curve": power_curve,  # mis-detection versus window length
     "delay_profile": delay_profile,
     "lcpd_block": lcpd_block_power,
 }
-_KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
@@ -563,7 +537,6 @@ PRESETS: dict[str, ExperimentConfig] = {
         pi0=0.05,
         n_grid=[300],
         fits=4,
-        include_oracle=True,
     ),
     "table1-desk": _preset(
         "plugin_calibration",
@@ -575,7 +548,6 @@ PRESETS: dict[str, ExperimentConfig] = {
         pi0=0.05,
         n_grid=[200, 300, 400, 500, 600, 700],
         fits=4,
-        include_oracle=True,
     ),
     "fig3-desk": _preset(
         "delay_profile",
@@ -602,7 +574,7 @@ PRESETS: dict[str, ExperimentConfig] = {
         w_grid=[150],
     ),
     "fig5-desk": _preset(
-        "delay_curve",
+        "power_curve",
         1_000,
         p=100,
         density=0.05,

@@ -45,16 +45,25 @@ def write_matrix(path: str, m: np.ndarray) -> None:
 
 
 def read_matrix(path: str) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "p":
-            raise ValueError(f"{path}: expected header 'p <dim>', got {header!r}")
-        p = int(header[1])
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split()])
+    """The matrix in ``path``; a malformed line raises ``ValueError`` naming
+    ``<path>:<line>``."""
+    rows: list[list[float]] = []
+    lineno = 1
+    # a byte that is not UTF-8 becomes a lone surrogate, which no number
+    # contains, so its line fails to parse and is named
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        try:
+            header = fh.readline().split()
+            if len(header) != 2 or header[0] != "p":
+                raise ValueError(f"expected header 'p <dim>', got {header!r}")
+            p = int(header[1])
+            for lineno, line in enumerate(fh, start=2):
+                if line.strip():
+                    rows.append([float(tok) for tok in line.split()])
+                    if len(rows[-1]) != p:
+                        raise ValueError(f"expected {p} values, got {len(rows[-1])}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     a = np.array(rows, dtype=np.float64)
     if a.shape != (p, p):
         raise ValueError(f"{path}: expected {p}x{p} body, got shape {a.shape}")

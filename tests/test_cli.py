@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ggmwatch as gw
+import ggmwatch.cli as cli_module
 import ggmwatch.detector as detector_module
 from ggmwatch.cli import _parse_row, main
 from ggmwatch.errors import Infeasible
@@ -83,6 +84,22 @@ class TestGen:
         )
         assert code == 2
         assert "row_density" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, where, message", [
+        ("p 2\n1 0\n0 x\n", 3, "could not convert string to float: 'x'"),
+        ("p abc\n1 0\n0 1\n", 1, "invalid literal for int()"),
+        ("q 2\n1 0\n0 1\n", 1, "expected header 'p <dim>'"),
+        ("p 2\n1 0\n\n0 1 2\n", 4, "expected 2 values, got 3"),
+        ("p 2\n1 0\n\xff 1\n", 3, "could not convert string to float"),
+    ], ids=["token", "dimension", "header", "row_length", "non_utf8"])
+    def test_bad_matrix_file_names_its_line(self, tmp_path, capsys, text, where, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(text.encode("latin-1"))
+        code = run_cli(["gen", "change", "--matrix", str(bad), "--kind", "uniform",
+                        "--beta", "1.0", "--out", str(tmp_path / "post.txt")])
+        assert code == 2
+        assert f"error: {bad}:{where}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "post.txt").exists()
 
     def test_hub(self, tmp_path):
         out = tmp_path / "h.txt"
@@ -572,6 +589,15 @@ class TestMonitor:
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
 
+    def test_p_against_oracle_dimension_exits_2(self, tmp_path, capsys):
+        run_cli(["gen", "chain", "--p", "10", "--rho", "0.5", "--out", str(tmp_path / "pre.txt")])
+        capsys.readouterr()
+        code = run_cli(["monitor", "--oracle_matrix", str(tmp_path / "pre.txt"), "--p", "12",
+                        "--w", "5", "--input", str(tmp_path / "none.csv")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "oracle matrix dimension 10 != detector p 12" in captured.err
+
     def test_repeated_config_key_names_its_line(self, tmp_path, capsys):
         cfg = tmp_path / "dup.cfg"
         cfg.write_text("p=4\n# comment\nw=5\n\nw=7\n")
@@ -627,6 +653,18 @@ class TestExperiment:
             ["experiment", "fa-calibration", "--preset", "nope", "--out", str(tmp_path / "x")]
         )
         assert code == 2
+
+    def test_missing_out_dir_exits_2_before_running(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli_module, "run_experiment", fail)
+        out = tmp_path / "nodir" / "fa"
+        code = run_cli(["experiment", "fa-calibration", "--preset", "fig1-desk", "--jobs", "1",
+                        "--out", str(out)])
+        assert code == 2
+        assert f"output directory {str(out.parent)!r} does not exist" in capsys.readouterr().err
+        assert not (tmp_path / "nodir").exists()
 
     def test_kind_mismatch_exits_2(self, tmp_path, capsys):
         code = run_cli(

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
@@ -333,3 +338,19 @@ class TestClimeConfig:
     def test_lambda_level_finite_and_nonnegative(self, level):
         with pytest.raises(ValueError, match="lambda_level"):
             gw.ClimeConfig(lambda_level=level)
+
+
+def test_traced_run_does_not_load_the_lp_solver():
+    """Installing the benchmark's tracer wraps ``clime.linprog`` without
+    importing ``scipy.optimize``: only a CLIME fit loads it."""
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import tracer; "
+        "tracer.install(tracer.Tracer()); import ggmwatch.clime as c; "
+        "print(c.linprog is not None, 'scipy.optimize' in sys.modules)"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(root / "perfbench")],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["True", "False"]

@@ -83,7 +83,6 @@ class TestPluginCalibration:
             pi0=0.05,
             n_grid=[],
             fits=2,
-            include_oracle=True,
         )
         res = hz.plugin_calibration(cfg)
         (cell,) = res.cells
@@ -102,12 +101,12 @@ class TestPluginCalibration:
             pi0=0.05,
             n_grid=[100, 400],
             fits=2,
-            include_oracle=False,
         )
         res = hz.plugin_calibration(cfg)
-        assert [c.cell["n_burnin"] for c in res.cells] == [100, 400]
-        e_small, e_large = (c.metrics["e_n"].value for c in res.cells)
-        assert e_large < e_small
+        # the grid's cells, then the true model's
+        assert [c.cell["n_burnin"] for c in res.cells] == [100, 400, 0]
+        e_small, e_large, e_oracle = (c.metrics["e_n"].value for c in res.cells)
+        assert e_oracle == 0.0 < e_large < e_small
         for c in res.cells:
             assert 0.0 <= c.metrics["p_n"].value <= 1.0
 
@@ -137,11 +136,6 @@ class TestPowerCurve:
         a = {(c.cell["s"], c.cell["beta"]): c.metrics["pi1"].value for c in base.cells}
         b = {(c.cell["s"], c.cell["beta"]): c.metrics["pi1"].value for c in flipped.cells}
         assert a == b
-
-    def test_oracle_mode(self):
-        res = hz.power_curve(_config("power_curve", 200, **dict(self.CFG, oracle=True)))
-        assert res.provenance["oracle"] is True
-        assert res.provenance["e_n"] == 0.0
 
 
 class TestLcpdBlock:
@@ -220,7 +214,7 @@ class TestRunExperiment:
         }
         assert expected <= set(hz.PRESETS)
         for preset in hz.PRESETS.values():
-            assert preset.kind in hz._KINDS
+            assert preset.kind in hz._RUNNERS
 
     def test_fig2_preset_scaled_down(self):
         import dataclasses
@@ -338,7 +332,7 @@ class TestJobsByteIdentity:
 
     SPARSE = dict(p=12, density=0.2, inflation=0.1, pi0=0.05)
     CONFIGS = {
-        "plugin_calibration": dict(SPARSE, w=10, n_grid=[60, 120], fits=2, include_oracle=True),
+        "plugin_calibration": dict(SPARSE, w=10, n_grid=[60, 120], fits=2),
         "power_curve": dict(
             SPARSE, n_burnin=150, s_grid=[1, 2], beta_grid=[0.0, 4.0], w_grid=[10, 20]
         ),
@@ -384,7 +378,7 @@ class TestSharedDraws:
         "power_curve": dict(
             SPARSE, n_burnin=150, s_grid=[1, 2], beta_grid=[0.0, 4.0], w_grid=[16, 24, 40]
         ),
-        "plugin_calibration": dict(SPARSE, w=20, n_grid=[60, 120], fits=3, include_oracle=True),
+        "plugin_calibration": dict(SPARSE, w=20, n_grid=[60, 120], fits=3),
     }
 
     @staticmethod
@@ -427,9 +421,8 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize(
         "kind, empty",
-        [("plugin_calibration", dict(n_grid=[], include_oracle=False)),
-         ("power_curve", dict(w_grid=[])),
-         ("power_curve", dict(beta_grid=[]))],
+        [pytest.param("power_curve", dict(w_grid=[]), id="power_curve-empty1"),
+         pytest.param("power_curve", dict(beta_grid=[]), id="power_curve-empty2")],
     )
     def test_empty_grid_gives_no_cells(self, kind, empty):
         res = hz.run_experiment(_config(kind, 20, **dict(self.CONFIGS[kind], **empty)))
