@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -29,12 +28,14 @@ from .errors import (
     DimensionMismatch,
     GgmWatchError,
     Infeasible,
+    NegativeZetaSquared,
     NonFiniteSample,
     NonPositiveDiagonal,
     SolverStall,
 )
 from .harness import PRESETS, run_experiment
 from .iofmt import (
+    format_float,
     load_config,
     manifest_dict,
     read_matrix,
@@ -103,56 +104,58 @@ _EXPERIMENT_KINDS = {
     "lcpd-block": "lcpd_block",
 }
 
+# `gen change --kind`: the post-change model of a pre-change one, given s and beta
+_CHANGES = {
+    "block": make_block_change,
+    "antidiag": make_antidiag_change,
+    "uniform": lambda pre, s, beta: make_uniform_change(pre, beta),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ggmwatch")
     parser.add_argument("--version", action="version", version=f"ggmwatch {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)  # every command that writes files
+    out.add_argument("--out", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)  # the random models
+    seeded.add_argument("--inflation", type=float, default=0.1)
+    seeded.add_argument("--seed", type=int, default=0)
 
     gen = sub.add_parser("gen", help="generate models, changes, scenarios and streams")
     gsub = gen.add_subparsers(dest="gen_kind", required=True)
 
-    g_chain = gsub.add_parser("chain")
+    g_chain = gsub.add_parser("chain", parents=[out])
     g_chain.add_argument("--p", type=int, required=True)
     g_chain.add_argument("--rho", type=float, required=True)
-    g_chain.add_argument("--out", required=True)
 
-    g_sparse = gsub.add_parser("sparse")
+    g_sparse = gsub.add_parser("sparse", parents=[out, seeded])
     g_sparse.add_argument("--p", type=int, required=True)
     g_sparse.add_argument("--density", type=float, required=True)
-    g_sparse.add_argument("--inflation", type=float, default=0.1)
-    g_sparse.add_argument("--seed", type=int, default=0)
-    g_sparse.add_argument("--out", required=True)
 
-    g_hub = gsub.add_parser("hub")
+    g_hub = gsub.add_parser("hub", parents=[out, seeded])
     g_hub.add_argument("--p", type=int, required=True)
     g_hub.add_argument("--hubs", type=int, required=True)
     g_hub.add_argument("--spokes", type=int, required=True)
-    g_hub.add_argument("--inflation", type=float, default=0.1)
-    g_hub.add_argument("--seed", type=int, default=0)
-    g_hub.add_argument("--out", required=True)
 
-    g_change = gsub.add_parser("change")
+    g_change = gsub.add_parser("change", parents=[out])
     g_change.add_argument("--matrix", required=True)
-    g_change.add_argument("--kind", choices=("block", "antidiag", "uniform"), required=True)
+    g_change.add_argument("--kind", choices=_CHANGES, required=True)
     g_change.add_argument("--s", type=int, default=1)
     g_change.add_argument("--beta", type=float, required=True)
-    g_change.add_argument("--out", required=True)
 
-    g_scn = gsub.add_parser("scenario")
+    g_scn = gsub.add_parser("scenario", parents=[out])
     g_scn.add_argument("--pre", required=True)
     g_scn.add_argument("--post", required=True)
     g_scn.add_argument("--t0", type=int, required=True)
     g_scn.add_argument("--burnin", type=int, required=True)
     g_scn.add_argument("--horizon", type=int, required=True)
-    g_scn.add_argument("--out", required=True)
 
-    g_stream = gsub.add_parser("stream")
+    g_stream = gsub.add_parser("stream", parents=[out])
     g_stream.add_argument("--scenario", required=True)
     g_stream.add_argument("--seed", type=int, default=0)
     g_stream.add_argument("--count", type=int, required=True)
     g_stream.add_argument("--ndjson", action="store_true")
-    g_stream.add_argument("--out", required=True)
 
     thr = sub.add_parser("threshold", help="print critical values")
     thr.add_argument("--pi0", type=float, required=True)
@@ -166,118 +169,106 @@ def _build_parser() -> argparse.ArgumentParser:
     for key, (typ, _) in _MONITOR_KEYS.items():
         mon.add_argument(f"--{key}", type=typ, default=None)
 
-    exp = sub.add_parser("experiment", help="run a Monte Carlo experiment preset")
+    exp = sub.add_parser("experiment", parents=[out], help="run a Monte Carlo experiment preset")
     exp.add_argument("kind", choices=sorted(_EXPERIMENT_KINDS))
     exp.add_argument("--preset", required=True)
     exp.add_argument("--replicates", type=int, default=None)
     exp.add_argument("--master_seed", type=int, default=None)
     exp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    exp.add_argument("--out", required=True)
 
     return parser
 
 
 def _manifest_for(argv: list[str], inputs: list[str], master_seed=None, config=None):
-    return manifest_dict(
-        command=argv,
-        config_path=config,
-        master_seed=master_seed,
-        input_paths=inputs,
-        tool_version=__version__,
-    )
+    return manifest_dict(command=argv, config_path=config, master_seed=master_seed,
+                         input_paths=inputs, tool_version=__version__)
+
+
+def _check_out(out: str) -> None:
+    """Refuse, before any work, an ``--out`` that names no file in an existing directory."""
+    head, name = os.path.split(out)
+    if not name:
+        raise ValueError(f"--out {out!r} names a directory, not a file")
+    if not os.path.isdir(head or "."):
+        raise ValueError(f"output directory {head or '.'!r} does not exist")
+
+
+def _beside(anchor: str, path: str) -> str:
+    """``path`` taken relative to the directory of the file ``anchor`` (an
+    absolute ``path`` stays as it is)."""
+    return os.path.join(os.path.dirname(os.path.abspath(anchor)), path)
+
+
+def _load_scenario(pre_path, post_path, t0, burnin, horizon) -> ChangeScenario:
+    pre = PrecisionMatrix.from_entries(read_matrix(pre_path))
+    post = PrecisionMatrix.from_entries(read_matrix(post_path))
+    return ChangeScenario(omega_pre=pre, omega_post=post, t0=t0, n_burnin=burnin, horizon=horizon)
+
+
+# the model each `gen` kind other than scenario and stream writes
+_MODELS = {
+    "chain": lambda a: gen_chain_precision(a.p, a.rho),
+    "sparse": lambda a: gen_random_sparse(a.p, a.density, a.inflation, a.seed),
+    "hub": lambda a: gen_hub_precision(a.p, a.hubs, a.spokes, a.inflation, a.seed),
+    "change": lambda a: _CHANGES[a.kind](
+        PrecisionMatrix.from_entries(read_matrix(a.matrix)), a.s, a.beta
+    ),
+}
+
+
+def _gen_scenario(args) -> list[str]:
+    _load_scenario(args.pre, args.post, args.t0, args.burnin, args.horizon)  # validates
+    # `gen stream` reads the matrix paths relative to the scenario file
+    base = os.path.dirname(os.path.abspath(args.out))
+    pre, post = (path if os.path.isabs(path) else os.path.relpath(path, base)
+                 for path in (args.pre, args.post))
+    spec = {"pre_matrix": pre, "post_matrix": post, "t0": args.t0, "n_burnin": args.burnin,
+            "horizon": args.horizon}
+    with open(args.out, "w") as fh:
+        fh.write(json.dumps(spec, sort_keys=True) + "\n")
+    return [args.pre, args.post]
+
+
+def _gen_stream(args) -> list[str]:
+    with open(args.scenario) as fh:
+        spec = json.load(fh)
+    pre, post = (_beside(args.scenario, spec[key]) for key in ("pre_matrix", "post_matrix"))
+    scenario = _load_scenario(pre, post, spec["t0"], spec["n_burnin"], spec["horizon"])
+    rows = GaussianStream(scenario, args.seed).take(args.count).tolist()
+    with open(args.out, "w") as fh:
+        for t, row in enumerate(rows, start=1):
+            fh.write((json.dumps({"t": t, "x": row}) if args.ndjson
+                      else ",".join(map(format_float, row))) + "\n")
+    return [args.scenario, pre, post]
 
 
 def cmd_gen(args, argv: list[str]) -> int:
-    inputs: list[str] = []
-    if args.gen_kind == "chain":
-        write_matrix(args.out, gen_chain_precision(args.p, args.rho).entries)
-    elif args.gen_kind == "sparse":
-        write_matrix(
-            args.out, gen_random_sparse(args.p, args.density, args.inflation, args.seed).entries
-        )
-    elif args.gen_kind == "hub":
-        write_matrix(
-            args.out,
-            gen_hub_precision(args.p, args.hubs, args.spokes, args.inflation, args.seed).entries,
-        )
-    elif args.gen_kind == "change":
-        inputs = [args.matrix]
-        pre = PrecisionMatrix.from_entries(read_matrix(args.matrix))
-        if args.kind == "block":
-            post = make_block_change(pre, args.s, args.beta)
-        elif args.kind == "antidiag":
-            post = make_antidiag_change(pre, args.s, args.beta)
-        else:
-            post = make_uniform_change(pre, args.beta)
-        write_matrix(args.out, post.entries)
-    elif args.gen_kind == "scenario":
-        inputs = [args.pre, args.post]
-        scenario = _load_scenario_parts(args.pre, args.post, args.t0, args.burnin, args.horizon)
-        # `gen stream` reads the matrix paths relative to the scenario file
-        base = os.path.dirname(os.path.abspath(args.out))
-        pre, post = (path if os.path.isabs(path) else os.path.relpath(path, base)
-                     for path in (args.pre, args.post))
-        with open(args.out, "w") as fh:
-            fh.write(
-                json.dumps(
-                    {
-                        "pre_matrix": pre,
-                        "post_matrix": post,
-                        "t0": scenario.t0,
-                        "n_burnin": scenario.n_burnin,
-                        "horizon": scenario.horizon,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    _check_out(args.out)
+    if args.gen_kind == "scenario":
+        inputs = _gen_scenario(args)
     elif args.gen_kind == "stream":
-        inputs = [args.scenario]
-        with open(args.scenario) as fh:
-            spec = json.load(fh)
-        base = os.path.dirname(os.path.abspath(args.scenario))
-        scenario = _load_scenario_parts(
-            os.path.join(base, spec["pre_matrix"]),
-            os.path.join(base, spec["post_matrix"]),
-            spec["t0"],
-            spec["n_burnin"],
-            spec["horizon"],
-        )
-        inputs += [
-            os.path.join(base, spec["pre_matrix"]),
-            os.path.join(base, spec["post_matrix"]),
-        ]
-        rows = GaussianStream(scenario, args.seed).take(args.count)
-        with open(args.out, "w") as fh:
-            for t, row in enumerate(rows, start=1):
-                if args.ndjson:
-                    fh.write(
-                        json.dumps({"t": t, "x": [float(v) for v in row]}) + "\n"
-                    )
-                else:
-                    fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        inputs = _gen_stream(args)
+    else:
+        write_matrix(args.out, _MODELS[args.gen_kind](args).entries)
+        inputs = [args.matrix] if args.gen_kind == "change" else []
     write_manifest(f"{args.out}.manifest.json", _manifest_for(argv, inputs))
     return 0
 
 
-def _load_scenario_parts(pre_path, post_path, t0, burnin, horizon) -> ChangeScenario:
-    pre = PrecisionMatrix.from_entries(read_matrix(pre_path))
-    post = PrecisionMatrix.from_entries(read_matrix(post_path))
-    return ChangeScenario(
-        omega_pre=pre, omega_post=post, t0=t0, n_burnin=burnin, horizon=horizon
-    )
+def _value_or_na(solve, *args) -> str:
+    """A closed-form critical value, or ``n/a (<reason>)`` where it is undefined."""
+    try:
+        return f"{solve(*args):.6f}"
+    except NegativeZetaSquared as exc:
+        return f"n/a ({exc})"
 
 
 def cmd_threshold(args, argv: list[str]) -> int:
     exact = critical_value_exact(args.pi0, args.p, args.w)
-    asym = critical_value_asymptotic(args.pi0, args.p)
-    union = critical_value_union(args.pi0, args.p) if args.pi0 < 0.5 else None
-    print(f"exact      {exact:.6f}")
-    print(f"asymptotic {asym:.6f}")
-    if union is None:
-        print("union      n/a (pi0 >= 1/2)")
-    else:
-        print(f"union      {union:.6f}")
+    asym = _value_or_na(critical_value_asymptotic, args.pi0, args.p)
+    union = (_value_or_na(critical_value_union, args.pi0, args.p) if args.pi0 < 0.5
+             else "n/a (pi0 >= 1/2)")
+    print(f"exact      {exact:.6f}\nasymptotic {asym}\nunion      {union}")
     print(json.dumps(_manifest_for(argv, []), sort_keys=True), file=sys.stderr)
     return 0
 
@@ -294,8 +285,7 @@ def _monitor_settings(args) -> dict:
             except ValueError as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from None
         if settings["oracle_matrix"]:  # relative to the config file, as in `gen stream`
-            base = os.path.dirname(os.path.abspath(args.config))
-            settings["oracle_matrix"] = os.path.join(base, settings["oracle_matrix"])
+            settings["oracle_matrix"] = _beside(args.config, settings["oracle_matrix"])
     for key in _MONITOR_KEYS:
         override = getattr(args, key)
         if override is not None:
@@ -364,12 +354,16 @@ def _parse_row(line: str, lineno: int, ndjson: bool, orjson) -> tuple[int | None
     try:
         if ndjson:
             obj = json.loads(line)
-            x = np.asarray(obj["x"], dtype=np.float64)
+            x = obj["x"]
             t = obj.get("t")
+            for v in x:  # to Python, true is an int; to numpy, "1.5" is a float
+                if type(v) not in (int, float):
+                    raise ValueError(f'"x" holds {json.dumps(v)}, not a number')
+            x = np.asarray(x, dtype=np.float64)  # an int past the float range overflows
         else:
             x = _csv_values(line, orjson)
             t = None
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise DataError(f"line {lineno}: malformed row: {exc}") from None
     # bool is a subclass of int, but JSON true is not an integer index
     if t is not None and (not isinstance(t, int) or isinstance(t, bool)):
@@ -412,8 +406,9 @@ def cmd_monitor(args, argv: list[str]) -> int:
             failed = None
             try:
                 event = detector.step(x)
-            # a row of the wrong length or with a non-finite value, or a
-            # plug-in fit whose covariance overflows
+            # a row of the wrong length or with a non-finite value, or so
+            # large that the window's statistic or a plug-in fit's covariance
+            # overflows
             except (DimensionMismatch, NonFiniteSample) as exc:
                 raise DataError(f"line {lineno}: {exc}") from None
             # any other failed fit leaves the detector able to go on: burn-in
@@ -421,8 +416,6 @@ def cmd_monitor(args, argv: list[str]) -> int:
             except (Infeasible, SolverStall, NonPositiveDiagonal) as exc:
                 event, failed = None, type(exc).__name__
             stat = detector.last_statistic
-            if stat is not None and not math.isfinite(stat):
-                raise DataError(f"line {lineno}: statistic is {stat}; values too large")
             t_out = t_in if t_in is not None else detector.t
             if args.trace and stat is not None:
                 emit({"t": t_out, "stat": stat})
@@ -435,6 +428,7 @@ def cmd_monitor(args, argv: list[str]) -> int:
 
 
 def cmd_experiment(args, argv: list[str]) -> int:
+    _check_out(args.out)
     preset = PRESETS.get(args.preset)
     if preset is None:
         raise ValueError(f"unknown preset {args.preset!r}; choices: {sorted(PRESETS)}")
@@ -443,44 +437,28 @@ def cmd_experiment(args, argv: list[str]) -> int:
         raise ValueError(
             f"preset {args.preset!r} is a {preset.kind} experiment, not {expected_kind}"
         )
-    out_dir = os.path.dirname(args.out) or "."
-    if not os.path.isdir(out_dir):
-        raise ValueError(f"output directory {out_dir!r} does not exist")
-    config = preset
-    if args.replicates is not None:
-        config = dataclasses.replace(config, replicates=args.replicates)
-    if args.master_seed is not None:
-        config = dataclasses.replace(config, master_seed=args.master_seed)
+    given = {"replicates": args.replicates, "master_seed": args.master_seed}
+    config = dataclasses.replace(preset, **{k: v for k, v in given.items() if v is not None})
     result = run_experiment(config, jobs=max(1, args.jobs))
     write_result_csv(result, f"{args.out}.csv")
     write_result_ndjson(result, f"{args.out}.ndjson")
     manifest = _manifest_for(argv, [], master_seed=config.master_seed)
-    manifest["preset"] = args.preset
-    manifest["replicates"] = config.replicates
+    manifest.update(preset=args.preset, replicates=config.replicates)
     write_manifest(f"{args.out}.manifest.json", manifest)
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # looked up at call time, so that a wrapped cmd_* is the one that runs
+    commands = {"gen": cmd_gen, "threshold": cmd_threshold, "monitor": cmd_monitor,
+                "experiment": cmd_experiment}
     try:
-        if args.command == "gen":
-            return cmd_gen(args, argv)
-        if args.command == "threshold":
-            return cmd_threshold(args, argv)
-        if args.command == "monitor":
-            return cmd_monitor(args, argv)
-        if args.command == "experiment":
-            return cmd_experiment(args, argv)
-        raise AssertionError("unreachable")
-    except DataError as exc:
+        return commands[args.command](args, argv)
+    except (DataError, GgmWatchError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except (GgmWatchError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
+        return DATA_ERROR if isinstance(exc, DataError) else CONFIG_ERROR
 
 
 if __name__ == "__main__":

@@ -24,7 +24,9 @@ observed since the last detection (an expanding window, burn-in samples
 included); only plug-in mode keeps that history. A failed fit (including an
 estimate with a nonpositive diagonal) raises its error after leaving a
 consistent state: a failed burn-in fit starts burn-in again from the next
-row, and a failed batch refit keeps the previous estimate.
+row, and a failed batch refit keeps the previous estimate. A window whose
+rows are so large that its statistic overflows is no detection: the step
+restarts as after one and raises NonFiniteSample.
 """
 
 from __future__ import annotations
@@ -150,16 +152,21 @@ class Detector:
     def _exact(self, m: int) -> float:
         """Sup-norm of the window ending at monitored row ``m``, evaluated
         from the window in time order; unless it reaches ``zeta`` (the step
-        then restarts), the scorer restarts from the same window's Gram."""
+        then restarts), the scorer restarts from the same window's Gram. A
+        value that is not finite restarts the detector and raises
+        NonFiniteSample."""
         i = m % self.config.w
         window = np.concatenate((self._ring[i:], self._ring[:i]))
         if self.config.oracle_omega is not None:
-            stat = oracle_statistic(self.config.oracle_omega, window)
+            sup = oracle_statistic(self.config.oracle_omega, window).sup_norm
         else:
-            stat = plugin_statistic(self._omega, window)
-        if not stat.sup_norm >= self.config.zeta:  # nan included: the step does not fire
+            sup = plugin_statistic(self._omega, window).sup_norm
+        if not math.isfinite(sup):
+            self._restart()
+            raise NonFiniteSample(f"statistic at sample {self.t} is {sup}; values too large")
+        if sup < self.config.zeta:
             self._scorer.recompute(window @ self._omega, i)
-        return stat.sup_norm
+        return sup
 
     def step(self, x) -> DetectionEvent | None:
         """Consume one sample; returns a DetectionEvent when the test fires."""

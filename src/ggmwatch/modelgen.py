@@ -238,6 +238,8 @@ def gen_hub_precision(
         raise ValueError("p must be >= 1")
     if n_hubs < 0 or spokes_per_hub < 0:
         raise ValueError("n_hubs and spokes_per_hub must be nonnegative")
+    if n_hubs > p:
+        raise ValueError(f"n_hubs = {n_hubs} exceeds p = {p}")
     if n_hubs > 0 and spokes_per_hub > p - 1:
         raise ValueError("spokes_per_hub cannot exceed p - 1")
     if n_hubs * spokes_per_hub > p * (p - 1) // 2:

@@ -166,7 +166,7 @@ def _closed_form(p: int, log_inner: float) -> float:
     z2 = 2.0 * log_c - math.log(log_c) - 2.0 * log_inner
     if z2 <= 0.0:
         raise NegativeZetaSquared(
-            f"closed-form zeta^2 = {z2:.4g} <= 0 (p too small for this pi0)"
+            f"closed-form zeta^2 = {z2:.4g} <= 0; p too small for this pi0"
         )
     return math.sqrt(z2)
 

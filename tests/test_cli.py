@@ -151,6 +151,29 @@ class TestGen:
         spec = json.loads((tmp_path / "scenario.json").read_text())
         assert (spec["pre_matrix"], spec["post_matrix"]) == ("omega.txt", "post.txt")
 
+    def test_out_naming_a_directory_exits_2(self, tmp_path, capsys):
+        (tmp_path / "res").mkdir()
+        out = str(tmp_path / "res") + os.sep
+        assert run_cli(["gen", "chain", "--p", "4", "--rho", "0.3", "--out", out]) == 2
+        assert f"error: --out {out!r} names a directory" in capsys.readouterr().err
+        assert list((tmp_path / "res").iterdir()) == []
+
+    def test_missing_out_dir_exits_2_before_drawing(self, tmp_path, capsys, monkeypatch):
+        matrix, scn = str(tmp_path / "m.txt"), tmp_path / "sc.json"
+        run_cli(["gen", "chain", "--p", "4", "--rho", "0.3", "--out", matrix])
+        run_cli(["gen", "scenario", "--pre", matrix, "--post", matrix, "--t0", "5",
+                 "--burnin", "0", "--horizon", "20", "--out", str(scn)])
+
+        def fail(*args, **kwargs):
+            raise AssertionError("rows were drawn")
+
+        monkeypatch.setattr(cli_module.GaussianStream, "take", fail)
+        out = tmp_path / "nodir" / "rows.csv"
+        code = run_cli(["gen", "stream", "--scenario", str(scn), "--count", "20",
+                        "--out", str(out)])
+        assert code == 2
+        assert f"output directory {str(out.parent)!r} does not exist" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args, name", [
         (["chain", "--p", "5", "--rho", "nan"], "rho0"),
         (["sparse", "--p", "10", "--density", "0.2", "--inflation", "nan"], "diag_inflation"),
@@ -181,6 +204,16 @@ class TestThreshold:
 
     def test_invalid_pi0_exits_2(self, capsys):
         assert run_cli(["threshold", "--pi0", "0", "--p", "100", "--w", "50"]) == 2
+
+    def test_undefined_closed_form_prints_na(self, capsys):
+        # the exact critical value exists where the asymptotic zeta^2 is negative
+        assert run_cli(["threshold", "--pi0", "0.95", "--p", "3", "--w", "50"]) == 0
+        exact, asym, union = capsys.readouterr().out.splitlines()
+        assert float(exact.split()[1]) == pytest.approx(gw.critical_value_exact(0.95, 3, 50),
+                                                         abs=1e-6)
+        assert asym == ("asymptotic n/a (closed-form zeta^2 = -0.3388 <= 0; "
+                        "p too small for this pi0)")
+        assert union == "union      n/a (pi0 >= 1/2)"
 
     def test_large_w_near_asymptotic(self, capsys):
         # the closed form keeps a fixed o(1) gap of ~0.025 at p=100
@@ -400,17 +433,23 @@ class TestMonitor:
         _, x = _parse_row(",".join(tokens), 1, False, orjson)
         assert x.tobytes() == np.array([float(tok) for tok in tokens]).tobytes()
 
-    @pytest.mark.parametrize("token", ["x", "", "1e", "0x10", "1 2", "--1",
-                                       "true", "null", '"1"', "[1]"])
-    def test_malformed_token_names_lineno(self, oracle_setup, capsys, token):
+    @pytest.mark.parametrize("token, ndjson", [
+        pytest.param(token, ndjson, id=("ndjson-" if ndjson else "") + token)
+        for ndjson in (False, True)
+        for token in ["x", "", "1e", "0x10", "1 2", "--1", "true", "null", '"1"', "[1]"]
+    ])
+    def test_malformed_token_names_lineno(self, oracle_setup, capsys, token, ndjson):
         tmp, pre, cfg = oracle_setup
-        bad = self._bad_line_17(tmp, False, ["0.1"] * 4 + [token] + ["0.1"] * 5)
+        bad = self._bad_line_17(tmp, ndjson, ["0.1"] * 4 + [token] + ["0.1"] * 5)
         code = run_cli(["monitor", "--config", str(cfg), "--input", str(bad), "--trace"])
         assert code == 3
-        with pytest.raises(ValueError) as exc:
-            float(token)
         err = capsys.readouterr().err
-        assert "line 17" in err and str(exc.value) in err
+        if ndjson:  # an "x" entry that is not a JSON number
+            assert "line 17: malformed row" in err
+        else:
+            with pytest.raises(ValueError) as exc:
+                float(token)
+            assert "line 17" in err and str(exc.value) in err
 
     @staticmethod
     def _bad_byte_line_5(ndjson: bool) -> bytes:
@@ -666,6 +705,19 @@ class TestExperiment:
         assert f"output directory {str(out.parent)!r} does not exist" in capsys.readouterr().err
         assert not (tmp_path / "nodir").exists()
 
+    def test_out_naming_a_directory_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli_module, "run_experiment", fail)
+        (tmp_path / "res").mkdir()
+        out = str(tmp_path / "res") + os.sep
+        code = run_cli(["experiment", "fa-calibration", "--preset", "fig1-desk", "--jobs", "1",
+                        "--out", out])
+        assert code == 2
+        assert f"error: --out {out!r} names a directory" in capsys.readouterr().err
+        assert list((tmp_path / "res").iterdir()) == []
+
     def test_kind_mismatch_exits_2(self, tmp_path, capsys):
         code = run_cli(
             ["experiment", "power", "--preset", "fig1-desk", "--out", str(tmp_path / "x")]
@@ -738,3 +790,54 @@ class TestExperiment:
         a, b = outs
         assert (tmp_path / "j1.csv").read_bytes() == (tmp_path / "j2.csv").read_bytes()
         assert (tmp_path / "j1.ndjson").read_bytes() == (tmp_path / "j2.ndjson").read_bytes()
+
+
+# out-of-range inputs to each command, with the exit code each must give;
+# "{tmp}" is a directory holding m.txt (a p=4 chain), sc.json (a 10-row
+# scenario on it), huge.ndjson (a row with an integer too large for a float)
+# and the empty directory res
+_BAD_INPUTS = {
+    "gen_chain_rho": (2, ["gen", "chain", "--p", "4", "--rho", "0.7", "--out", "{tmp}/x"]),
+    "gen_sparse_density": (2, ["gen", "sparse", "--p", "8", "--density", "-0.1",
+                               "--out", "{tmp}/x"]),
+    "gen_hub_hubs": (2, ["gen", "hub", "--p", "10", "--hubs", "11", "--spokes", "2",
+                         "--out", "{tmp}/x"]),
+    "gen_change_s": (2, ["gen", "change", "--matrix", "{tmp}/m.txt", "--kind", "block",
+                         "--s", "5", "--beta", "1", "--out", "{tmp}/x"]),
+    "gen_scenario_t0": (2, ["gen", "scenario", "--pre", "{tmp}/m.txt", "--post", "{tmp}/m.txt",
+                            "--t0", "0", "--burnin", "0", "--horizon", "10", "--out", "{tmp}/x"]),
+    "gen_stream_count": (2, ["gen", "stream", "--scenario", "{tmp}/sc.json", "--count", "11",
+                             "--out", "{tmp}/x"]),
+    "gen_out_dir": (2, ["gen", "chain", "--p", "4", "--rho", "0.3", "--out", "{tmp}/res/"]),
+    "threshold_p": (2, ["threshold", "--pi0", "0.05", "--p", "1", "--w", "50"]),
+    "threshold_w": (2, ["threshold", "--pi0", "0.05", "--p", "10", "--w", "1"]),
+    "monitor_w": (2, ["monitor", "--oracle_matrix", "{tmp}/m.txt", "--w", "1",
+                      "--input", "{tmp}/huge.ndjson"]),
+    "monitor_batch": (2, ["monitor", "--p", "4", "--w", "3", "--batch", "0",
+                          "--input", "{tmp}/huge.ndjson"]),
+    "monitor_n_burnin": (2, ["monitor", "--p", "4", "--w", "3", "--n_burnin", "1",
+                             "--input", "{tmp}/huge.ndjson"]),
+    "monitor_huge_int": (3, ["monitor", "--oracle_matrix", "{tmp}/m.txt", "--w", "3",
+                             "--input", "{tmp}/huge.ndjson"]),
+    "experiment_replicates": (2, ["experiment", "fa-calibration", "--preset", "fig1-desk",
+                                  "--replicates", "0", "--out", "{tmp}/x"]),
+    "experiment_out_dir": (2, ["experiment", "fa-calibration", "--preset", "fig1-desk",
+                               "--replicates", "2", "--jobs", "1", "--out", "{tmp}/res/"]),
+}
+
+
+@pytest.mark.parametrize("name", _BAD_INPUTS)
+def test_bad_input_exits_2_or_3_with_one_error_line(tmp_path, capsys, name):
+    run_cli(["gen", "chain", "--p", "4", "--rho", "0.3", "--out", str(tmp_path / "m.txt")])
+    run_cli(["gen", "scenario", "--pre", str(tmp_path / "m.txt"), "--post",
+             str(tmp_path / "m.txt"), "--t0", "5", "--burnin", "0", "--horizon", "10",
+             "--out", str(tmp_path / "sc.json")])
+    (tmp_path / "huge.ndjson").write_text('{"x":[1%s,0.1,0.1,0.1]}\n' % ("0" * 400))
+    (tmp_path / "res").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    code, args = _BAD_INPUTS[name]
+    assert run_cli([arg.replace("{tmp}", str(tmp_path)) for arg in args]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written

@@ -318,6 +318,25 @@ class TestStep:
         det.step(rng.standard_normal(5))
         assert math.isfinite(det.last_statistic)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_window_is_no_detection(self):
+        # finite rows whose window statistic overflows: the step restarts as
+        # after a detection, but raises instead of reporting an infinite one
+        ones, huge = [1.0] * 3, [1e160] * 3
+        config = gw.DetectorConfig(p=3, w=2, zeta=5.0, n_burnin=0, batch=None,
+                                   oracle_omega=gw.gen_chain_precision(3, 0.5))
+        with pytest.raises(NonFiniteSample, match="statistic at sample 3 is inf"):
+            gw.run_offline(config, [ones, ones, huge])
+        det = gw.Detector(config)
+        assert det.step(ones) is None and det.step(ones) is None
+        with pytest.raises(NonFiniteSample):
+            det.step(huge)
+        assert (det.t, det.t_last, det.last_statistic) == (3, 3, None)
+        assert det.step(ones) is None and det.last_statistic is None
+        assert det.step(ones) is None
+        assert det.last_statistic == gw.oracle_statistic(config.oracle_omega,
+                                                         np.array([ones, ones])).sup_norm
+
     @pytest.mark.parametrize("n_burnin", [0, 20])
     def test_oracle_mode_keeps_no_history(self, rng, n_burnin):
         det = gw.Detector(_oracle_config(p=10, w=5, n_burnin=n_burnin, batch=50))

@@ -127,6 +127,11 @@ class TestHubPrecision:
         with pytest.raises(ValueError):
             gw.gen_hub_precision(5, 2, 5, 0.1, seed=0)
 
+    def test_more_hubs_than_nodes(self):
+        with pytest.raises(ValueError, match="n_hubs = 11 exceeds p = 10"):
+            gw.gen_hub_precision(10, 11, 2, 0.1, seed=0)
+        assert gw.gen_hub_precision(10, 10, 2, 0.1, seed=0).p == 10
+
 
 class TestBlockChange:
     def test_s1_adds_to_corner(self, chain5):

@@ -63,9 +63,10 @@ class ReferenceDetector:
     rows since the last restart are burn-in, a plug-in fit follows the last of
     them, and each later row with at least ``w`` monitored rows is a test of
     the last ``w``. A test that reaches ``zeta`` is a detection and restarts;
-    a quiet test with ``(m - w + 1) % batch == 0`` refits on every row since
-    the restart. A failed burn-in fit restarts; a failed refit keeps the
-    estimate. ``step`` returns ``(event, statistic, failure)``."""
+    a test whose statistic is not finite restarts and fails with
+    NonFiniteSample; a quiet test with ``(m - w + 1) % batch == 0`` refits on
+    every row since the restart. A failed burn-in fit restarts; a failed refit
+    keeps the estimate. ``step`` returns ``(event, statistic, failure)``."""
 
     def __init__(self, p, w, zeta, n_burnin, batch, oracle, estimate):
         self.w, self.zeta, self.n_burnin, self.batch = w, zeta, n_burnin, batch
@@ -98,6 +99,9 @@ class ReferenceDetector:
             stat = gw.oracle_statistic(self.oracle, window).sup_norm
         else:
             stat = gw.plugin_statistic(self.omega, window).sup_norm
+        if not math.isfinite(stat):
+            self.rows = []
+            return None, None, "NonFiniteSample"
         if stat >= self.zeta:
             self.rows = []
             return (self.t, stat.hex(), self.zeta.hex(), m), stat, None
@@ -109,9 +113,9 @@ class ReferenceDetector:
 def run_detector(config, xs):
     """``(event, statistic, failure)`` of each step of a fresh Detector.
 
-    Checks that an exact step that does not fire restarts the rolling scorer
-    once, with ``recompute`` returning the step's statistic to the bit, and
-    that no other step calls ``recompute``."""
+    Checks that an exact step that does not fire and does not overflow
+    restarts the rolling scorer once, with ``recompute`` returning the step's
+    statistic to the bit, and that no other step calls ``recompute``."""
     det = gw.Detector(config)
     scorer, exact, recompute = det._scorer, det._exact, det._scorer.recompute
     exacts, recomputed = [], []
@@ -127,7 +131,7 @@ def run_detector(config, xs):
         except GgmWatchError as exc:
             event, failure = None, type(exc).__name__
         stat = det.last_statistic
-        if exacts and event is None:
+        if exacts and event is None and stat is not None:
             assert [r.hex() for r in recomputed] == [stat.hex()]
         else:
             assert recomputed == []
