@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -244,6 +245,9 @@ def _gen_stream(args) -> list[str]:
 
 def cmd_gen(args, argv: list[str]) -> int:
     _check_out(args.out)
+    seed = getattr(args, "seed", 0)  # sparse, hub and stream key Philox with it
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"--seed {seed} is out of range; it must be in [0, 2**128)")
     if args.gen_kind == "scenario":
         inputs = _gen_scenario(args)
     elif args.gen_kind == "stream":
@@ -371,6 +375,40 @@ def _parse_row(line: str, lineno: int, ndjson: bool, orjson) -> tuple[int | None
     return t, x
 
 
+# bytes per read of the monitor input
+_CHUNK = 1 << 16
+
+# monitor output lines, with json.dumps' bytes: a `t` is passed through
+# int.__repr__ and a statistic or zeta through float.__repr__ (numpy 2 prints
+# np.float64(...) for a `!r`), and an error is one of three class names
+_TRACE = '{"t":%s,"stat":%s}\n'
+_CHANGE_POINT = '{"type":"change_point","t":%s,"stat":%s,"zeta":%s}\n'
+_FIT_FAILED = '{"type":"fit_failed","t":%s,"error":"%s"}\n'
+
+
+def _chunks(fh):
+    """The lines of the raw binary file ``fh``, one list per read of up to
+    ``_CHUNK`` bytes, each line decoded as UTF-8 with ``surrogateescape`` and
+    ending in its line break (the input's last line may have none).
+
+    Lines break where text-mode iteration breaks them: at ``\\n``,
+    ``\\r\\n`` or a lone ``\\r``. A line that a read leaves open waits
+    for the next read; a ``\\r`` that ends a read ends its line at once, and
+    a ``\\n`` that starts the next read is dropped as the rest of a
+    ``\\r\\n``. Breaks are ASCII bytes, so no character spans two lines.
+    """
+    tail, after_cr = b"", False
+    while data := fh.read(_CHUNK):
+        if after_cr and data.startswith(b"\n"):
+            data = data[1:]
+        after_cr = data.endswith(b"\r")
+        lines = (tail + data).splitlines(keepends=True)
+        tail = lines.pop() if lines and not lines[-1].endswith((b"\n", b"\r")) else b""
+        yield [line.decode("utf-8", "surrogateescape") for line in lines]
+    if tail:
+        yield [tail.decode("utf-8", "surrogateescape")]
+
+
 def cmd_monitor(args, argv: list[str]) -> int:
     import orjson  # only CSV rows use it; imported before the first line is written
 
@@ -384,46 +422,49 @@ def cmd_monitor(args, argv: list[str]) -> int:
     )
     out.flush()
 
-    def emit(obj: dict) -> None:
-        out.write(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
-        out.flush()
-
     # a byte that is not UTF-8 becomes a lone surrogate, which no number
     # contains, so its row fails to parse and names its line
     stdin = args.input == "-"
-    with open(sys.stdin.fileno() if stdin else args.input, encoding="utf-8",
-              errors="surrogateescape", closefd=not stdin) as fh:
+    with open(sys.stdin.fileno() if stdin else args.input, "rb", buffering=0,
+              closefd=not stdin) as fh:
         ndjson = None
         lineno = 0
-        for raw in fh:
-            lineno += 1
-            line = raw.strip()
-            if not line:
-                continue
-            if ndjson is None:
-                ndjson = line.startswith("{")
-            t_in, x = _parse_row(line, lineno, ndjson, orjson)
-            failed = None
+        for lines in _chunks(fh):
+            batch: list[str] = []
             try:
-                event = detector.step(x)
-            # a row of the wrong length or with a non-finite value, or so
-            # large that the window's statistic or a plug-in fit's covariance
-            # overflows
-            except (DimensionMismatch, NonFiniteSample) as exc:
-                raise DataError(f"line {lineno}: {exc}") from None
-            # any other failed fit leaves the detector able to go on: burn-in
-            # starts again, or a batch refit keeps the previous estimate
-            except (Infeasible, SolverStall, NonPositiveDiagonal) as exc:
-                event, failed = None, type(exc).__name__
-            stat = detector.last_statistic
-            t_out = t_in if t_in is not None else detector.t
-            if args.trace and stat is not None:
-                emit({"t": t_out, "stat": stat})
-            if event is not None:
-                emit({"type": "change_point", "t": t_out, "stat": event.statistic,
-                      "zeta": event.zeta})
-            if failed is not None:  # a batch refit follows its step's test
-                emit({"type": "fit_failed", "t": t_out, "error": failed})
+                for line in lines:
+                    lineno += 1
+                    line = line.strip()
+                    if not line:
+                        continue
+                    if ndjson is None:
+                        ndjson = line.startswith("{")
+                    t_in, x = _parse_row(line, lineno, ndjson, orjson)
+                    failed = None
+                    try:
+                        event = detector.step(x)
+                    # a row of the wrong length or with a non-finite value, or so
+                    # large that the window's statistic or a plug-in fit's
+                    # covariance overflows
+                    except (DimensionMismatch, NonFiniteSample) as exc:
+                        raise DataError(f"line {lineno}: {exc}") from None
+                    # any other failed fit leaves the detector able to go on:
+                    # burn-in starts again, or a batch refit keeps the previous
+                    # estimate
+                    except (Infeasible, SolverStall, NonPositiveDiagonal) as exc:
+                        event, failed = None, type(exc).__name__
+                    stat = detector.last_statistic
+                    t = int.__repr__(t_in if t_in is not None else detector.t)
+                    if args.trace and stat is not None:
+                        batch.append(_TRACE % (t, float.__repr__(stat)))
+                    if event is not None:
+                        batch.append(_CHANGE_POINT % (t, float.__repr__(event.statistic),
+                                                      float.__repr__(event.zeta)))
+                    if failed is not None:  # a batch refit follows its step's test
+                        batch.append(_FIT_FAILED % (t, failed))
+            finally:  # before the next read may block, or a malformed row exits 3
+                out.write("".join(batch))
+                out.flush()
     return 0
 
 
@@ -449,7 +490,13 @@ def cmd_experiment(args, argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv is None:  # run as the program
+        try:
+            return main(sys.argv[1:])
+        finally:
+            # the exit then leaves the objects of the numpy/scipy imports unwalked
+            gc.freeze()
+    argv = list(argv)
     args = _build_parser().parse_args(argv)
     # looked up at call time, so that a wrapped cmd_* is the one that runs
     commands = {"gen": cmd_gen, "threshold": cmd_threshold, "monitor": cmd_monitor,

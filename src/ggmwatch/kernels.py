@@ -27,12 +27,22 @@ outlier leaves): a rolling value it returns is on the exact one's side of
 ``zeta``, and within about 1e-12 relative of it. An exact evaluation,
 :meth:`RollingSupnorm.recompute`, restarts the roll from the Gram of the
 window's transformed rows in time order, the statistic's own Gram.
+
+:meth:`RollingSupnorm.push` finds the rolling sup-norm with one BLAS
+``idamax`` pass over the deviation, which gives ``max|e|`` to the bit but
+would pass over a nan. None can hide there: the Gram's entries are sums of
+products of transformed entries, each at most ``|x|_2 c``, so every one is at
+most ``c^2 mass``, and a non-finite entry (the only way to a nan deviation)
+needs ``c^2 mass`` to overflow, which makes the bound ``inf`` and ``push``
+return None. :meth:`RollingSupnorm.recompute` and
+:meth:`RollingSupnorm.supnorm` keep ``np.abs(e).max()``, which propagates
+nan.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import dger, idamax
 
 __all__ = ["BACKEND", "deviation", "window_supnorms", "sliding_supnorms", "RollingSupnorm"]
 
@@ -121,7 +131,9 @@ class RollingSupnorm:
         dger(1.0, y, y, a=self._gram, overwrite_a=True)
         dger(-1.0, y_out, y_out, a=self._gram, overwrite_a=True)
         y_out[...] = y
-        sup = self.supnorm()
+        # a view in memory order; a nan here would come with an infinite bound
+        e = deviation(self._gram, self._w_omega, self._scale, self._scratch).ravel(order="K")
+        sup = abs(e.item(idamax(e)))
         self._rolled += 1
         self._mass += sq
         self._window += sq - self._sq[slot]

@@ -1,5 +1,8 @@
+import gc
+import io
 import json
 import os
+import select
 import struct
 import subprocess
 import sys
@@ -263,6 +266,59 @@ def _imports_lp_solver(args, cwd) -> bool:
     return "scipy.optimize" in _lazy_imports([args], cwd)[-1]
 
 
+# inputs whose line breaks (\n, \r\n, a lone \r), blank lines, multibyte
+# characters and bytes that are not UTF-8 the monitor must split and number as
+# text-mode iteration does; \x0b, \x0c, \x1c, U+0085 and U+2028 break lines for
+# str.splitlines but not there
+_LINE_BREAK_INPUTS = [
+    b"1,2\n3,4\n",
+    b"1,2\r\n3,4\r\n5,6",
+    b"1,2\r3,4\r\r\n\r",
+    b"\n\n1\r\n\r\n\n2\n",
+    "1,\u00e9\r2,\u20ac\n\U0001d11e3\r\n".encode(),
+    b"1\xff,2\r\n\xe2\x82\n\xc3\r4\xed\xa0\x80\n",
+    "a\x0bb\x0cc\x1cd\u0085e\u2028f\r\ng".encode(),
+]
+_LINE_BREAK_PIECES = [b"1", b",", b" ", b"\n", b"\r", b"\r\n", "\u00e9".encode(),
+                      "\u20ac".encode(), "\U0001d11e".encode(), b"\xff", b"\xe2", b"\x85"]
+
+
+def _text_mode_lines(data: bytes) -> list[str]:
+    """The lines of ``data`` as ``monitor`` read them before it read in
+    chunks: text-mode iteration, UTF-8 with surrogateescape, breaks dropped."""
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape") as fh:
+        return [line.rstrip("\n") for line in fh]
+
+
+class _Reads:
+    """A raw file whose reads return ``data`` cut at the offsets ``cuts``."""
+
+    def __init__(self, data: bytes, cuts):
+        bounds = [0, *cuts, len(data)]
+        self.pieces = [data[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def read(self, size: int) -> bytes:
+        return self.pieces.pop(0) if self.pieces else b""
+
+
+def _chunk_lines(data: bytes, cuts) -> list[str]:
+    return [line.rstrip("\r\n") for lines in cli_module._chunks(_Reads(data, cuts))
+            for line in lines]
+
+
+def _read_line(pipe, timeout: float = 60.0) -> bytes:
+    """One line from the unbuffered ``pipe``, read a byte at a time; fails
+    if none ends within ``timeout`` seconds."""
+    line = b""
+    while not line.endswith(b"\n"):
+        ready, _, _ = select.select([pipe], [], [], timeout)
+        assert ready, f"no line within {timeout} s; got {line!r}"
+        byte = pipe.read(1)
+        assert byte, f"end of output within a line: {line!r}"
+        line += byte
+    return line
+
+
 class TestMonitor:
     def test_lp_solver_imported_only_for_a_fit(self, oracle_setup):
         tmp, pre, cfg = oracle_setup
@@ -478,6 +534,64 @@ class TestMonitor:
                               capture_output=True, cwd=tmp, env=env, timeout=120)
         assert proc.returncode == 3, proc.stderr
         assert b"line 5" in proc.stderr
+
+    @pytest.mark.parametrize("data", _LINE_BREAK_INPUTS, ids=repr)
+    def test_lines_break_as_in_text_mode(self, data):
+        # every split of the input into one, two or three reads
+        cuts = [()] + [(i,) for i in range(1, len(data))]
+        cuts += [(i, j) for i in range(1, len(data)) for j in range(i + 1, len(data))]
+        want = _text_mode_lines(data)
+        for cut in cuts:
+            assert _chunk_lines(data, cut) == want, cut
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(st.sampled_from(_LINE_BREAK_PIECES), max_size=40),
+           st.sets(st.integers(1, 200), max_size=8))
+    def test_lines_break_as_in_text_mode_property(self, pieces, cuts):
+        data = b"".join(pieces)
+        assert _chunk_lines(data, sorted(c for c in cuts if c < len(data))) == \
+            _text_mode_lines(data)
+
+    def test_malformed_row_mid_chunk_writes_the_rows_before(self, oracle_setup, capsys):
+        tmp, pre, cfg = oracle_setup
+        good = ",".join(["0.1"] * 10)
+        # line 3 is blank, line 4 ends in \r\n and line 5 in a lone \r
+        bad = tmp / "bad.csv"
+        bad.write_bytes(f"{good}\n{good}\n\n{good}\r\n{good}\r{good}\nnot,numbers\n{good}\n"
+                        .encode())
+        code = run_cli(["monitor", "--config", str(cfg), "--w", "2", "--input", str(bad),
+                        "--trace"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "line 7: malformed row" in captured.err
+        assert [o["t"] for o in strict_ndjson(captured.out)[1:]] == [2, 3, 4, 5]
+
+    def test_closed_loop_gets_each_decision_before_the_next_row(self, oracle_setup):
+        # each row's trace line comes back before the next row is written;
+        # the rows end in \n, \r\n and a lone \r, and the \n of a \r\n can
+        # come with the next row, in the next read
+        tmp, pre, cfg = oracle_setup
+        rows = np.random.default_rng(3).standard_normal((13, 10)).tolist()
+        ends = [b"\n", b"\r\n", b"\r"]
+        proc = subprocess.Popen([sys.executable, "-m", "ggmwatch.cli", "monitor", "--config",
+                                 str(cfg), "--w", "2", "--trace"], stdin=subprocess.PIPE,
+                                stdout=subprocess.PIPE, cwd=tmp, env=SRC_ENV, bufsize=0)
+        try:
+            assert json.loads(_read_line(proc.stdout))["type"] == "run_manifest"
+            after = b""
+            for t, row in enumerate(rows, start=1):
+                end = ends[t % 3]
+                proc.stdin.write(after + ",".join(map(repr, row)).encode() + end)
+                # the \n after a \r goes with the next row, as if it were the \r\n's
+                after = b"\n" if end == b"\r" and t % 2 else b""
+                if t >= 2:
+                    assert json.loads(_read_line(proc.stdout))["t"] == t
+            proc.stdin.close()
+            assert proc.wait(timeout=120) == 0
+            assert proc.stdout.read() == b""
+        finally:
+            proc.kill()
+            proc.wait()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_huge_finite_row_exits_3_with_strict_json(self, oracle_setup, capsys):
@@ -808,6 +922,12 @@ _BAD_INPUTS = {
                             "--t0", "0", "--burnin", "0", "--horizon", "10", "--out", "{tmp}/x"]),
     "gen_stream_count": (2, ["gen", "stream", "--scenario", "{tmp}/sc.json", "--count", "11",
                              "--out", "{tmp}/x"]),
+    "gen_sparse_seed": (2, ["gen", "sparse", "--p", "8", "--density", "0.2", "--seed", "-1",
+                            "--out", "{tmp}/x"]),
+    "gen_hub_seed": (2, ["gen", "hub", "--p", "10", "--hubs", "2", "--spokes", "2",
+                         "--seed", str(2**128), "--out", "{tmp}/x"]),
+    "gen_stream_seed": (2, ["gen", "stream", "--scenario", "{tmp}/sc.json", "--count", "5",
+                            "--seed", "-7", "--out", "{tmp}/x"]),
     "gen_out_dir": (2, ["gen", "chain", "--p", "4", "--rho", "0.3", "--out", "{tmp}/res/"]),
     "threshold_p": (2, ["threshold", "--pi0", "0.05", "--p", "1", "--w", "50"]),
     "threshold_w": (2, ["threshold", "--pi0", "0.05", "--p", "10", "--w", "1"]),
@@ -841,3 +961,38 @@ def test_bad_input_exits_2_or_3_with_one_error_line(tmp_path, capsys, name):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+@pytest.mark.parametrize("kind", [
+    ["sparse", "--p", "8", "--density", "0.2"],
+    ["hub", "--p", "10", "--hubs", "2", "--spokes", "2"],
+])
+def test_out_of_range_seed_names_the_flag(tmp_path, capsys, kind, seed):
+    out = tmp_path / "x.txt"
+    assert run_cli(["gen", *kind, "--seed", str(seed), "--out", str(out)]) == 2
+    assert f"--seed {seed} is out of range" in capsys.readouterr().err
+    assert run_cli(["gen", *kind, "--seed", str(2**128 - 1), "--out", str(out)]) == 0
+
+
+@pytest.fixture()
+def unfreeze():
+    yield
+    gc.unfreeze()
+
+
+def test_only_the_program_freezes_its_heap(monkeypatch, capsys, unfreeze):
+    # in-process calls leave the collector alone; run as the program (argv
+    # None), main freezes the heap on every way out, argparse's exit included
+    frozen = gc.get_freeze_count()
+    assert run_cli(["threshold", "--pi0", "0.05", "--p", "10", "--w", "20"]) == 0
+    assert gc.get_freeze_count() == frozen
+    monkeypatch.setattr(sys, "argv", ["ggmwatch", "threshold", "--pi0", "0.05", "--p", "10",
+                                      "--w", "20"])
+    assert main() == 0
+    assert gc.get_freeze_count() > frozen
+    gc.unfreeze()
+    monkeypatch.setattr(sys, "argv", ["ggmwatch", "--version"])
+    with pytest.raises(SystemExit):
+        main()
+    assert gc.get_freeze_count() > 0
