@@ -18,6 +18,7 @@ import dataclasses
 import gc
 import json
 import os
+import signal
 import sys
 
 import numpy as np
@@ -37,6 +38,7 @@ from .errors import (
 from .harness import PRESETS, run_experiment
 from .iofmt import (
     format_float,
+    json_line,
     load_config,
     manifest_dict,
     read_matrix,
@@ -226,7 +228,7 @@ def _gen_scenario(args) -> list[str]:
     spec = {"pre_matrix": pre, "post_matrix": post, "t0": args.t0, "n_burnin": args.burnin,
             "horizon": args.horizon}
     with open(args.out, "w") as fh:
-        fh.write(json.dumps(spec, sort_keys=True) + "\n")
+        fh.write(json_line(spec))
     return [args.pre, args.post]
 
 
@@ -238,8 +240,8 @@ def _gen_stream(args) -> list[str]:
     rows = GaussianStream(scenario, args.seed).take(args.count).tolist()
     with open(args.out, "w") as fh:
         for t, row in enumerate(rows, start=1):
-            fh.write((json.dumps({"t": t, "x": row}) if args.ndjson
-                      else ",".join(map(format_float, row))) + "\n")
+            fh.write(json_line({"t": t, "x": row}) if args.ndjson
+                     else ",".join(map(format_float, row)) + "\n")
     return [args.scenario, pre, post]
 
 
@@ -273,7 +275,7 @@ def cmd_threshold(args, argv: list[str]) -> int:
     union = (_value_or_na(critical_value_union, args.pi0, args.p) if args.pi0 < 0.5
              else "n/a (pi0 >= 1/2)")
     print(f"exact      {exact:.6f}\nasymptotic {asym}\nunion      {union}")
-    print(json.dumps(_manifest_for(argv, []), sort_keys=True), file=sys.stderr)
+    sys.stderr.write(json_line(_manifest_for(argv, [])))
     return 0
 
 
@@ -417,9 +419,7 @@ def cmd_monitor(args, argv: list[str]) -> int:
     inputs = [p for p in (args.config, settings["oracle_matrix"]) if p]
     manifest = _manifest_for(argv, inputs, config=args.config)
     out = sys.stdout
-    out.write(
-        json.dumps({"type": "run_manifest", **manifest}, sort_keys=True, allow_nan=False) + "\n"
-    )
+    out.write(json_line({"type": "run_manifest", **manifest}))
     out.flush()
 
     # a byte that is not UTF-8 becomes a lone surrogate, which no number
@@ -491,6 +491,8 @@ def cmd_experiment(args, argv: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:  # run as the program
+        if hasattr(signal, "SIGPIPE"):  # a reader that goes away ends it, as it ends cat
+            signal.signal(signal.SIGPIPE, signal.SIG_DFL)
         try:
             return main(sys.argv[1:])
         finally:

@@ -138,8 +138,8 @@ def _upper_quantile(values: np.ndarray, pi0: float) -> float:
 
 def _openblas() -> list[tuple]:
     """``(get, set)`` thread-count functions of every OpenBLAS mapped into this
-    process: the builds numpy and scipy ship, or upstream's. None where there
-    is no ``/proc``."""
+    process: the builds numpy and scipy ship, or upstream's. An empty list
+    where there is no ``/proc``."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}

@@ -5,6 +5,9 @@ printed with 17 significant digits (round-trip exact for binary64).
 
 Config file: flat ``key=value`` lines; blank lines and ``#`` comments ignored.
 
+JSON line: one object from :func:`json_line`, with sorted keys and no
+``NaN`` or ``Infinity`` token: a non-finite float raises ``ValueError``.
+
 All writers are byte-deterministic for identical inputs (no timestamps).
 """
 
@@ -19,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "format_float",
+    "json_line",
     "write_matrix",
     "read_matrix",
     "load_config",
@@ -32,6 +36,11 @@ __all__ = [
 
 def format_float(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def json_line(obj) -> str:
+    """``obj`` as one strict JSON line with sorted keys, ending in a newline."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_matrix(path: str, m: np.ndarray) -> None:
@@ -113,7 +122,7 @@ def manifest_dict(
 
 def write_manifest(path: str, manifest: dict) -> None:
     with open(path, "w") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True) + "\n")
+        fh.write(json_line(manifest))
 
 
 def _cell_params_str(cell: dict) -> str:
@@ -149,14 +158,7 @@ def write_result_ndjson(result, path: str) -> None:
     value or se that is not finite, such as the mean delay of a cell where no
     replicate detects, is written as ``null``."""
     with open(path, "w") as fh:
-        fh.write(
-            json.dumps(
-                {"type": "provenance", "experiment": result.kind, **result.provenance},
-                sort_keys=True,
-                allow_nan=False,
-            )
-            + "\n"
-        )
+        fh.write(json_line({"type": "provenance", "experiment": result.kind, **result.provenance}))
         for idx, cell in enumerate(result.cells):
             obj = {
                 "type": "cell",
@@ -171,4 +173,4 @@ def write_result_ndjson(result, path: str) -> None:
             }
             if cell.series is not None:
                 obj["series"] = cell.series
-            fh.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
+            fh.write(json_line(obj))

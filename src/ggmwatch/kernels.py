@@ -34,9 +34,8 @@ would pass over a nan. None can hide there: the Gram's entries are sums of
 products of transformed entries, each at most ``|x|_2 c``, so every one is at
 most ``c^2 mass``, and a non-finite entry (the only way to a nan deviation)
 needs ``c^2 mass`` to overflow, which makes the bound ``inf`` and ``push``
-return None. :meth:`RollingSupnorm.recompute` and
-:meth:`RollingSupnorm.supnorm` keep ``np.abs(e).max()``, which propagates
-nan.
+return None. :meth:`RollingSupnorm.recompute` keeps ``np.abs(e).max()``,
+which propagates nan.
 """
 
 from __future__ import annotations
@@ -152,10 +151,6 @@ class RollingSupnorm:
         self._ring[:first] = y[self.w - first :]
         self._rolled = 0
         self._mass = self._window = sum(self._sq)
-        return self.supnorm()
-
-    def supnorm(self) -> float:
-        """Sup-norm of the deviation of the current Gram matrix."""
         e = deviation(self._gram, self._w_omega, self._scale, self._scratch)
         return float(np.abs(e, out=e).max())
 

@@ -12,7 +12,8 @@ also available as its own function:
 
     evaluated by Gauss-Legendre quadrature between the 1e-12 and 1 - 1e-12
     chi quantiles, with the node count doubled until two successive
-    refinements agree to 1e-12 relative.
+    refinements agree to 1e-12 relative. Each ``(w, n)`` table of nodes and
+    weights is computed once per process and cached.
 
 ``asymptotic``
     Closed form ``z^2 = 2 log C - log log C - 2 log(sqrt(pi) * log(1/(1-pi0)))``
@@ -25,6 +26,7 @@ also available as its own function:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -49,13 +51,27 @@ def norm_sf(x):
     return 0.5 * special.erfc(np.asarray(x) / math.sqrt(2.0))
 
 
-class InnerProductTail:
-    """Tail of |<X, Y>| / sqrt(w) for independent standard Gaussian w-vectors.
+@functools.cache
+def _quadrature(w: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and chi(w)-density weights of the n-point Gauss-Legendre rule
+    between the 1e-12 and 1 - 1e-12 chi(w) quantiles."""
+    half = 0.5 * w
+    # chi quantiles: sqrt of the chi-square ones
+    lo = math.sqrt(2.0 * special.gammaincinv(half, 1e-12))
+    hi = math.sqrt(2.0 * special.gammainccinv(half, 1e-12))
+    x, wt = np.polynomial.legendre.leggauss(n)
+    v = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    # the two node-dependent terms nearly cancel for large w; extended
+    # precision keeps the node-to-node noise below the refinement tol
+    vl = v.astype(np.longdouble)
+    log_pdf = (w - 1) * np.log(vl) - 0.5 * vl * vl
+    log_pdf += np.longdouble((1.0 - half) * math.log(2.0)) - np.longdouble(special.gammaln(half))
+    weights = 0.5 * (hi - lo) * wt * np.exp(log_pdf).astype(np.float64)
+    return v, weights
 
-    Holds per-refinement quadrature tables over the chi(w) density; instances
-    are immutable after the first evaluation apart from table caching and are
-    safe to share across threads for reads.
-    """
+
+class InnerProductTail:
+    """Tail of |<X, Y>| / sqrt(w) for independent standard Gaussian w-vectors."""
 
     _N0 = 64
     _N_MAX = 8192
@@ -65,29 +81,6 @@ class InnerProductTail:
         if w < 1:
             raise ValueError("w must be >= 1")
         self.w = int(w)
-        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        half = 0.5 * self.w
-        # chi quantiles: sqrt of the chi-square ones
-        self._lo = math.sqrt(2.0 * special.gammaincinv(half, 1e-12))
-        self._hi = math.sqrt(2.0 * special.gammainccinv(half, 1e-12))
-
-    def _table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._tables.get(n)
-        if cached is not None:
-            return cached
-        x, wt = np.polynomial.legendre.leggauss(n)
-        v = 0.5 * (self._hi - self._lo) * x + 0.5 * (self._hi + self._lo)
-        half = 0.5 * self.w
-        # the two node-dependent terms nearly cancel for large w; extended
-        # precision keeps the node-to-node noise below the refinement tol
-        vl = v.astype(np.longdouble)
-        log_pdf = (self.w - 1) * np.log(vl) - 0.5 * vl * vl
-        log_pdf += np.longdouble((1.0 - half) * math.log(2.0)) - np.longdouble(
-            special.gammaln(half)
-        )
-        weights = 0.5 * (self._hi - self._lo) * wt * np.exp(log_pdf).astype(np.float64)
-        self._tables[n] = (v, weights)
-        return v, weights
 
     def __call__(self, t: float) -> float:
         if t < 0:
@@ -98,7 +91,7 @@ class InnerProductTail:
         prev = None
         n = self._N0
         while n <= self._N_MAX:
-            v, weights = self._table(n)
+            v, weights = _quadrature(self.w, n)
             cur = float(np.sum(weights * 2.0 * norm_sf(t * sqw / v)))
             if prev is not None and abs(cur - prev) <= max(self._RTOL * abs(cur), 1e-14):
                 return cur
@@ -110,14 +103,7 @@ class InnerProductTail:
         return prev
 
 
-_TAILS: dict[int, InnerProductTail] = {}
-
-
-def _tail(w: int) -> InnerProductTail:
-    tail = _TAILS.get(w)
-    if tail is None:
-        tail = _TAILS[w] = InnerProductTail(w)
-    return tail
+_tail = functools.cache(InnerProductTail)
 
 
 def inner_product_tail(w: int, t: float) -> float:

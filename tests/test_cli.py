@@ -3,6 +3,7 @@ import io
 import json
 import os
 import select
+import signal
 import struct
 import subprocess
 import sys
@@ -593,6 +594,28 @@ class TestMonitor:
             proc.kill()
             proc.wait()
 
+    def test_reader_that_goes_away_is_no_error(self, oracle_setup):
+        # the output outgrows a pipe; the reader takes one line and closes it
+        tmp, pre, cfg = oracle_setup
+        rows = tmp / "rows.csv"
+        x = np.random.default_rng(5).standard_normal((20_000, 10))
+        rows.write_text("".join(",".join(f"{v:.3f}" for v in r) + "\n" for r in x))
+        proc = subprocess.Popen([sys.executable, "-m", "ggmwatch.cli", "monitor", "--config",
+                                 str(cfg), "--w", "2", "--input", str(rows), "--trace"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp,
+                                env=SRC_ENV, bufsize=0)
+        try:
+            assert json.loads(_read_line(proc.stdout))["type"] == "run_manifest"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode != 2
+        assert b"error:" not in err
+        if hasattr(signal, "SIGPIPE"):
+            assert proc.returncode == -signal.SIGPIPE
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_huge_finite_row_exits_3_with_strict_json(self, oracle_setup, capsys):
         tmp, pre, cfg = oracle_setup
@@ -977,20 +1000,29 @@ def test_out_of_range_seed_names_the_flag(tmp_path, capsys, kind, seed):
 
 @pytest.fixture()
 def unfreeze():
+    handler = signal.getsignal(signal.SIGPIPE) if hasattr(signal, "SIGPIPE") else None
     yield
     gc.unfreeze()
+    if handler is not None:
+        signal.signal(signal.SIGPIPE, handler)
 
 
 def test_only_the_program_freezes_its_heap(monkeypatch, capsys, unfreeze):
-    # in-process calls leave the collector alone; run as the program (argv
-    # None), main freezes the heap on every way out, argparse's exit included
+    # in-process calls leave the collector and SIGPIPE alone; run as the
+    # program (argv None), main freezes the heap on every way out, argparse's
+    # exit included, and takes SIGPIPE's default action
     frozen = gc.get_freeze_count()
+    handler = signal.getsignal(signal.SIGPIPE) if hasattr(signal, "SIGPIPE") else None
     assert run_cli(["threshold", "--pi0", "0.05", "--p", "10", "--w", "20"]) == 0
     assert gc.get_freeze_count() == frozen
+    if handler is not None:
+        assert signal.getsignal(signal.SIGPIPE) == handler
     monkeypatch.setattr(sys, "argv", ["ggmwatch", "threshold", "--pi0", "0.05", "--p", "10",
                                       "--w", "20"])
     assert main() == 0
     assert gc.get_freeze_count() > frozen
+    if handler is not None:
+        assert signal.getsignal(signal.SIGPIPE) == signal.SIG_DFL
     gc.unfreeze()
     monkeypatch.setattr(sys, "argv", ["ggmwatch", "--version"])
     with pytest.raises(SystemExit):

@@ -7,7 +7,7 @@ import pytest
 
 import ggmwatch.harness as hz
 from ggmwatch import kernels
-from ggmwatch.iofmt import write_result_csv, write_result_ndjson
+from ggmwatch.iofmt import json_line, write_result_csv, write_result_ndjson
 from ggmwatch.modelgen import gen_chain_precision
 from ggmwatch.statistic import scale_entries
 
@@ -251,6 +251,13 @@ class TestWriters:
         assert change["metrics"]["miss_rate"] == {"value": 1.0, "se": 0.0}
         write_result_csv(res, tmp_path / "out.csv")
         assert ",mean_delay,nan,nan,4" in (tmp_path / "out.csv").read_text()
+
+    def test_json_line_is_strict_with_sorted_keys(self):
+        assert json_line({"b": 1, "a": {"d": 2.5, "c": None}}) == \
+            '{"a": {"c": null, "d": 2.5}, "b": 1}\n'
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                json_line({"x": [1.0, bad]})
 
     def test_csv_schema(self, tmp_path):
         res = hz.fa_calibration(FA_SMALL)

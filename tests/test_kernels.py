@@ -77,3 +77,22 @@ def test_recompute_is_the_statistic(setup, first):
     sup = scorer.push(first, x[w] @ om, sq[w])
     exact = gw.plugin_statistic(om, x[1:]).sup_norm
     assert abs(sup - exact) <= 1e-12 * exact
+
+
+def test_push_refuses_a_nan_in_the_rolling_gram(setup):
+    # idamax passes over a nan; by the module docstring a nan entry of the
+    # rolling Gram needs the window mass to overflow, which makes the bound
+    # infinite, so push returns None
+    om, chol, psi, rng = setup
+    w = 8
+    x = rng.standard_normal((w + 2, 20)) @ chol.T
+    y = x @ om
+    sq = np.einsum("ij,ij->i", x, x)
+    scorer = kernels.RollingSupnorm(20, w, 1e3)
+    scorer.set_estimate(om, psi)
+    for j in range(w):
+        scorer.push(j, None, sq[j])
+    scorer.recompute(y[:w], 0)
+    assert scorer.push(0, y[w], sq[w]) is not None  # rolling, well inside the bound
+    scorer._gram[0, 1] = scorer._gram[1, 0] = np.nan
+    assert scorer.push(1, y[w + 1], np.inf) is None  # a row whose squared norm overflows

@@ -116,6 +116,20 @@ class TestExactCriticalValue:
         with pytest.raises(TargetOutOfRange):
             gw.critical_value_exact(0.99, 2, 50)
 
+    # float.hex of the root at these (pi0, p, w); every preset's provenance
+    # zeta fields carry these bits, so no refactor of the quadrature may move them
+    FROZEN = {
+        (0.05, 100, 50): "0x1.2efe9db79f1bep+2",
+        (0.05, 100, 150): "0x1.21e0b02daad1ep+2",
+        (0.01, 80, 40): "0x1.481b6b44adf7cp+2",
+        (0.2, 10, 2): "0x1.f27622a83f5e4p+1",
+        (0.05, 100, 300): "0x1.1e445e7ad4bb6p+2",
+    }
+
+    @pytest.mark.parametrize("point", FROZEN, ids=str)
+    def test_bits_are_frozen(self, point):
+        assert gw.critical_value_exact(*point).hex() == self.FROZEN[point]
+
 
 class TestClosedForms:
     def test_asymptotic_value(self):
