@@ -21,12 +21,16 @@ w max|omega|) max(scale)`` to first order in ``u = eps / 2``, where
 ``mass`` sums ``|x|_2^2`` over the window of the last exact Gram and every
 row added since. The scorer takes four times that. It asks for an exact
 evaluation when the rolling value is not finite or comes within the bound of
-``zeta``, after ``w`` rolls, and once the rows that have left the window
-since the last exact Gram outweigh three times those in it (as after a huge
-outlier leaves): a rolling value it returns is on the exact one's side of
-``zeta``, and within about 1e-12 relative of it. An exact evaluation,
-:meth:`RollingSupnorm.recompute`, restarts the roll from the Gram of the
-window's transformed rows in time order, the statistic's own Gram.
+``zeta``, and once the rows that have left the window since the last exact
+Gram outweigh three times those in it, as after a huge outlier leaves or,
+with rows of steady size, after about ``3 w`` rolls. The bound holds for any
+``rolled``, so a rolling value the scorer returns is on the exact one's side
+of ``zeta``; with ``mass`` at most four times the window's own sum, the
+bound it takes is at most ``16 u (p + w + rolled + 2) (4 c^2 window + w
+max|omega|) max(scale)``, and only rows that keep growing keep ``rolled``
+past about ``3 w``. An exact evaluation, :meth:`RollingSupnorm.recompute`,
+restarts the roll from the Gram of the window's transformed rows in time
+order, the statistic's own Gram.
 
 :meth:`RollingSupnorm.push` finds the rolling sup-norm with one BLAS
 ``idamax`` pass over the deviation, which gives ``max|e|`` to the bit but
@@ -94,7 +98,8 @@ class RollingSupnorm:
         # Fortran-ordered, the layout in which BLAS updates it in place
         self._gram = np.empty((p, p), order="F")
         self._scratch = np.empty((p, p), order="F")
-        self._rolled = w  # rolls since the last exact Gram; w makes the scorer stale
+        self.stale = True  # whether the next push returns None whatever the row
+        self._rolled = 0  # rolls since the last exact Gram
         # sums of |x|_2^2 over the rows the Gram has seen since then, and over the window
         self._mass = self._window = 0.0
 
@@ -111,12 +116,7 @@ class RollingSupnorm:
 
     def reset(self) -> None:
         """Drop the Gram: the next window is evaluated exactly."""
-        self._rolled = self.w
-
-    @property
-    def stale(self) -> bool:
-        """Whether the next push returns None whatever the row."""
-        return self._rolled >= self.w
+        self.stale = True
 
     def push(self, slot: int, y: np.ndarray, sq: float) -> float | None:
         """Put the transformed row ``y`` of a raw row with squared 2-norm
@@ -149,7 +149,7 @@ class RollingSupnorm:
         self._gram[...] = y.T @ y
         self._ring[first:] = y[: self.w - first]
         self._ring[:first] = y[self.w - first :]
-        self._rolled = 0
+        self.stale, self._rolled = False, 0
         self._mass = self._window = sum(self._sq)
         e = deviation(self._gram, self._w_omega, self._scale, self._scratch)
         return float(np.abs(e, out=e).max())

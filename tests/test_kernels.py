@@ -14,8 +14,8 @@ def setup():
     return om.entries, chol, psi, rng
 
 
-# T - w + 1 windows: one, exactly w rolls after the first exact window, one
-# past them, and 3w + 2, on which rows scaled by 1e6 enter and leave the window
+# T - w + 1 windows: one, w rolls after the first exact window, w + 1 rolls,
+# and 3w + 2, on which rows scaled by 1e6 enter and leave the window
 @pytest.mark.parametrize(
     "t_len, w, scale",
     [(10, 10, 1.0), (19, 10, 1.0), (20, 10, 1.0), (41, 10, 1.0), (41, 10, 1e6)],
@@ -34,6 +34,20 @@ def test_sliding_matches_full_recompute(setup, t_len, w, scale):
     assert np.all(np.abs(sup - direct) <= 1e-12 * direct)
     zeta = gw.critical_value_exact(0.05, 20, w)
     assert np.array_equal(sup >= zeta, direct >= zeta)
+
+
+def test_steady_rows_roll_past_w(setup, monkeypatch):
+    # only the error bound and the mass rule ask for an exact step: on 2w + 1
+    # stationary rows the scan evaluates the first window exactly and rolls on
+    om, chol, psi, _ = setup
+    w = 10
+    x = np.random.default_rng(21).standard_normal((2 * w + 1, 20)) @ chol.T
+    calls = []
+    recompute = kernels.RollingSupnorm.recompute
+    monkeypatch.setattr(kernels.RollingSupnorm, "recompute",
+                        lambda self, y, first: calls.append(first) or recompute(self, y, first))
+    kernels.sliding_supnorms(x, om, psi, w)
+    assert calls == [0]
 
 
 def test_window_matches_plugin_statistic(setup):

@@ -6,23 +6,25 @@
 every test. Hypothesis draws streams that mix N(0, 1) rows with rows scaled
 by 10^k, repeated rows and zero rows, and puts zeta on an exact statistic of
 the stream in some of them. Fits come from a scripted estimator that returns
-seeded, well-conditioned SPD matrices and fails at chosen fits.
+seeded, well-conditioned SPD matrices and fails at chosen fits. Both tests aim
+the search, with ``hypothesis.target``, at streams whose rolling values come
+near the rounding-error bound they were held to.
 """
 
 import math
 from types import SimpleNamespace
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, settings, target
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 import ggmwatch as gw
 import ggmwatch.detector as detector_module
 from ggmwatch.errors import GgmWatchError, Infeasible
-from ggmwatch.kernels import sliding_supnorms
+from ggmwatch.kernels import RollingSupnorm, sliding_supnorms
 
-# a fixed, derandomized budget: about 3 s of tier-1 in all
+# a fixed, derandomized budget: about 4 s of tier-1 in all
 PROFILE = dict(derandomize=True, deadline=None,
                suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 
@@ -35,6 +37,20 @@ def spd(p: int, key: int) -> np.ndarray:
     a = a + a.T
     np.fill_diagonal(a, 1.0 + rng.random(p) + np.abs(a).sum(axis=1))
     return a
+
+
+def bound(scorer: RollingSupnorm) -> float:
+    """The error bound of the kernels module docstring, read from the state a
+    push that returned a rolling value left behind."""
+    return (scorer._tol * (scorer._terms + scorer._rolled)
+            * (scorer._col2 * scorer._mass + scorer._w_omega_max))
+
+
+def target_bound(rolling, exact, bounds) -> None:
+    """Aim the search at the largest ``|rolling - exact| / bound`` of a run;
+    ``bounds`` holds None where a value is not a rolling one."""
+    ratios = [abs(r - e) / b for r, e, b in zip(rolling, exact, bounds) if b is not None]
+    target(max(ratios, default=0.0), label="rolling error / bound")
 
 
 class ScriptedClime:
@@ -111,7 +127,9 @@ class ReferenceDetector:
 
 
 def run_detector(config, xs):
-    """``(event, statistic, failure)`` of each step of a fresh Detector.
+    """``(event, statistic, failure)`` of each step of a fresh Detector, and
+    the error bound of each step whose statistic is a rolling value (None on
+    the other steps).
 
     Checks that an exact step that does not fire and does not overflow
     restarts the rolling scorer once, with ``recompute`` returning the step's
@@ -121,11 +139,21 @@ def run_detector(config, xs):
     exacts, recomputed = [], []
     det._exact = lambda m: exacts.append(det.t) or exact(m)
     scorer.recompute = lambda y, first: recomputed.append(recompute(y, first)) or recomputed[-1]
-    out = []
+    push, pushed = scorer.push, []
+
+    def spy_push(slot, y, sq):
+        sup = push(slot, y, sq)
+        if sup is not None:
+            pushed.append(bound(scorer))  # a refit after the step resets the state
+        return sup
+
+    scorer.push = spy_push
+    out, bounds = [], []
     for x in xs:
         failure = None
         exacts.clear()
         recomputed.clear()
+        pushed.clear()
         try:
             event = det.step(x)
         except GgmWatchError as exc:
@@ -138,7 +166,8 @@ def run_detector(config, xs):
         if event is not None:
             event = (event.t, event.statistic.hex(), event.zeta.hex(), event.delay_estimate)
         out.append((event, stat, failure))
-    return out
+        bounds.append(pushed[0] if pushed else None)
+    return out, bounds
 
 
 def close(got, want) -> bool:
@@ -198,7 +227,7 @@ def reference_run(p, w, zeta, n_burnin, batch, oracle, key, script, xs):
     return [ref.step(x) for x in xs], fake
 
 
-@settings(max_examples=100, **PROFILE)
+@settings(max_examples=250, **PROFILE)
 @given(detector_cases())
 def test_detector_matches_reference(case):
     p, w, oracle, n_burnin, batch, xs, key, script, zeta_kind, pick, zeta = case
@@ -217,13 +246,14 @@ def test_detector_matches_reference(case):
                                    oracle_omega=oracle)
         real, detector_module.clime_estimate = detector_module.clime_estimate, fake
         try:
-            got = run_detector(config, xs)
+            got, bounds = run_detector(config, xs)
         finally:
             detector_module.clime_estimate = real
     assert [e for e, _, _ in got] == [e for e, _, _ in want]
     assert [f for _, _, f in got] == [f for _, _, f in want]
     for t, ((_, stat, _), (_, exact, _)) in enumerate(zip(got, want), start=1):
         assert close(stat, exact), (t, stat, exact)
+    target_bound([s for _, s, _ in got], [s for _, s, _ in want], bounds)
     assert len(fake.samples) == len(ref_fits.samples)
     for a, b in zip(fake.samples, ref_fits.samples):
         assert np.array_equal(a, b)
@@ -237,15 +267,27 @@ def sliding_cases(draw):
     return w, xs, draw(st.integers(0, 2**20))
 
 
-@settings(max_examples=50, **PROFILE)
+@settings(max_examples=100, **PROFILE)
 @given(sliding_cases())
 def test_sliding_scan_matches_reference(case):
     w, xs, key = case
     omega = spd(xs.shape[1], key)
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = sliding_supnorms(xs, omega, gw.scale_entries(omega), w)
-        want = [gw.plugin_statistic(omega, xs[k : k + w]).sup_norm
-                for k in range(len(xs) - w + 1)]
+    push, bounds = RollingSupnorm.push, []
+
+    def spy_push(self, slot, y, sq):
+        sup = push(self, slot, y, sq)
+        bounds.append(None if sup is None else bound(self))
+        return sup
+
+    RollingSupnorm.push = spy_push
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = sliding_supnorms(xs, omega, gw.scale_entries(omega), w)
+            want = [gw.plugin_statistic(omega, xs[k : k + w]).sup_norm
+                    for k in range(len(xs) - w + 1)]
+    finally:
+        RollingSupnorm.push = push
     assert len(got) == len(want)
     for k, (a, b) in enumerate(zip(got.tolist(), want)):
         assert close(a, b), (k, a, b)
+    target_bound(got.tolist(), want, bounds[w - 1 :])  # push k scores the window ending at row k
