@@ -32,20 +32,26 @@ past about ``3 w``. An exact evaluation, :meth:`RollingSupnorm.recompute`,
 restarts the roll from the Gram of the window's transformed rows in time
 order, the statistic's own Gram.
 
-:meth:`RollingSupnorm.push` finds the rolling sup-norm with one BLAS
-``idamax`` pass over the deviation, which gives ``max|e|`` to the bit but
-would pass over a nan. None can hide there: the Gram's entries are sums of
-products of transformed entries, each at most ``|x|_2 c``, so every one is at
-most ``c^2 mass``, and a non-finite entry (the only way to a nan deviation)
-needs ``c^2 mass`` to overflow, which makes the bound ``inf`` and ``push``
-return None. :meth:`RollingSupnorm.recompute` keeps ``np.abs(e).max()``,
-which propagates nan.
+:class:`RollingSupnorm` keeps the Gram, ``w * omega`` and ``scale`` as their
+upper triangles packed by column, the layout BLAS ``dspr`` updates in place.
+Every matrix it sees is exactly symmetric (:meth:`RollingSupnorm.set_estimate`
+refuses an ``omega`` or ``psi`` that is not, numpy forms ``y.T @ y`` as one
+triangle and mirrors it, and a rank-one update adds the same product to
+``(u, v)`` and ``(v, u)``), so the triangle's sup is the matrix's.
+:meth:`RollingSupnorm.push` finds it with one BLAS ``idamax`` pass over the
+packed deviation, which gives ``max|e|`` to the bit but would pass over a
+nan. None can hide there: the Gram's entries are sums of products of
+transformed entries, each at most ``|x|_2 c``, so every one is at most ``c^2
+mass``, and a non-finite entry (the only way to a nan deviation) needs ``c^2
+mass`` to overflow, which makes the bound ``inf`` and ``push`` return None.
+:meth:`RollingSupnorm.recompute` keeps ``np.abs(e).max()``, which propagates
+nan.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dger, idamax
+from scipy.linalg.blas import dspr, idamax
 
 __all__ = ["BACKEND", "deviation", "window_supnorms", "sliding_supnorms", "RollingSupnorm"]
 
@@ -94,19 +100,23 @@ class RollingSupnorm:
         self.w, self.zeta = w, zeta
         self._ring = np.empty((w, p))  # the window's rows times the estimate, by slot
         self._sq = [0.0] * w  # squared 2-norm of each raw ring row
-        # Y'Y of the ring; like every (p, p) array a push reads, it is
-        # Fortran-ordered, the layout in which BLAS updates it in place
-        self._gram = np.empty((p, p), order="F")
-        self._scratch = np.empty((p, p), order="F")
+        # flat indices u p + v of the upper triangle, u <= v, in packed order:
+        # entry (u, v) of a packed array sits at u + v (v + 1) / 2
+        self._pack = np.ravel_multi_index(np.tril_indices(p)[::-1], (p, p))
+        self._gram = np.empty(len(self._pack))  # Y'Y of the ring, packed
+        self._scratch = np.empty_like(self._gram)
         self.stale = True  # whether the next push returns None whatever the row
         self._rolled = 0  # rolls since the last exact Gram
         # sums of |x|_2^2 over the rows the Gram has seen since then, and over the window
         self._mass = self._window = 0.0
 
     def set_estimate(self, omega: np.ndarray, psi: np.ndarray) -> None:
-        """Standardize with ``omega`` and its scale ``psi`` from now on."""
-        self._w_omega = np.asfortranarray(self.w * omega)
-        self._scale = np.asfortranarray(psi / np.sqrt(self.w))
+        """Standardize with ``omega`` and its scale ``psi`` from now on. Both
+        must be exactly symmetric: the scorer reads their upper triangles."""
+        if not (np.array_equal(omega, omega.T) and np.array_equal(psi, psi.T)):
+            raise ValueError("omega and psi must be exactly symmetric")
+        self._w_omega = (self.w * omega).take(self._pack)
+        self._scale = (psi / np.sqrt(self.w)).take(self._pack)
         # constants of the error bound in the module docstring
         self._col2 = float((omega * omega).sum(axis=0).max())
         self._w_omega_max = float(np.abs(self._w_omega).max())
@@ -127,11 +137,11 @@ class RollingSupnorm:
             self._sq[slot] = sq
             return None
         y_out = self._ring[slot]
-        dger(1.0, y, y, a=self._gram, overwrite_a=True)
-        dger(-1.0, y_out, y_out, a=self._gram, overwrite_a=True)
+        dspr(len(y), 1.0, y, self._gram, overwrite_ap=True)
+        dspr(len(y), -1.0, y_out, self._gram, overwrite_ap=True)
         y_out[...] = y
-        # a view in memory order; a nan here would come with an infinite bound
-        e = deviation(self._gram, self._w_omega, self._scale, self._scratch).ravel(order="K")
+        # a nan here would come with an infinite bound
+        e = deviation(self._gram, self._w_omega, self._scale, self._scratch)
         sup = abs(e.item(idamax(e)))
         self._rolled += 1
         self._mass += sq
@@ -146,7 +156,7 @@ class RollingSupnorm:
     def recompute(self, y: np.ndarray, first: int) -> float:
         """Recompute the Gram as ``y.T @ y`` from the window's transformed rows
         ``y``, oldest first and in slot ``first``, and return its sup-norm."""
-        self._gram[...] = y.T @ y
+        np.take(y.T @ y, self._pack, out=self._gram)
         self._ring[first:] = y[: self.w - first]
         self._ring[:first] = y[self.w - first :]
         self.stale, self._rolled = False, 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.blas import dger, dspr
 
 import ggmwatch as gw
 from ggmwatch import kernels
@@ -108,5 +109,75 @@ def test_push_refuses_a_nan_in_the_rolling_gram(setup):
         scorer.push(j, None, sq[j])
     scorer.recompute(y[:w], 0)
     assert scorer.push(0, y[w], sq[w]) is not None  # rolling, well inside the bound
-    scorer._gram[0, 1] = scorer._gram[1, 0] = np.nan
+    scorer._gram[1] = np.nan  # entry (0, 1) of the packed upper triangle
     assert scorer.push(1, y[w + 1], np.inf) is None  # a row whose squared norm overflows
+
+
+class FullGramRoll:
+    """Reference for the scorer's arithmetic: the full ``(p, p)`` Gram,
+    Fortran-ordered and rolled by BLAS ``dger``, scored over the whole
+    deviation."""
+
+    def __init__(self, omega, psi, w):
+        self.w_omega, self.scale = w * omega, psi / np.sqrt(w)
+
+    def recompute(self, y, first):
+        self.gram = np.asfortranarray(y.T @ y)
+        self.ring = np.roll(y, first, axis=0)
+        return self.sup()
+
+    def push(self, slot, y):
+        y_out = self.ring[slot]
+        dger(1.0, y, y, a=self.gram, overwrite_a=True)
+        dger(-1.0, y_out, y_out, a=self.gram, overwrite_a=True)
+        y_out[...] = y
+        return self.sup()
+
+    def sup(self):
+        return np.abs(kernels.deviation(self.gram, self.w_omega, self.scale)).max()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 20])
+def test_packed_roll_is_the_full_dger_roll(p):
+    # the scorer packs in dspr's order, keeps the upper triangle of the full
+    # dger roll's Gram to the bit, and returns the full deviation's sup-norm
+    # to the bit, over rolls that reuse every slot three times
+    rng = np.random.default_rng(p)
+    a = rng.uniform(-0.3, 0.3, (p, p))
+    om = a + a.T + 2.0 * p * np.eye(p)
+    psi = gw.scale_entries(om)
+    w = 5
+    x = rng.standard_normal((4 * w, p))
+    y, sq = x @ om, np.einsum("ij,ij->i", x, x)
+    scorer = kernels.RollingSupnorm(p, w, np.inf)
+    scorer.set_estimate(om, psi)
+    pack = scorer._pack
+    assert np.array_equal(np.outer(y[0], y[0]).take(pack), dspr(p, 1.0, y[0], np.zeros(len(pack))))
+    ref = FullGramRoll(om, psi, w)
+    rolled = 0
+    for k in range(len(x)):
+        sup = scorer.push(k % w, y[k], sq[k])
+        if k < w - 1:
+            continue
+        if k >= w:
+            ref_sup = ref.push(k % w, y[k])
+            assert np.array_equal(scorer._gram, ref.gram.take(pack))
+            rolled += sup is not None
+        if sup is None:
+            window = y[k - w + 1 : k + 1]
+            sup = scorer.recompute(window, (k + 1) % w)
+            ref_sup = ref.recompute(window, (k + 1) % w)
+            assert np.array_equal(scorer._gram, ref.gram.take(pack))
+        assert sup == ref_sup
+    assert rolled > 2 * w
+
+
+@pytest.mark.parametrize("which", ["omega", "psi"])
+def test_set_estimate_refuses_an_asymmetric_matrix(setup, which):
+    # the scorer reads only the upper triangles of omega and psi
+    om, _, psi, _ = setup
+    args = {"omega": np.array(om), "psi": np.array(psi)}
+    args[which][0, 1] = np.nextafter(args[which][0, 1], np.inf)
+    scorer = kernels.RollingSupnorm(20, 8, np.inf)
+    with pytest.raises(ValueError, match="symmetric"):
+        scorer.set_estimate(args["omega"], args["psi"])
