@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bindings import scipy_extension
 from .errors import DimensionMismatch, Infeasible, NonFiniteSample, SolverStall
 from .modelgen import _as_array
 
@@ -99,9 +100,9 @@ class _ColumnLPs:
     """
 
     def __init__(self, s: np.ndarray, lam: float):
-        # HiGHS's own binding, private to scipy but shipped inside it, imported
-        # at the first fit: scipy.optimize is a large share of start-up
-        from scipy.optimize._highspy import _core as core
+        # HiGHS's own binding, private to scipy but shipped inside it, loaded at
+        # the first fit and without the scipy.optimize package around it
+        core = scipy_extension("optimize._highspy._core")
 
         p = s.shape[0]
         a = np.hstack((s, -s))

@@ -35,8 +35,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import ddot
 
+from .bindings import scipy_extension
 from .clime import ClimeConfig, clime_estimate
 from .errors import (
     DimensionMismatch,
@@ -48,6 +48,8 @@ from .errors import (
 from .kernels import RollingSupnorm
 from .modelgen import PrecisionMatrix
 from .statistic import oracle_statistic, plugin_statistic, scale_entries
+
+ddot = scipy_extension("linalg._fblas").ddot
 
 __all__ = ["DetectorConfig", "DetectionEvent", "Detector", "run_offline"]
 

@@ -51,7 +51,11 @@ nan.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dspr, idamax
+
+from .bindings import scipy_extension
+
+_fblas = scipy_extension("linalg._fblas")  # the functions scipy.linalg.blas exports
+dspr, idamax = _fblas.dspr, _fblas.idamax
 
 __all__ = ["BACKEND", "deviation", "window_supnorms", "sliding_supnorms", "RollingSupnorm"]
 
@@ -85,7 +89,8 @@ def window_supnorms(samples: np.ndarray, omega: np.ndarray, psi: np.ndarray) -> 
     w = samples.shape[1]
     y = samples @ omega
     gram = np.matmul(y.transpose(0, 2, 1), y)
-    return np.abs(deviation(gram, w * omega, psi / np.sqrt(w))).max(axis=(1, 2))
+    e = deviation(gram, w * omega, psi / np.sqrt(w), out=gram)
+    return np.abs(e, out=e).max(axis=(1, 2))
 
 
 class RollingSupnorm:

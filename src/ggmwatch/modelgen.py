@@ -11,10 +11,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from numpy.random import Generator, Philox
 
+from .bindings import scipy_extension
 from .errors import DimensionMismatch, NotPositiveDefinite
+
+dpotrs = scipy_extension("linalg._flapack").dpotrs
 
 __all__ = [
     "PrecisionMatrix",
@@ -129,8 +131,14 @@ def cholesky_factor(m: np.ndarray) -> np.ndarray:
 def invert_spd(m) -> np.ndarray:
     """Inverse of an SPD matrix via its Cholesky factor, symmetrized by averaging."""
     a = _as_array(m)
-    low = cholesky_factor(a)
-    inv = scipy.linalg.cho_solve((low, True), np.eye(a.shape[0]))
+    # scipy.linalg.cho_solve's check and LAPACK call: numpy's factor of a nan
+    # or an infinite matrix is not finite rather than an error
+    low = np.asarray_chkfinite(cholesky_factor(a))
+    if low.size == 0:  # the LAPACK wrapper refuses an order of 0
+        return np.empty((0, 0))
+    inv, info = dpotrs(low, np.eye(a.shape[0]), lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
     return 0.5 * (inv + inv.T)
 
 

@@ -1,9 +1,17 @@
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ggmwatch import gen_chain_precision, invert_spd
+
+# the environment of a subprocess that imports the package from this checkout
+SRC_ENV = dict(os.environ)
+SRC_ENV["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"), SRC_ENV.get("PYTHONPATH")])
+)
 
 
 def _reject_constant(token):

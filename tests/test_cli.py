@@ -8,7 +8,6 @@ import struct
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import orjson
@@ -23,13 +22,7 @@ from ggmwatch.cli import _parse_row, main
 from ggmwatch.errors import Infeasible
 from ggmwatch.iofmt import read_matrix
 
-from conftest import strict_json, strict_ndjson
-
-
-# ``python -m ggmwatch.cli`` subprocesses import the package from this checkout
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-SRC_ENV = dict(os.environ)
-SRC_ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, SRC_ENV.get("PYTHONPATH")]))
+from conftest import SRC_ENV, strict_json, strict_ndjson
 
 
 def run_cli(args):
@@ -244,7 +237,8 @@ def oracle_setup(tmp_path):
 _IMPORT_PROBE = """
 import json, sys
 from ggmwatch.cli import main
-loaded = lambda: sorted({"scipy.optimize", "orjson"} & set(sys.modules))
+loaded = lambda: sorted({"scipy.optimize._highspy._core", "scipy.optimize", "scipy.linalg",
+                         "orjson"} & set(sys.modules))
 print("loaded:", json.dumps(loaded()))
 for argv in json.loads(sys.argv[1]):
     try:
@@ -263,8 +257,15 @@ def _lazy_imports(commands, cwd) -> list[list[str]]:
             if line.startswith("loaded:")]
 
 
+_SCIPY_PACKAGES = {"scipy.optimize", "scipy.linalg"}
+
+
 def _imports_lp_solver(args, cwd) -> bool:
-    return "scipy.optimize" in _lazy_imports([args], cwd)[-1]
+    """Whether the command loads HiGHS's binding. Neither the import nor the
+    command may load the scipy packages that hold the bindings."""
+    loaded = _lazy_imports([args], cwd)
+    assert not any(_SCIPY_PACKAGES.intersection(now) for now in loaded)
+    return "scipy.optimize._highspy._core" in loaded[-1]
 
 
 # inputs whose line breaks (\n, \r\n, a lone \r), blank lines, multibyte
@@ -344,6 +345,7 @@ class TestMonitor:
         loaded = _lazy_imports(commands, tmp)
         # the import and every command before monitor leave orjson unloaded
         assert ["orjson" in now for now in loaded] == [False] * 5 + [True]
+        assert not any(_SCIPY_PACKAGES.intersection(now) for now in loaded)
 
     def test_h0_stream_no_events(self, oracle_setup, capsys):
         tmp, pre, cfg = oracle_setup

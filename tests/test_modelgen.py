@@ -49,6 +49,25 @@ class TestInvertSpd:
         m = gw.gen_random_sparse(200, 0.03, 0.1, seed=11).entries
         assert np.abs(m @ gw.invert_spd(m) - np.eye(200)).max() <= 1e-8
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_matrix_rejected(self, value):
+        # numpy factors such a matrix into a non-finite factor without an error
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            gw.invert_spd(np.full((3, 3), value))
+
+    def test_empty_matrix(self):
+        inv = gw.invert_spd(np.zeros((0, 0)))
+        assert inv.shape == (0, 0) and inv.dtype == np.float64
+
+    @pytest.mark.parametrize("p", [1, 2, 7, 60])
+    def test_bits_of_scipy_cho_solve(self, p):
+        import scipy.linalg
+
+        m = gw.gen_random_sparse(p, 0.3, 0.1, seed=p).entries
+        inv = scipy.linalg.cho_solve((gw.cholesky_factor(m), True), np.eye(p))
+        assert np.array_equal(gw.invert_spd(m), 0.5 * (inv + inv.T))
+
 
 class TestChainPrecision:
     def test_rho_zero_is_identity(self):
