@@ -1,11 +1,16 @@
 """scipy's compiled bindings, loaded without their parent packages.
 
-ggmwatch calls three of scipy's extension modules directly: HiGHS's own
-binding ``scipy.optimize._highspy._core`` for the CLIME column LPs, and the
+ggmwatch calls four of scipy's extension modules directly: HiGHS's own
+binding ``scipy.optimize._highspy._core`` for the CLIME column LPs, the
 f2py wrappers ``scipy.linalg._fblas`` (``dspr``, ``idamax``, ``ddot``) and
-``scipy.linalg._flapack`` (``dpotrs``). An ordinary import of one of them
-first runs ``scipy.optimize``'s or ``scipy.linalg``'s ``__init__``, which
-import most of that package: tens of milliseconds for a single extension.
+``scipy.linalg._flapack`` (``dpotrs``), and ``scipy.special._special_ufuncs``
+(``erfc``, ``gammaln``, ``gammaincinv``, ``gammainccinv``) for the critical
+values. The last holds the very ufunc objects ``scipy.special`` exports;
+``scipy.special._ufuncs``, where most other ufuncs live, cannot be loaded
+this way: its initialisation needs the ``scipy.special`` package. An ordinary
+import of one of them first runs ``scipy.optimize``'s, ``scipy.linalg``'s or
+``scipy.special``'s ``__init__``, which import most of that package: tens of
+milliseconds for a single extension.
 :func:`scipy_extension` loads the extension from its file instead, as
 importlib's "importing a source file directly" recipe does, and registers it
 in ``sys.modules`` under its own name. A later import of the package then

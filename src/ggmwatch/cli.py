@@ -35,7 +35,6 @@ from .errors import (
     NonPositiveDiagonal,
     SolverStall,
 )
-from .harness import PRESETS, run_experiment
 from .iofmt import (
     format_float,
     json_line,
@@ -469,6 +468,9 @@ def cmd_monitor(args, argv: list[str]) -> int:
 
 
 def cmd_experiment(args, argv: list[str]) -> int:
+    # the harness and its process-pool stack load only for this command
+    from .harness import PRESETS, run_experiment
+
     _check_out(args.out)
     preset = PRESETS.get(args.preset)
     if preset is None:

@@ -6,7 +6,8 @@ class GgmWatchError(Exception):
 
 
 class NotPositiveDefinite(GgmWatchError):
-    """A matrix required to be positive definite is not (Cholesky pivot <= 0)."""
+    """A matrix required to be positive definite is not (Cholesky pivot <= 0,
+    or too small for a finite inverse)."""
 
 
 class DimensionMismatch(GgmWatchError):

@@ -93,6 +93,16 @@ def window_supnorms(samples: np.ndarray, omega: np.ndarray, psi: np.ndarray) -> 
     return np.abs(e, out=e).max(axis=(1, 2))
 
 
+def _line_aligned(n: int) -> np.ndarray:
+    """An uninitialised float64 vector of length ``n`` that starts on a
+    64-byte cache line. ``push`` streams over the packed arrays; where they
+    happened to start, which moves with whatever the heap held before,
+    changed its speed by several per cent between otherwise equal runs."""
+    buf = np.empty(n + 7)
+    start = -buf.ctypes.data % 64 // 8
+    return buf[start : start + n]
+
+
 class RollingSupnorm:
     """Rolling sup-norm of a window of ``w`` rows, tested against ``zeta``.
 
@@ -108,8 +118,8 @@ class RollingSupnorm:
         # flat indices u p + v of the upper triangle, u <= v, in packed order:
         # entry (u, v) of a packed array sits at u + v (v + 1) / 2
         self._pack = np.ravel_multi_index(np.tril_indices(p)[::-1], (p, p))
-        self._gram = np.empty(len(self._pack))  # Y'Y of the ring, packed
-        self._scratch = np.empty_like(self._gram)
+        self._gram = _line_aligned(len(self._pack))  # Y'Y of the ring, packed
+        self._scratch = _line_aligned(len(self._pack))
         self.stale = True  # whether the next push returns None whatever the row
         self._rolled = 0  # rolls since the last exact Gram
         # sums of |x|_2^2 over the rows the Gram has seen since then, and over the window
@@ -120,8 +130,8 @@ class RollingSupnorm:
         must be exactly symmetric: the scorer reads their upper triangles."""
         if not (np.array_equal(omega, omega.T) and np.array_equal(psi, psi.T)):
             raise ValueError("omega and psi must be exactly symmetric")
-        self._w_omega = (self.w * omega).take(self._pack)
-        self._scale = (psi / np.sqrt(self.w)).take(self._pack)
+        self._w_omega = (self.w * omega).take(self._pack, out=_line_aligned(len(self._pack)))
+        self._scale = (psi / np.sqrt(self.w)).take(self._pack, out=_line_aligned(len(self._pack)))
         # constants of the error bound in the module docstring
         self._col2 = float((omega * omega).sum(axis=0).max())
         self._w_omega_max = float(np.abs(self._w_omega).max())

@@ -129,7 +129,11 @@ def cholesky_factor(m: np.ndarray) -> np.ndarray:
 
 
 def invert_spd(m) -> np.ndarray:
-    """Inverse of an SPD matrix via its Cholesky factor, symmetrized by averaging."""
+    """Inverse of an SPD matrix via its Cholesky factor, symmetrized by averaging.
+
+    Raises NotPositiveDefinite when the matrix has no Cholesky factor or its
+    inverse is not finite.
+    """
     a = _as_array(m)
     # scipy.linalg.cho_solve's check and LAPACK call: numpy's factor of a nan
     # or an infinite matrix is not finite rather than an error
@@ -139,7 +143,11 @@ def invert_spd(m) -> np.ndarray:
     inv, info = dpotrs(low, np.eye(a.shape[0]), lower=1)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
-    return 0.5 * (inv + inv.T)
+    inv = 0.5 * (inv + inv.T)
+    # a factor can pass with a pivot too small to divide by (a subnormal one)
+    if not np.isfinite(inv).all():
+        raise NotPositiveDefinite("Matrix is not positive definite: its inverse is not finite")
+    return inv
 
 
 def assess(omega: PrecisionMatrix, zero_tol: float = 1e-12) -> AssumptionReport:

@@ -31,9 +31,13 @@ import math
 import warnings
 
 import numpy as np
-from scipy import special
 
+from .bindings import scipy_extension
 from .errors import NegativeZetaSquared, TargetOutOfRange
+
+# erfc, gammaincinv, gammainccinv and gammaln: scipy.special's own ufunc
+# objects, from the one extension module that holds them, without the package
+special = scipy_extension("special._special_ufuncs")
 
 __all__ = [
     "InnerProductTail",

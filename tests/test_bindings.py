@@ -1,4 +1,4 @@
-"""scipy's bindings loaded without scipy.optimize and scipy.linalg.
+"""scipy's bindings loaded without scipy.optimize, scipy.linalg and scipy.special.
 
 What a process has imported is global state, so each check runs its script
 in a fresh interpreter.
@@ -82,6 +82,30 @@ def test_scipy_linalg_after_the_bindings():
         print(scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), [2.0, 1.0]).tolist())
     """)
     assert out.splitlines() == ["True True True True True", "[0.5, 0.0]"]
+
+
+def test_a_threshold_solve_loads_only_the_ufuncs():
+    out = _run("""
+        from ggmwatch import critical_value_exact
+        print(critical_value_exact(0.05, 10, 20) > 0)
+        print("scipy.special._special_ufuncs" in sys.modules, "scipy.special" in sys.modules)
+    """)
+    assert out.splitlines() == ["True", "True False"]
+
+
+def test_scipy_special_after_a_solve():
+    out = _run("""
+        from ggmwatch import critical_value_exact, threshold
+        first = critical_value_exact(0.05, 30, 40)
+        import scipy.special
+        print(all(getattr(scipy.special, name) is getattr(threshold.special, name)
+                  for name in ("erfc", "gammaln", "gammaincinv", "gammainccinv")))
+        print(scipy.special.gamma(3.0))  # scipy.special._ufuncs initialised
+        threshold._tail.cache_clear()
+        threshold._quadrature.cache_clear()
+        print(critical_value_exact(0.05, 30, 40).hex() == first.hex())
+    """)
+    assert out.splitlines() == ["True", "2.0", "True"]
 
 
 def test_a_missing_file_names_the_path():

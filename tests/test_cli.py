@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import ggmwatch as gw
 import ggmwatch.cli as cli_module
 import ggmwatch.detector as detector_module
+import ggmwatch.harness as harness_module
 from ggmwatch.cli import _parse_row, main
 from ggmwatch.errors import Infeasible
 from ggmwatch.iofmt import read_matrix
@@ -238,7 +239,8 @@ _IMPORT_PROBE = """
 import json, sys
 from ggmwatch.cli import main
 loaded = lambda: sorted({"scipy.optimize._highspy._core", "scipy.optimize", "scipy.linalg",
-                         "orjson"} & set(sys.modules))
+                         "scipy.special", "orjson", "ggmwatch.harness",
+                         "concurrent.futures.process"} & set(sys.modules))
 print("loaded:", json.dumps(loaded()))
 for argv in json.loads(sys.argv[1]):
     try:
@@ -257,14 +259,16 @@ def _lazy_imports(commands, cwd) -> list[list[str]]:
             if line.startswith("loaded:")]
 
 
-_SCIPY_PACKAGES = {"scipy.optimize", "scipy.linalg"}
+_SCIPY_PACKAGES = {"scipy.optimize", "scipy.linalg", "scipy.special"}
+# the Monte Carlo harness and the process-pool stack it imports
+_HARNESS = {"ggmwatch.harness", "concurrent.futures.process"}
 
 
 def _imports_lp_solver(args, cwd) -> bool:
     """Whether the command loads HiGHS's binding. Neither the import nor the
-    command may load the scipy packages that hold the bindings."""
+    command may load the scipy packages that hold the bindings, or the harness."""
     loaded = _lazy_imports([args], cwd)
-    assert not any(_SCIPY_PACKAGES.intersection(now) for now in loaded)
+    assert not any((_SCIPY_PACKAGES | _HARNESS).intersection(now) for now in loaded)
     return "scipy.optimize._highspy._core" in loaded[-1]
 
 
@@ -343,8 +347,11 @@ class TestMonitor:
                      "--replicates", "2", "--jobs", "1", "--out", str(tmp / "fa")],
                     ["monitor", "--config", str(cfg), "--input", str(rows)]]
         loaded = _lazy_imports(commands, tmp)
-        # the import and every command before monitor leave orjson unloaded
+        # the import and every command before monitor leave orjson unloaded,
+        # and every command before experiment the harness
         assert ["orjson" in now for now in loaded] == [False] * 5 + [True]
+        assert [sorted(_HARNESS.intersection(now)) for now in loaded] == (
+            [[]] * 4 + [sorted(_HARNESS)] * 2)
         assert not any(_SCIPY_PACKAGES.intersection(now) for now in loaded)
 
     def test_h0_stream_no_events(self, oracle_setup, capsys):
@@ -836,7 +843,7 @@ class TestExperiment:
         def fail(*args, **kwargs):
             raise AssertionError("the experiment ran")
 
-        monkeypatch.setattr(cli_module, "run_experiment", fail)
+        monkeypatch.setattr(harness_module, "run_experiment", fail)
         out = tmp_path / "nodir" / "fa"
         code = run_cli(["experiment", "fa-calibration", "--preset", "fig1-desk", "--jobs", "1",
                         "--out", str(out)])
@@ -848,7 +855,7 @@ class TestExperiment:
         def fail(*args, **kwargs):
             raise AssertionError("the experiment ran")
 
-        monkeypatch.setattr(cli_module, "run_experiment", fail)
+        monkeypatch.setattr(harness_module, "run_experiment", fail)
         (tmp_path / "res").mkdir()
         out = str(tmp_path / "res") + os.sep
         code = run_cli(["experiment", "fa-calibration", "--preset", "fig1-desk", "--jobs", "1",

@@ -181,3 +181,15 @@ def test_set_estimate_refuses_an_asymmetric_matrix(setup, which):
     scorer = kernels.RollingSupnorm(20, 8, np.inf)
     with pytest.raises(ValueError, match="symmetric"):
         scorer.set_estimate(args["omega"], args["psi"])
+
+
+@pytest.mark.parametrize("p", [1, 3, 20])
+def test_packed_arrays_start_on_a_cache_line(setup, p):
+    om, _, psi, _ = setup
+    scorer = kernels.RollingSupnorm(p, 8, np.inf)
+    for _ in range(2):  # a refit replaces the estimate's arrays
+        scorer.set_estimate(om[:p, :p], psi[:p, :p])
+        packed = [scorer._gram, scorer._scratch, scorer._w_omega, scorer._scale]
+        assert [(a.ctypes.data % 64, a.shape, a.flags.c_contiguous) for a in packed] == [
+            (0, (p * (p + 1) // 2,), True)] * 4
+        assert np.array_equal(scorer._w_omega, (8 * om[:p, :p]).ravel()[scorer._pack])

@@ -56,6 +56,12 @@ class TestInvertSpd:
         with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
             gw.invert_spd(np.full((3, 3), value))
 
+    @pytest.mark.parametrize("tiny", [1e-320, 5e-324], ids=["subnormal", "smallest"])
+    def test_subnormal_pivot_rejected(self, tiny):
+        # the factor [[1, 0], [0, sqrt(tiny)]] is finite, its inverse is not
+        with pytest.raises(NotPositiveDefinite, match="inverse is not finite"):
+            gw.invert_spd([[1.0, 0.0], [0.0, tiny]])
+
     def test_empty_matrix(self):
         inv = gw.invert_spd(np.zeros((0, 0)))
         assert inv.shape == (0, 0) and inv.dtype == np.float64
