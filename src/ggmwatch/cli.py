@@ -231,9 +231,32 @@ def _gen_scenario(args) -> list[str]:
     return [args.pre, args.post]
 
 
+# the keys of a scenario file, with the type each value must have exactly
+_SCENARIO_KEYS = {"pre_matrix": str, "post_matrix": str, "t0": int, "n_burnin": int,
+                  "horizon": int}
+
+
+def _read_scenario(path: str) -> dict:
+    """The scenario object in the JSON file ``path``; a ValueError names the
+    file and, for a missing or ill-typed value, its key."""
+    try:
+        with open(path) as fh:
+            spec = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
+    if type(spec) is not dict:
+        raise ValueError(f"{path}: the scenario is not a JSON object")
+    for key, typ in _SCENARIO_KEYS.items():
+        if key not in spec:
+            raise ValueError(f"{path}: missing key {key!r}")
+        if type(spec[key]) is not typ:  # so neither true nor 5.0 is an int
+            raise ValueError(f"{path}: {key!r} is {json.dumps(spec[key])}, not "
+                             f"{'a string' if typ is str else 'an integer'}")
+    return spec
+
+
 def _gen_stream(args) -> list[str]:
-    with open(args.scenario) as fh:
-        spec = json.load(fh)
+    spec = _read_scenario(args.scenario)
     pre, post = (_beside(args.scenario, spec[key]) for key in ("pre_matrix", "post_matrix"))
     scenario = _load_scenario(pre, post, spec["t0"], spec["n_burnin"], spec["horizon"])
     rows = GaussianStream(scenario, args.seed).take(args.count).tolist()
@@ -357,21 +380,19 @@ def _csv_values(line: str, orjson) -> np.ndarray:
 
 def _parse_row(line: str, lineno: int, ndjson: bool, orjson) -> tuple[int | None, np.ndarray]:
     try:
-        if ndjson:
-            obj = json.loads(line)
-            x = obj["x"]
-            t = obj.get("t")
-            for v in x:  # to Python, true is an int; to numpy, "1.5" is a float
-                if type(v) not in (int, float):
-                    raise ValueError(f'"x" holds {json.dumps(v)}, not a number')
-            x = np.asarray(x, dtype=np.float64)  # an int past the float range overflows
+        if ndjson:  # orjson reads NaN, Infinity and an int past the float range as errors
+            obj = orjson.loads(line)
+            x, t = obj["x"], obj.get("t")
+            # an exact type test: true is an int to Python, "1.5" a float to numpy
+            if not set(map(type, x)) <= {int, float}:
+                bad = next(v for v in x if type(v) not in (int, float))
+                raise ValueError(f'"x" holds {orjson.dumps(bad).decode()}, not a number')
+            x = np.asarray(x, dtype=np.float64)
         else:
-            x = _csv_values(line, orjson)
-            t = None
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            x, t = _csv_values(line, orjson), None
+    except (ValueError, KeyError, TypeError) as exc:  # orjson's JSONDecodeError is a ValueError
         raise DataError(f"line {lineno}: malformed row: {exc}") from None
-    # bool is a subclass of int, but JSON true is not an integer index
-    if t is not None and (not isinstance(t, int) or isinstance(t, bool)):
+    if t is not None and type(t) is not int:  # nor bool, nor an int orjson read as a float
         raise DataError(f"line {lineno}: malformed row: \"t\" is {t!r}, not an integer")
     return t, x
 
@@ -411,7 +432,7 @@ def _chunks(fh):
 
 
 def cmd_monitor(args, argv: list[str]) -> int:
-    import orjson  # only CSV rows use it; imported before the first line is written
+    import orjson  # only monitor rows use it; imported before the first line is written
 
     settings = _monitor_settings(args)
     detector = _monitor_detector(settings)

@@ -87,6 +87,8 @@ class DetectionEvent:
 
 
 def _validate(config: DetectorConfig) -> None:
+    if config.p < 1:
+        raise InvalidConfig(f"p must be >= 1, got {config.p}")
     if config.w < 2:
         raise InvalidConfig(f"w must be >= 2, got {config.w}")
     if config.zeta is None or not 0.0 < config.zeta < math.inf:

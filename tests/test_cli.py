@@ -46,6 +46,26 @@ _TOKENS = st.one_of(
 )
 
 
+# NDJSON "x" entries: finite doubles written by repr, %.17g or %.40e, and
+# integers, those from 2**53 up to 2**64 and beyond up to the float range among them
+_JSON_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda v: st.sampled_from([repr(v), "%.17g" % v, "%.40e" % v])
+    ),
+    st.integers().map(str),
+    st.integers(2**53, 2**64 - 1).map(str),
+    st.integers(-(2**1023), 2**1023).map(str),
+)
+
+# a valid `gen stream` scenario on m.txt; a value of ... drops its key
+_SCENARIO = {"pre_matrix": "m.txt", "post_matrix": "m.txt", "t0": 5, "n_burnin": 0,
+             "horizon": 20}
+
+
+def _scenario_text(**changes) -> str:
+    return json.dumps({k: v for k, v in {**_SCENARIO, **changes}.items() if v is not ...})
+
+
 class TestGen:
     def test_chain_roundtrip(self, tmp_path):
         out = tmp_path / "m.txt"
@@ -171,6 +191,32 @@ class TestGen:
                         "--out", str(out)])
         assert code == 2
         assert f"output directory {str(out.parent)!r} does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        (_scenario_text(t0="5"), "'t0' is \"5\", not an integer"),
+        (_scenario_text(t0=5.0), "'t0' is 5.0, not an integer"),
+        (_scenario_text(n_burnin=True), "'n_burnin' is true, not an integer"),
+        (_scenario_text(horizon=None), "'horizon' is null, not an integer"),
+        (_scenario_text(pre_matrix=5), "'pre_matrix' is 5, not a string"),
+        (_scenario_text(post_matrix=["m.txt"]), "'post_matrix' is [\"m.txt\"], not a string"),
+        (_scenario_text(t0=...), "missing key 't0'"),
+        ("[1, 2]", "the scenario is not a JSON object"),
+        ("{", "Expecting property name enclosed in double quotes"),
+    ], ids=["t0_str", "t0_float", "n_burnin_bool", "horizon_null", "pre_int", "post_list",
+            "t0_missing", "top_level_list", "not_json"])
+    def test_bad_scenario_file_exits_2_naming_key(self, tmp_path, capsys, text, message):
+        run_cli(["gen", "chain", "--p", "4", "--rho", "0.3", "--out", str(tmp_path / "m.txt")])
+        scn, out = tmp_path / "sc.json", tmp_path / "rows.csv"
+        stream = ["gen", "stream", "--scenario", str(scn), "--count", "5", "--out", str(out)]
+        scn.write_text(_scenario_text())
+        assert run_cli(stream) == 0
+        out.unlink()
+        scn.write_text(text)
+        capsys.readouterr()
+        assert run_cli(stream) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {scn}: {message}"), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("args, name", [
         (["chain", "--p", "5", "--rho", "nan"], "rho0"),
@@ -473,7 +519,13 @@ class TestMonitor:
         assert code == 0
         assert [o["t"] for o in objs if o.get("type") == "change_point"] == [12, 15]
 
-    @pytest.mark.parametrize("bad", ["row-2", 2.5, True], ids=repr)
+    def test_64_bit_t_is_echoed(self, tmp_path, capsys):
+        code, objs, _ = self._identity_monitor(tmp_path, capsys, [-(2**63), 0, 2**64 - 1])
+        assert code == 0
+        assert [o["t"] for o in objs if o.get("type") == "change_point"] == [2**64 - 1]
+
+    # orjson reads an integer outside [-2**63, 2**64) as a float
+    @pytest.mark.parametrize("bad", ["row-2", 2.5, True, 2**64, -(2**63) - 1], ids=repr)
     def test_non_integer_t_names_lineno(self, tmp_path, capsys, bad):
         code, objs, err = self._identity_monitor(tmp_path, capsys, [10, 11, bad, 13])
         assert code == 3
@@ -498,6 +550,35 @@ class TestMonitor:
     def test_csv_row_parses_as_float_property(self, tokens):
         _, x = _parse_row(",".join(tokens), 1, False, orjson)
         assert x.tobytes() == np.array([float(tok) for tok in tokens]).tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-(2**63), 2**64 - 1), st.lists(_JSON_NUMBERS, min_size=1, max_size=6))
+    def test_ndjson_row_parses_as_json_loads_property(self, t, tokens):
+        line = '{"t":%d,"x":[%s]}' % (t, ",".join(tokens))
+        t_out, x = _parse_row(line, 1, True, orjson)
+        want = json.loads(line)  # the standard library's parser, as the reference
+        assert t_out == want["t"]
+        assert x.tobytes() == np.asarray(want["x"], dtype=np.float64).tobytes()
+
+    # orjson rejects the tokens of a non-finite number, and a float past the range
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_ndjson_non_finite_token_is_malformed(self, oracle_setup, capsys, token):
+        tmp, pre, cfg = oracle_setup
+        bad = self._bad_line_17(tmp, True, ["0.1"] * 3 + [token] + ["0.1"] * 6)
+        code = run_cli(["monitor", "--config", str(cfg), "--input", str(bad), "--trace"])
+        assert code == 3
+        assert "line 17: malformed row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["0", "-3"])
+    def test_dimension_below_one_exits_2_before_output(self, tmp_path, capsys, p):
+        rows = tmp_path / "rows.csv"
+        rows.write_text("0.1\n")
+        code = run_cli(["monitor", "--p", p, "--w", "2", "--zeta", "1", "--n_burnin", "2",
+                        "--input", str(rows)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: p must be >= 1, got {p}\n"
 
     @pytest.mark.parametrize("token, ndjson", [
         pytest.param(token, ndjson, id=("ndjson-" if ndjson else "") + token)

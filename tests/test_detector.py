@@ -52,6 +52,12 @@ class TestNewDetector:
         with pytest.raises(InvalidConfig):
             gw.Detector(_oracle_config(zeta=zeta))
 
+    @pytest.mark.parametrize("p", [0, -3])
+    def test_dimension_below_one_rejected(self, p):
+        config = gw.DetectorConfig(p=p, w=2, zeta=1.0, n_burnin=2, batch=None)
+        with pytest.raises(InvalidConfig, match=f"p must be >= 1, got {p}"):
+            gw.Detector(config)
+
     def test_plugin_mode_requires_burnin(self):
         with pytest.raises(InvalidConfig):
             gw.Detector(gw.DetectorConfig(p=5, w=4, zeta=4.0, n_burnin=0, batch=None))
