@@ -18,11 +18,9 @@ from .clime import (
 )
 from .detector import DetectionEvent, Detector, DetectorConfig, run_offline
 from .modelgen import (
-    AssumptionReport,
     ChangeScenario,
     GaussianStream,
     PrecisionMatrix,
-    assess,
     cholesky_factor,
     gen_chain_precision,
     gen_hub_precision,
@@ -35,7 +33,6 @@ from .modelgen import (
 from .statistic import (
     DeviationMatrix,
     change_signal,
-    detectability_margin,
     oracle_statistic,
     plugin_statistic,
     scale_entries,
@@ -51,7 +48,6 @@ from .threshold import (
 
 __all__ = [
     "__version__",
-    "AssumptionReport",
     "ChangeScenario",
     "ClimeConfig",
     "DetectionEvent",
@@ -62,7 +58,6 @@ __all__ = [
     "InnerProductTail",
     "PrecisionEstimate",
     "PrecisionMatrix",
-    "assess",
     "change_signal",
     "cholesky_factor",
     "clime_column",
@@ -71,7 +66,6 @@ __all__ = [
     "critical_value_asymptotic",
     "critical_value_exact",
     "critical_value_union",
-    "detectability_margin",
     "gen_chain_precision",
     "gen_hub_precision",
     "gen_random_sparse",

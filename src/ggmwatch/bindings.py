@@ -19,14 +19,19 @@ finds it there, so each extension is initialised once and
 Such a package does not bind the extension as its attribute
 (``scipy.linalg._fblas`` is then an AttributeError), but every ``from``
 import of it, the form scipy's own modules use, finds it.
+
+:func:`_one_blas_thread` runs ``monitor`` and ``experiment`` on one thread of
+each OpenBLAS numpy and scipy load: threaded products round differently.
 """
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
 import sys
+from contextlib import contextmanager
 from types import ModuleType
 
 # the top-level package only: its __init__ is light, imports no subpackage,
@@ -64,3 +69,37 @@ def scipy_extension(name: str) -> ModuleType:
         del sys.modules[full]
         raise
     return module
+
+
+def _openblas() -> list[tuple]:
+    """``(get, set)`` thread-count functions of every OpenBLAS mapped into this
+    process: the builds numpy and scipy ship, or upstream's. An empty list
+    where there is no ``/proc``."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return []
+    found = []
+    for lib in map(ctypes.CDLL, sorted(paths)):
+        for name in ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
+                     "openblas_%s_num_threads"):
+            if hasattr(lib, name % "set"):
+                found.append((getattr(lib, name % "get"), getattr(lib, name % "set")))
+                break
+    return found
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block (or, as a decorator, each call) with one BLAS thread,
+    then restore the previous counts."""
+    blas = _openblas()
+    before = [get() for get, _ in blas]
+    for _, set_threads in blas:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), n in zip(blas, before):
+            set_threads(n)

@@ -24,6 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .bindings import _one_blas_thread
 from .clime import ClimeConfig
 from .detector import Detector, DetectorConfig
 from .errors import (
@@ -431,6 +432,9 @@ def _chunks(fh):
         yield [tail.decode("utf-8", "surrogateescape")]
 
 
+# on one BLAS thread, as experiment runs: threaded products round differently,
+# and the HiGHS threads of a plug-in fit would contend with spinning BLAS ones
+@_one_blas_thread()
 def cmd_monitor(args, argv: list[str]) -> int:
     import orjson  # only monitor rows use it; imported before the first line is written
 

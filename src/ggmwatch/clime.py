@@ -2,11 +2,16 @@
 
 Column j solves  min |b|_1  s.t.  |S b - e_j|_inf <= lambda  as p ranged rows
 over 2p variables: b = u - v,  min 1'u + 1'v  s.t.  e_j - lambda <= S (u - v)
-<= e_j + lambda,  u, v >= 0.  One fit builds one HiGHS model (presolve and
-logging off) and solves all p columns on it, moving only the bounds of two
-rows between columns. Each solve starts the dual simplex from the logical
-basis u = v = 0, dual feasible for every e_j since every reduced cost is 1, so
-no state crosses columns and no model outlives its fit. Each column carries a
+<= e_j + lambda,  u, v >= 0.  A fit solves its columns on one thread per
+usable core (the CPU affinity, at most p threads); thread k builds one HiGHS
+model of its own (presolve and logging off) and solves the columns
+j = k mod n_threads on it, moving only the bounds of two rows between
+columns. Each solve clears the solver and starts the dual simplex from the
+logical basis u = v = 0, dual feasible for every e_j since every reduced cost
+is 1, so no state crosses columns: a column's bits are a function of
+(S, lambda, j) alone, and do not depend on the thread count or on which
+columns a thread solved before. The fit joins every thread before it returns
+or raises, so no model or thread outlives it. Each column carries a
 duality-gap certificate read from the solution's row duals. Columns are
 symmetrized by the smaller-magnitude rule and optionally projected onto the
 PSD cone by dropping negative eigenvalues.
@@ -15,12 +20,15 @@ PSD cone by dropping negative eigenvalues.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
-from .bindings import scipy_extension
-from .errors import DimensionMismatch, Infeasible, NonFiniteSample, SolverStall
+from . import bindings
+from .errors import DimensionMismatch, GgmWatchError, Infeasible, NonFiniteSample, SolverStall
 from .modelgen import _as_array
 
 __all__ = [
@@ -95,14 +103,23 @@ class _ColumnLPs:
     """The p column programs of one ``(S, lambda)`` on one HiGHS model.
 
     They share the matrix ``[S, -S]``, the costs and the column bounds; only
-    row j's bounds differ. Every solve starts from the logical basis, so no
-    column depends on the ones solved before it.
+    row j's bounds differ. Every solve starts from a cleared solver, so no
+    column depends on the ones solved before it. ``threads`` is HiGHS's
+    option. A thread's first solve starts HiGHS's task scheduler for it, by
+    default with a thread per two cores that a serial dual simplex never
+    uses, so a fit's worker sets 1; 0 accepts a scheduler of any size that
+    the calling thread may already have.
     """
 
-    def __init__(self, s: np.ndarray, lam: float):
+    def __init__(self, s: np.ndarray, lam: float, threads: int = 0):
         # HiGHS's own binding, private to scipy but shipped inside it, loaded at
         # the first fit and without the scipy.optimize package around it
-        core = scipy_extension("optimize._highspy._core")
+        try:
+            core = bindings.scipy_extension("optimize._highspy._core")
+        except ImportError as exc:
+            raise GgmWatchError(
+                f"scipy {scipy.__version__} has no usable HiGHS binding: {exc}"
+            ) from None
 
         p = s.shape[0]
         a = np.hstack((s, -s))
@@ -126,6 +143,7 @@ class _ColumnLPs:
         self._highs.setOptionValue("output_flag", False)
         # presolve reduces nothing on a dense S, and costs a quarter of the solve
         self._highs.setOptionValue("presolve", "off")
+        self._highs.setOptionValue("threads", threads)
         self._highs.passModel(lp)
         self._row = 0  # the row holding e_j's bounds; row 0 is unmoved before a solve
         self.statuses = core.HighsModelStatus
@@ -133,7 +151,7 @@ class _ColumnLPs:
         self.lam = lam
 
     def solve(self, j: int):
-        """Move the ranged row to ``e_j`` and solve from the logical basis.
+        """Move the ranged row to ``e_j`` and solve from a cleared solver.
 
         Returns ``(status, objective, x, row_dual)``.
         """
@@ -141,7 +159,9 @@ class _ColumnLPs:
         highs.changeRowBounds(self._row, -lam, lam)
         highs.changeRowBounds(j, 1.0 - lam, 1.0 + lam)
         self._row = j
-        highs.setBasis()  # the logical basis: u = v = 0, dual feasible for any e_j
+        # the logical basis u = v = 0, dual feasible for any e_j, and none of the
+        # state a previous solve leaves, which can change the pivots and so the bits
+        highs.clearSolver()
         highs.run()
         sol = highs.getSolution()
         return (
@@ -152,8 +172,15 @@ class _ColumnLPs:
         )
 
 
-# the model of the fit in progress; clime_estimate sets it and always drops it
-_fit: _ColumnLPs | None = None
+# ``_local.fit``: the model of the fit in progress on this thread, which
+# clime_estimate sets in each of its threads and always drops
+_local = threading.local()
+
+
+def _n_threads(p: int) -> int:
+    """Threads for a fit of ``p`` columns: one per usable core, at most ``p``."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cores or 1, p))
 
 
 def clime_column(
@@ -161,8 +188,8 @@ def clime_column(
 ) -> np.ndarray:
     """Solve one column program; returns the minimizing coefficient vector.
 
-    Inside :func:`clime_estimate` the column is solved on that fit's model,
-    any other call on a model of its own; both give the same bits.
+    Inside :func:`clime_estimate` the column is solved on its thread's model
+    of that fit, any other call on a model of its own; both give the same bits.
 
     Raises
     ------
@@ -179,7 +206,7 @@ def clime_column(
         raise IndexError(f"column index {j} out of range for p={p}")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    lp = _fit
+    lp = getattr(_local, "fit", None)
     if lp is None or lp.s is not s_hat or lp.lam != lam:
         lp = _ColumnLPs(s, lam)
     status, fun, x, row_dual = lp.solve(j)
@@ -216,9 +243,10 @@ def clime_estimate(samples, config: ClimeConfig = ClimeConfig()) -> PrecisionEst
     """Fit all columns, symmetrize by smaller magnitude, optionally project.
 
     The symmetrization keeps, for each (i, j), whichever of the two column
-    solutions has the smaller magnitude at that entry. Raises
-    :class:`~ggmwatch.errors.NonFiniteSample` when the samples are so large
-    that their second moment overflows.
+    solutions has the smaller magnitude at that entry. A failed column raises
+    the error :func:`clime_column` raises for it, the lowest such column's
+    when several fail. Raises :class:`~ggmwatch.errors.NonFiniteSample` when
+    the samples are so large that their second moment overflows.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -229,13 +257,39 @@ def clime_estimate(samples, config: ClimeConfig = ClimeConfig()) -> PrecisionEst
         raise NonFiniteSample("sample covariance is not finite; values too large")
     lam = config.resolve_lambda(p, n)
     cols = np.empty((p, p))
-    global _fit
-    _fit = _ColumnLPs(s, lam)
+    n_threads = _n_threads(p)
+    failures: list[tuple[int, Exception]] = []  # (column, its error), one per thread at most
+
+    def solve_share(k: int, lp: _ColumnLPs | None = None) -> None:
+        """Solve columns k, k + n_threads, ... in order, up to the first that
+        fails or one past a column another thread saw fail."""
+        j = k
+        try:
+            _local.fit = _ColumnLPs(s, lam, threads=1) if lp is None else lp
+            for j in range(k, p, n_threads):
+                if any(j > failed for failed, _ in failures):
+                    break
+                # looked up at call time, so that a wrapped clime_column is the one called
+                cols[:, j] = clime_column(s, j, lam, config.lp_tolerance)
+        except Exception as exc:
+            failures.append((j, exc))
+        finally:
+            _local.fit = None
+
+    # this thread loads the binding (once) and builds its model before any worker starts
+    first = _ColumnLPs(s, lam)
+    workers: list[threading.Thread] = []
     try:
-        for j in range(p):
-            cols[:, j] = clime_column(s, j, lam, config.lp_tolerance)
+        for k in range(1, n_threads):
+            worker = threading.Thread(target=solve_share, args=(k,))
+            worker.start()
+            workers.append(worker)
+        solve_share(0, first)
     finally:
-        _fit = None
+        for worker in workers:
+            worker.join()
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
     gap = float(np.abs(s @ cols - np.eye(p)).max(axis=0).max() - lam)
     picked = np.where(np.abs(cols) <= np.abs(cols.T), cols, cols.T)
     omega = np.triu(picked) + np.triu(picked, 1).T

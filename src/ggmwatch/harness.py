@@ -30,17 +30,16 @@ at desk-scale replicate counts, and every draw serves all of them.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from . import __version__, kernels
+from .bindings import _one_blas_thread, _openblas
 from .clime import clime_estimate, normalized_error
 from .errors import InvalidConfig
 from .modelgen import (
@@ -136,25 +135,6 @@ def _upper_quantile(values: np.ndarray, pi0: float) -> float:
     return float(np.sort(values)[k - 1])
 
 
-def _openblas() -> list[tuple]:
-    """``(get, set)`` thread-count functions of every OpenBLAS mapped into this
-    process: the builds numpy and scipy ship, or upstream's. An empty list
-    where there is no ``/proc``."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
-    except OSError:
-        return []
-    found = []
-    for lib in map(ctypes.CDLL, sorted(paths)):
-        for name in ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
-                     "openblas_%s_num_threads"):
-            if hasattr(lib, name % "set"):
-                found.append((getattr(lib, name % "get"), getattr(lib, name % "set")))
-                break
-    return found
-
-
 def _single_blas_thread() -> None:
     """Pool initializer: one BLAS thread per worker. A forked worker inherits
     the pin of its runner, but one started without fork (spawn, or
@@ -162,21 +142,6 @@ def _single_blas_thread() -> None:
     default thread count."""
     for _, set_threads in _openblas():
         set_threads(1)
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block (or, as a decorator, each call) with one BLAS thread,
-    then restore the previous counts."""
-    blas = _openblas()
-    before = [get() for get, _ in blas]
-    for _, set_threads in blas:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for (_, set_threads), n in zip(blas, before):
-            set_threads(n)
 
 
 def _map_cells(worker, ctxs: list[dict], n: int, jobs: int) -> list[list]:

@@ -20,12 +20,10 @@ dpotrs = scipy_extension("linalg._flapack").dpotrs
 
 __all__ = [
     "PrecisionMatrix",
-    "AssumptionReport",
     "ChangeScenario",
     "GaussianStream",
     "cholesky_factor",
     "invert_spd",
-    "assess",
     "gen_chain_precision",
     "gen_random_sparse",
     "gen_hub_precision",
@@ -65,16 +63,6 @@ class PrecisionMatrix:
     def sigma(self) -> np.ndarray:
         """The implied covariance matrix (the inverse)."""
         return invert_spd(self.entries)
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Observed regularity figures of a precision matrix: maximum row support
-    size, smallest eigenvalue, and largest standardized off-diagonal entry."""
-
-    d_max_observed: int
-    lambda_min: float
-    r_max_observed: float
 
 
 @dataclass(frozen=True)
@@ -148,19 +136,6 @@ def invert_spd(m) -> np.ndarray:
     if not np.isfinite(inv).all():
         raise NotPositiveDefinite("Matrix is not positive definite: its inverse is not finite")
     return inv
-
-
-def assess(omega: PrecisionMatrix, zero_tol: float = 1e-12) -> AssumptionReport:
-    """Measure row support, smallest eigenvalue and standardized off-diagonal size."""
-    e = omega.entries
-    d_max = int((np.abs(e) > zero_tol).sum(axis=1).max())
-    lam_min = float(np.linalg.eigvalsh(e)[0])
-    d = e.diagonal()
-    off = np.abs(e) / np.sqrt(np.outer(d, d))
-    np.fill_diagonal(off, 0.0)
-    return AssumptionReport(
-        d_max_observed=d_max, lambda_min=lam_min, r_max_observed=float(off.max())
-    )
 
 
 def gen_chain_precision(p: int, rho0: float) -> PrecisionMatrix:

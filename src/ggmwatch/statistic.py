@@ -13,7 +13,6 @@ precision matrix to the plug-in gives bit-identical output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "oracle_statistic",
     "plugin_statistic",
     "change_signal",
-    "detectability_margin",
 ]
 
 
@@ -94,24 +92,3 @@ def change_signal(omega_pre: PrecisionMatrix, sigma_post: np.ndarray) -> Deviati
         )
     e = (om @ sig @ om - om) * scale_entries(om)
     return DeviationMatrix(entries=e, sup_norm=float(np.abs(e).max()))
-
-
-def detectability_margin(
-    signal: DeviationMatrix,
-    zeta: float,
-    p: int,
-    w: int,
-    d_max: int,
-    alpha_min: float,
-    slack_coeff: float,
-) -> float:
-    """Signed slack of the sufficient detection condition.
-
-    ``margin = |signal| - sqrt(zeta^2 / w) - slack_coeff * (d_max^2 / alpha_min) * sqrt(log p / w)``.
-    A positive margin is a diagnostic that the change is comfortably
-    detectable for the supplied constant, not a guarantee.
-    """
-    if w < 1:
-        raise ValueError("w must be >= 1")
-    penalty = slack_coeff * (d_max**2 / alpha_min) * math.sqrt(math.log(p) / w)
-    return signal.sup_norm - math.sqrt(zeta * zeta / w) - penalty

@@ -19,6 +19,7 @@ import ggmwatch as gw
 import ggmwatch.cli as cli_module
 import ggmwatch.detector as detector_module
 import ggmwatch.harness as harness_module
+from ggmwatch.bindings import _openblas
 from ggmwatch.cli import _parse_row, main
 from ggmwatch.errors import Infeasible
 from ggmwatch.iofmt import read_matrix
@@ -911,6 +912,84 @@ class TestMonitor:
         cfg.write_text("p=4\nw=4\nn_burnin=12\nclime_center=1\nclime_psd_project=0\n")
         assert run_cli(["monitor", "--config", str(cfg), "--input", str(rows),
                         "--clime_center", "0", "--clime_psd_project", "1"]) == 0
+
+
+    def test_stdout_independent_of_blas_threads_subprocess(self, tmp_path, capsys):
+        # the exact steps' Gram products round differently on two BLAS threads
+        # unless the whole run is pinned: 3 of 1087 lines moved before it was
+        pre, post, sc = (str(tmp_path / name) for name in ("pre.txt", "post.txt", "sc.json"))
+        for args in (["gen", "sparse", "--p", "100", "--density", "0.05", "--seed", "3",
+                      "--out", pre],
+                     ["gen", "change", "--matrix", pre, "--kind", "block", "--s", "2",
+                      "--beta", "3", "--out", post],
+                     ["gen", "scenario", "--pre", pre, "--post", post, "--t0", "1000",
+                      "--burnin", "0", "--horizon", "2000", "--out", sc],
+                     ["gen", "stream", "--scenario", sc, "--seed", "1", "--count", "2000",
+                      "--out", str(tmp_path / "rows.csv")]):
+            assert run_cli(args) == 0
+        outs = []
+        for threads in ("1", "2"):
+            cmd = [sys.executable, "-m", "ggmwatch.cli", "monitor", "--oracle_matrix", "pre.txt",
+                   "--w", "50", "--pi0", "0.05", "--trace", "--input", "rows.csv"]
+            env = dict(SRC_ENV, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(cmd, check=True, capture_output=True, env=env, cwd=tmp_path)
+            outs.append(proc.stdout.split(b"\n", 1)[1])  # after the manifest
+        assert outs[0] == outs[1]
+        assert outs[0].count(b"change_point") > 0
+
+    def test_runs_on_one_blas_thread_and_restores_the_count(self, oracle_setup, monkeypatch,
+                                                            capsys):
+        tmp, pre, cfg = oracle_setup
+        rows = tmp / "rows.csv"
+        np.savetxt(rows, np.random.default_rng(8).standard_normal((40, 10)), delimiter=",")
+        blas = _openblas()
+        assert blas  # numpy and scipy each load an OpenBLAS
+        before = [get() for get, _ in blas]
+        parse, during = cli_module._parse_row, []
+
+        def recorded(*args):
+            during.append([get() for get, _ in blas])
+            return parse(*args)
+
+        monkeypatch.setattr(cli_module, "_parse_row", recorded)
+        for _, set_threads in blas:
+            set_threads(2)
+        try:
+            assert run_cli(["monitor", "--config", str(cfg), "--input", str(rows)]) == 0
+            assert [get() for get, _ in blas] == [2] * len(blas)
+        finally:
+            for (_, set_threads), n in zip(blas, before):
+                set_threads(n)
+        assert len(during) == 40
+        assert all(counts == [1] * len(blas) for counts in during)
+
+    def test_missing_highs_binding_exits_2_subprocess(self, tmp_path):
+        rows = tmp_path / "rows.csv"
+        np.savetxt(rows, np.random.default_rng(2).standard_normal((20, 4)), delimiter=",")
+        code = (
+            "import sys, ggmwatch.bindings as b\n"
+            "load = b.scipy_extension\n"
+            "def without_highs(name):\n"
+            "    if name == 'optimize._highspy._core':\n"
+            "        raise ImportError('no extension module scipy.' + name)\n"
+            "    return load(name)\n"
+            "b.scipy_extension = without_highs\n"
+            "from ggmwatch.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "monitor", "--p", "4", "--w", "4", "--n_burnin", "12",
+             "--input", str(rows), "--trace"],
+            capture_output=True, text=True, env=SRC_ENV, timeout=120,
+        )
+        assert proc.returncode == 2
+        import scipy
+
+        assert proc.stderr.splitlines() == [
+            f"error: scipy {scipy.__version__} has no usable HiGHS binding: "
+            "no extension module scipy.optimize._highspy._core"
+        ]
+        assert [o["type"] for o in strict_ndjson(proc.stdout)] == ["run_manifest"]
 
 
 class TestExperiment:

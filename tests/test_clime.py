@@ -1,18 +1,30 @@
+import gc
 import os
 import subprocess
 import sys
+import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from numpy.random import Generator, Philox
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
 import ggmwatch as gw
+import ggmwatch.bindings as bindings
 import ggmwatch.clime as clime_module
-from ggmwatch.errors import DimensionMismatch, Infeasible, NonFiniteSample, SolverStall
+from ggmwatch.errors import (
+    DimensionMismatch,
+    GgmWatchError,
+    Infeasible,
+    NonFiniteSample,
+    SolverStall,
+)
 
+from conftest import SRC_ENV
 from lp_bruteforce import clime_column_bruteforce
 
 
@@ -223,13 +235,41 @@ def _record_columns(monkeypatch):
     return calls
 
 
+def _track_fit(monkeypatch):
+    """Record a weak reference to every HiGHS model built and every thread
+    started from now on."""
+    models, threads = [], []
+    init, start = clime_module._ColumnLPs.__init__, threading.Thread.start
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        models.append(weakref.ref(self))
+
+    def tracked_start(self):
+        threads.append(self)
+        start(self)
+
+    monkeypatch.setattr(clime_module._ColumnLPs, "__init__", tracked_init)
+    monkeypatch.setattr(threading.Thread, "start", tracked_start)
+    return models, threads
+
+
+def _assert_nothing_outlives(models, threads, before):
+    """No worker thread runs and no model is held once a fit has ended."""
+    assert threading.enumerate() == before
+    assert not any(t.is_alive() for t in threads)
+    assert getattr(clime_module._local, "fit", None) is None
+    gc.collect()
+    assert models and all(ref() is None for ref in models)
+
+
 _FITS = [(200, 12, 0.05), (40, 20, 0.1), (60, 15, 0.0), (6, 10, 0.5)]  # last: N < p, rank 6
 
 
 class TestWarmStartedFit:
-    """One HiGHS model per fit, through scipy's private binding: a scipy
-    upgrade that moves or changes it fails here. Every column starts from the
-    logical basis."""
+    """One HiGHS model per thread, through scipy's private binding: a scipy
+    upgrade that moves or changes it fails here. Every column starts from a
+    cleared solver, so its bits are a function of (S, lambda, j) alone."""
 
     def test_binding_importable(self):
         from scipy.optimize._highspy._core import _Highs
@@ -243,7 +283,7 @@ class TestWarmStartedFit:
         calls = _record_columns(monkeypatch)
         gw.clime_estimate(xs, cfg)
         s = calls[0][0]
-        assert [c[1] for c in calls] == list(range(p))
+        assert sorted(c[1] for c in calls) == list(range(p))  # each column solved once
         if n < p:
             assert np.linalg.matrix_rank(s) == n
         for _, j, _, beta in calls:
@@ -255,40 +295,186 @@ class TestWarmStartedFit:
 
     @pytest.mark.parametrize("n, p, lam", _FITS)
     def test_columns_independent_of_order(self, monkeypatch, n, p, lam):
-        # a column is a function of (S, lambda, j) alone: the fit's forward
-        # solves, reverse solves on one model and one-shot solves agree bitwise
+        # a column is a function of (S, lambda, j) alone: the fit's solves,
+        # reverse solves on one model and one-shot solves agree bitwise
         xs = Generator(Philox(key=300 + n + p)).standard_normal((n, p))
         calls = _record_columns(monkeypatch)
         gw.clime_estimate(xs, gw.ClimeConfig(lambda_rule="fixed", lambda_level=lam))
         s = calls[0][0]
-        forward = [c[3] for c in calls]
-        monkeypatch.setattr(clime_module, "_fit", clime_module._ColumnLPs(s, lam))
+        fitted = {c[1]: c[3] for c in calls}
+        monkeypatch.setattr(clime_module._local, "fit", clime_module._ColumnLPs(s, lam),
+                            raising=False)
         reverse = {j: gw.clime_column(s, j, lam) for j in reversed(range(p))}
-        monkeypatch.setattr(clime_module, "_fit", None)
+        monkeypatch.setattr(clime_module._local, "fit", None)
         for j in range(p):
-            assert np.array_equal(forward[j], reverse[j])
-            assert np.array_equal(forward[j], gw.clime_column(s.copy(), j, lam))
+            assert np.array_equal(fitted[j], reverse[j])
+            assert np.array_equal(fitted[j], gw.clime_column(s.copy(), j, lam))
+
+    def test_column_after_others_matches_one_shot(self):
+        # without a cleared solver, column 24 of this fit took 31 simplex
+        # iterations, not 30, after column 5 on the same model, and moved by
+        # 4.3e-15; a solve on a model of its own took 30
+        p = 50
+        xs = Generator(Philox(key=p)).standard_normal((2 * p, p))
+        s = gw.sample_covariance(xs)
+        lam = gw.ClimeConfig().resolve_lambda(p, 2 * p)
+        one_shot = gw.clime_column(s, 24, lam)
+        for history in ([5], range(0, 24, 2), range(12, 24)):
+            model = clime_module._ColumnLPs(s, lam)
+            for j in history:
+                model.solve(j)
+            assert np.array_equal(model.solve(24)[2], clime_module._ColumnLPs(s, lam).solve(24)[2])
+            assert np.array_equal(gw.sample_covariance(xs), s)
+        assert np.array_equal(one_shot, gw.clime_column(s.copy(), 24, lam))
+
+    @pytest.mark.parametrize("n, p, lam", _FITS + [(100, 50, 0.05)])
+    def test_bits_independent_of_thread_count(self, monkeypatch, n, p, lam):
+        xs = Generator(Philox(key=300 + n + p)).standard_normal((n, p))
+        cfg = gw.ClimeConfig(lambda_rule="fixed", lambda_level=lam)
+        fits = []
+        for count in (1, 2, 3, p):
+            monkeypatch.setattr(clime_module, "_n_threads", lambda p, count=count: count)
+            fits.append(gw.clime_estimate(xs, cfg))
+        for fit in fits[1:]:
+            assert np.array_equal(fit.omega_hat, fits[0].omega_hat)
+            assert fit.feasibility_gap == fits[0].feasibility_gap
+
+    def test_concurrent_fits_under_fast_switching(self, monkeypatch):
+        # more threads than cores, switching every microsecond, and three fits
+        # at once from three caller threads: every column is solved once, on
+        # its own fit's models, and every estimate has the one-thread bits
+        cfg = gw.ClimeConfig(lambda_rule="fixed", lambda_level=0.1)
+        samples = [Generator(Philox(key=500 + k)).standard_normal((60, 24)) for k in range(3)]
+        monkeypatch.setattr(clime_module, "_n_threads", lambda p: 1)
+        serial = [gw.clime_estimate(xs, cfg).omega_hat for xs in samples]
+        monkeypatch.setattr(clime_module, "_n_threads", lambda p: 7)
+        calls = _record_columns(monkeypatch)
+        results = [None] * 3
+
+        def fit(k):
+            results[k] = gw.clime_estimate(samples[k], cfg).omega_hat
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=fit, args=(k,)) for k in range(3)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for k in range(3):
+            assert np.array_equal(results[k], serial[k])
+        columns = {}  # one S per fit
+        for s_hat, j, _, _ in calls:
+            columns.setdefault(id(s_hat), []).append(j)
+        assert len(columns) == 3
+        assert all(sorted(js) == list(range(24)) for js in columns.values())
+
+    def test_thread_count_follows_affinity(self):
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert clime_module._n_threads(1000) == cores
+        assert clime_module._n_threads(1) == 1
 
     def test_rank_one_infeasible_partway(self, monkeypatch):
         xs = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])  # S = diag(1, 0, 0)
-        calls = _record_columns(monkeypatch)
-        with pytest.raises(Infeasible):
+        with pytest.raises(Infeasible) as serial:  # what the serial loop raised: column 1's error
+            gw.clime_column(np.diag([1.0, 0.0, 0.0]), 1, 0.0)
+        assert str(serial.value) == "column 1 infeasible at lambda=0.0"
+        for n_threads in (1, 2, 3):
+            with monkeypatch.context() as patch:
+                patch.setattr(clime_module, "_n_threads", lambda p: n_threads)
+                calls = _record_columns(patch)
+                models, threads = _track_fit(patch)
+                before = threading.enumerate()
+                with pytest.raises(Infeasible) as raised:
+                    gw.clime_estimate(xs, gw.ClimeConfig(lambda_rule="fixed", lambda_level=0.0))
+            assert type(raised.value) is Infeasible
+            assert str(raised.value) == str(serial.value)
+            solved = {c[1]: c[3] for c in calls}
+            assert set(solved) == {0}  # columns 1 and 2 raised, or 2 was never begun
+            assert_allclose(solved[0], [1.0, 0.0, 0.0], atol=1e-9)
+            assert len(threads) == n_threads - 1
+            del raised
+            _assert_nothing_outlives(models, threads, before)
+
+    def test_failure_in_another_threads_share_raises(self, monkeypatch):
+        # S = diag(1/3, 1/3, 1/3, 0): only column 3 fails, and with two threads
+        # it is the worker's, while this thread solves columns 0 and 2
+        xs = np.vstack((np.eye(4)[:3], -np.eye(4)[:3]))
+        monkeypatch.setattr(clime_module, "_n_threads", lambda p: 2)
+        column, solvers = clime_module.clime_column, {}
+
+        def recorded(s_hat, j, lam, lp_tolerance=1e-6):
+            solvers[j] = threading.get_ident()
+            return column(s_hat, j, lam, lp_tolerance)
+
+        monkeypatch.setattr(clime_module, "clime_column", recorded)
+        with pytest.raises(Infeasible) as raised:
             gw.clime_estimate(xs, gw.ClimeConfig(lambda_rule="fixed", lambda_level=0.0))
-        assert [c[1] for c in calls] == [0]  # column 0 solved, column 1 raised
-        assert_allclose(calls[0][3], [1.0, 0.0, 0.0], atol=1e-9)
-        assert clime_module._fit is None
+        assert type(raised.value) is Infeasible
+        assert str(raised.value) == "column 3 infeasible at lambda=0.0"
+        assert solvers[0] == solvers[2] == threading.get_ident() != solvers[3] == solvers[1]
 
     def test_model_scoped_to_one_fit(self, monkeypatch):
         cfg = gw.ClimeConfig(lambda_rule="fixed", lambda_level=0.1, psd_project=False)
         rng = Generator(Philox(key=41))
+        monkeypatch.setattr(clime_module, "_n_threads", lambda p: 3)
+        models, threads = _track_fit(monkeypatch)
+        before = threading.enumerate()
         gw.clime_estimate(rng.standard_normal((50, 8)), cfg)
-        assert clime_module._fit is None
+        assert len(models) == 3 and len(threads) == 2
+        _assert_nothing_outlives(models, threads, before)
         # same lambda, another S: every column equals its own one-shot solve
         calls = _record_columns(monkeypatch)
         gw.clime_estimate(rng.standard_normal((50, 8)), cfg)
-        assert clime_module._fit is None
+        _assert_nothing_outlives(models, threads, before)
         for s, j, lam, beta in calls:
             assert np.array_equal(beta, gw.clime_column(s.copy(), j, lam))
+
+    def test_missing_binding_fails_the_fit_in_this_thread(self, monkeypatch):
+        load = bindings.scipy_extension
+
+        def without_highs(name):
+            if name == "optimize._highspy._core":
+                raise ImportError("no extension module scipy.optimize._highspy._core")
+            return load(name)
+
+        monkeypatch.setattr(bindings, "scipy_extension", without_highs)
+        models, threads = _track_fit(monkeypatch)
+        with pytest.raises(GgmWatchError) as raised:
+            gw.clime_estimate(np.random.default_rng(5).standard_normal((30, 6)))
+        assert type(raised.value) is GgmWatchError
+        assert f"scipy {scipy.__version__}" in str(raised.value)
+        assert "HiGHS" in str(raised.value)
+        assert threads == [] and models == []
+
+
+_FIRST_FIT = """
+import sys, threading
+import numpy as np
+import ggmwatch.bindings as bindings
+import ggmwatch.clime as clime
+load, loads = bindings.scipy_extension, []
+
+def recorded(name):
+    if "scipy." + name not in sys.modules:
+        loads.append((name, threading.current_thread() is threading.main_thread()))
+    return load(name)
+
+bindings.scipy_extension = recorded
+clime._n_threads = lambda p: 3
+clime.clime_estimate(np.random.default_rng(2).standard_normal((40, 9)))
+print(loads)
+"""
+
+
+def test_first_fit_loads_the_binding_once_from_the_calling_thread():
+    proc = subprocess.run([sys.executable, "-c", _FIRST_FIT], capture_output=True, text=True,
+                          env=SRC_ENV, check=True, timeout=120)
+    assert proc.stdout.split("\n")[0] == "[('optimize._highspy._core', True)]"
 
 
 class TestPsdProject:

@@ -189,26 +189,3 @@ class TestChangeSignal:
     def test_dimension_mismatch(self, chain5):
         with pytest.raises(DimensionMismatch):
             gw.change_signal(chain5, np.eye(4))
-
-
-class TestDetectabilityMargin:
-    def test_zero_signal_is_negative(self, chain5, chain5_cov):
-        sig = gw.change_signal(chain5, chain5_cov)
-        zeta = gw.critical_value(0.05, 5, 20, method="asymptotic")
-        assert gw.detectability_margin(sig, zeta, 5, 20, 2, 0.5, 1.0) < 0
-
-    def test_boundary_zero(self):
-        zeta = gw.critical_value(0.05, 100, 50, method="asymptotic")
-        sig = gw.DeviationMatrix(entries=np.zeros((100, 100)), sup_norm=zeta / math.sqrt(50))
-        assert gw.detectability_margin(sig, zeta, 100, 50, 3, 1.0, 0.0) == pytest.approx(
-            0.0, abs=1e-14
-        )
-
-    def test_arithmetic_case(self):
-        # independent arithmetic: 2 - sqrt(4.44^2/150) - 1*(25/0.5)*sqrt(log(100)/150)
-        sig = gw.DeviationMatrix(entries=np.zeros((100, 100)), sup_norm=2.0)
-        expect = 2.0 - math.sqrt(4.44**2 / 150.0) - 1.0 * (25.0 / 0.5) * math.sqrt(
-            math.log(100.0) / 150.0
-        )
-        got = gw.detectability_margin(sig, 4.44, 100, 150, 5, 0.5, 1.0)
-        assert got == pytest.approx(expect, abs=1e-14)
