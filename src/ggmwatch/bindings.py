@@ -1,11 +1,13 @@
-"""scipy's compiled bindings, loaded without their parent packages.
+"""The program's contract with compiled scipy and OpenBLAS, in one module.
 
-ggmwatch calls four of scipy's extension modules directly: HiGHS's own
-binding ``scipy.optimize._highspy._core`` for the CLIME column LPs, the
-f2py wrappers ``scipy.linalg._fblas`` (``dspr``, ``idamax``, ``ddot``) and
-``scipy.linalg._flapack`` (``dpotrs``), and ``scipy.special._special_ufuncs``
-(``erfc``, ``gammaln``, ``gammaincinv``, ``gammainccinv``) for the critical
-values. The last holds the very ufunc objects ``scipy.special`` exports;
+ggmwatch calls four of scipy's private extension modules, and only this
+module names them: :data:`fblas` (``scipy.linalg._fblas``: ``dspr``,
+``idamax``, ``ddot``), :data:`flapack` (``scipy.linalg._flapack``: ``dpotrs``)
+and :data:`special_ufuncs` (``scipy.special._special_ufuncs``: ``erfc``,
+``gammaln``, ``gammaincinv``, ``gammainccinv``), loaded with this module, and
+HiGHS's ``scipy.optimize._highspy._core``, which :func:`highs` loads at the
+first CLIME fit. The ufunc module holds the very ufunc objects
+``scipy.special`` exports;
 ``scipy.special._ufuncs``, where most other ufuncs live, cannot be loaded
 this way: its initialisation needs the ``scipy.special`` package. An ordinary
 import of one of them first runs ``scipy.optimize``'s, ``scipy.linalg``'s or
@@ -20,8 +22,10 @@ Such a package does not bind the extension as its attribute
 (``scipy.linalg._fblas`` is then an AttributeError), but every ``from``
 import of it, the form scipy's own modules use, finds it.
 
-:func:`_one_blas_thread` runs ``monitor`` and ``experiment`` on one thread of
-each OpenBLAS numpy and scipy load: threaded products round differently.
+Threaded BLAS products round differently. :func:`_one_blas_thread` runs a
+block on one thread of each loaded OpenBLAS, and the two entry points,
+``cli.main`` and ``harness.run_experiment``, run in it;
+:func:`_single_blas_thread` pins a process-pool worker.
 """
 
 from __future__ import annotations
@@ -38,7 +42,9 @@ from types import ModuleType
 # and readies the bundled BLAS where a platform needs that done first
 import scipy
 
-__all__ = ["scipy_extension"]
+from .errors import GgmWatchError
+
+__all__ = ["scipy_extension", "fblas", "flapack", "special_ufuncs", "highs"]
 
 
 def scipy_extension(name: str) -> ModuleType:
@@ -69,6 +75,23 @@ def scipy_extension(name: str) -> ModuleType:
         del sys.modules[full]
         raise
     return module
+
+
+fblas = scipy_extension("linalg._fblas")  # the functions scipy.linalg.blas exports
+flapack = scipy_extension("linalg._flapack")  # and scipy.linalg.lapack
+special_ufuncs = scipy_extension("special._special_ufuncs")
+
+
+def highs() -> ModuleType:
+    """HiGHS's binding ``scipy.optimize._highspy._core``, loaded at the first
+    call. Raises one GgmWatchError naming the scipy version where the file
+    cannot be loaded: it has no public equivalent."""
+    try:
+        return scipy_extension("optimize._highspy._core")
+    except ImportError as exc:
+        raise GgmWatchError(
+            f"scipy {scipy.__version__} has no usable HiGHS binding: {exc}"
+        ) from None
 
 
 def _openblas() -> list[tuple]:
@@ -103,3 +126,12 @@ def _one_blas_thread():
     finally:
         for (_, set_threads), n in zip(blas, before):
             set_threads(n)
+
+
+def _single_blas_thread() -> None:
+    """Pool initializer: one BLAS thread per worker. A forked worker inherits
+    the pin of its parent, but one started without fork (spawn, or
+    forkserver, the default from Python 3.14) loads BLAS afresh at its
+    default thread count."""
+    for _, set_threads in _openblas():
+        set_threads(1)

@@ -319,6 +319,8 @@ def _monitor_settings(args) -> dict:
         override = getattr(args, key)
         if override is not None:
             settings[key] = override
+    if settings["oracle_matrix"] == "":  # not plug-in mode: that is the key left out
+        raise ValueError("oracle_matrix is empty; name a matrix file, or leave the key out")
     return settings
 
 
@@ -432,9 +434,6 @@ def _chunks(fh):
         yield [tail.decode("utf-8", "surrogateescape")]
 
 
-# on one BLAS thread, as experiment runs: threaded products round differently,
-# and the HiGHS threads of a plug-in fit would contend with spinning BLAS ones
-@_one_blas_thread()
 def cmd_monitor(args, argv: list[str]) -> int:
     import orjson  # only monitor rows use it; imported before the first line is written
 
@@ -531,7 +530,10 @@ def main(argv: list[str] | None = None) -> int:
     commands = {"gen": cmd_gen, "threshold": cmd_threshold, "monitor": cmd_monitor,
                 "experiment": cmd_experiment}
     try:
-        return commands[args.command](args, argv)
+        # threaded BLAS products round differently, and a plug-in fit's HiGHS
+        # threads would contend with spinning BLAS ones
+        with _one_blas_thread():
+            return commands[args.command](args, argv)
     except (DataError, GgmWatchError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR if isinstance(exc, DataError) else CONFIG_ERROR

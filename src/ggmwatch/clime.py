@@ -25,10 +25,9 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import bindings
-from .errors import DimensionMismatch, GgmWatchError, Infeasible, NonFiniteSample, SolverStall
+from .errors import DimensionMismatch, Infeasible, NonFiniteSample, SolverStall
 from .modelgen import _as_array
 
 __all__ = [
@@ -112,15 +111,7 @@ class _ColumnLPs:
     """
 
     def __init__(self, s: np.ndarray, lam: float, threads: int = 0):
-        # HiGHS's own binding, private to scipy but shipped inside it, loaded at
-        # the first fit and without the scipy.optimize package around it
-        try:
-            core = bindings.scipy_extension("optimize._highspy._core")
-        except ImportError as exc:
-            raise GgmWatchError(
-                f"scipy {scipy.__version__} has no usable HiGHS binding: {exc}"
-            ) from None
-
+        core = bindings.highs()
         p = s.shape[0]
         a = np.hstack((s, -s))
         nonzero = (a != 0).T  # column-major pattern, as a CSC matrix drops zeros

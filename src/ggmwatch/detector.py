@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bindings import scipy_extension
+from .bindings import fblas
 from .clime import ClimeConfig, clime_estimate
 from .errors import (
     DimensionMismatch,
@@ -49,7 +49,7 @@ from .kernels import RollingSupnorm
 from .modelgen import PrecisionMatrix
 from .statistic import oracle_statistic, plugin_statistic, scale_entries
 
-ddot = scipy_extension("linalg._fblas").ddot
+ddot = fblas.ddot
 
 __all__ = ["DetectorConfig", "DetectionEvent", "Detector", "run_offline"]
 

@@ -1,7 +1,9 @@
 """Seeded Monte Carlo experiment drivers.
 
-Replicate ``r`` of any experiment draws from a Philox stream keyed by
-``sha256(master_seed | tag | ... | r)``, so results are reproducible
+:func:`run_experiment` is the way in: it runs the experiment an
+:class:`ExperimentConfig` (one of :data:`PRESETS`, say) names with ``jobs``
+workers. Replicate ``r`` of any experiment draws from a Philox stream keyed
+by ``sha256(master_seed | tag | ... | r)``, so results are reproducible
 bit-for-bit for a given ``(config, master_seed)`` at any worker count.
 Every experiment follows one recipe: draw a model (``_sparse_model``, or the
 chain model for false-alarm calibration), take its covariance factor
@@ -15,12 +17,12 @@ triple. It draws each replicate once, at the group's largest ``w``, and
 returns the sup-norm of every cell's first window (calibration and power,
 through ``_first_windows``); it holds ``_SUB`` replicates' draws at a time.
 ``_path_chunk`` returns one path's sliding sup-norm trajectory (delay
-profile and its no-change control). The runners reduce each cell's chunk results, in chunk order, to
-rates, delays and trajectories. Each runner runs all of it, in this process
-and in the workers, on one BLAS thread (restored afterwards), whether it is
-called directly or through ``run_experiment``: threaded Gram products round
-differently, so results depend only on the config and master seed, not on
-``--jobs`` or the BLAS setting.
+profile and its no-change control). The runner of each kind (``_RUNNERS``)
+reduces each cell's chunk results, in chunk order, to rates, delays and
+trajectories. ``run_experiment`` runs all of it, in this process and in the
+workers, on one BLAS thread (restored afterwards): threaded Gram products
+round differently, so results depend only on the config and master seed, not
+on ``--jobs`` or the BLAS setting.
 
 The cells of a group share replicate streams (common random numbers): the
 calibration cells of one experiment, and the (beta, w) cells of one ``s`` in
@@ -39,7 +41,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import __version__, kernels
-from .bindings import _one_blas_thread, _openblas
+from .bindings import _one_blas_thread, _single_blas_thread
 from .clime import clime_estimate, normalized_error
 from .errors import InvalidConfig
 from .modelgen import (
@@ -66,11 +68,6 @@ __all__ = [
     "PRESETS",
     "DEFAULT_MASTER_SEED",
     "run_experiment",
-    "fa_calibration",
-    "plugin_calibration",
-    "power_curve",
-    "delay_profile",
-    "lcpd_block_power",
 ]
 
 DEFAULT_MASTER_SEED = 1729
@@ -133,15 +130,6 @@ def _rate_metric(hits: int, n: int) -> MetricValue:
 def _upper_quantile(values: np.ndarray, pi0: float) -> float:
     k = int(math.ceil((1.0 - pi0) * len(values)))
     return float(np.sort(values)[k - 1])
-
-
-def _single_blas_thread() -> None:
-    """Pool initializer: one BLAS thread per worker. A forked worker inherits
-    the pin of its runner, but one started without fork (spawn, or
-    forkserver, the default from Python 3.14) loads BLAS afresh at its
-    default thread count."""
-    for _, set_threads in _openblas():
-        set_threads(1)
 
 
 def _map_cells(worker, ctxs: list[dict], n: int, jobs: int) -> list[list]:
@@ -263,8 +251,7 @@ def _provenance(config: ExperimentConfig, **extra) -> dict:
     }
 
 
-@_one_blas_thread()
-def fa_calibration(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
+def _fa_calibration(config: ExperimentConfig, jobs: int) -> ExperimentResult:
     """Oracle-statistic calibration on the chain model: exceedance rates at the
     exact and union thresholds plus the empirical upper quantile."""
     prm = config.params
@@ -289,8 +276,7 @@ def fa_calibration(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     return ExperimentResult(kind=config.kind, cells=[cell], provenance=prov)
 
 
-@_one_blas_thread()
-def plugin_calibration(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
+def _plugin_calibration(config: ExperimentConfig, jobs: int) -> ExperimentResult:
     """Plug-in calibration over a burn-in grid: several CLIME fits per cell,
     pooled no-rejection rate p_N and averaged normalized error e_N, plus the
     true model's cell."""
@@ -325,8 +311,10 @@ def plugin_calibration(config: ExperimentConfig, jobs: int = 1) -> ExperimentRes
 
 
 def _power_engine(config: ExperimentConfig, jobs: int, change: str) -> ExperimentResult:
-    """Block changes are tested with the burn-in fit, anti-corner changes with
-    the true model."""
+    """Mis-detection rate over (s, beta, w) grids in the first full post-change
+    window: of a leading-block change with the burn-in fit (``"block"``), or
+    of added anti-corner edges with the true model, beta a fraction of the
+    pre-change smallest eigenvalue (the PD limit)."""
     prm = config.params
     p, pi0 = prm["p"], prm["pi0"]
     omega = _sparse_model(config)
@@ -368,22 +356,7 @@ def _power_engine(config: ExperimentConfig, jobs: int, change: str) -> Experimen
     return ExperimentResult(kind=config.kind, cells=cells, provenance=prov)
 
 
-@_one_blas_thread()
-def power_curve(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """Mis-detection rate over (s, beta, w) grids for the leading-block change,
-    testing the first full post-change window with a plug-in fit."""
-    return _power_engine(config, jobs, change="block")
-
-
-@_one_blas_thread()
-def lcpd_block_power(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """Oracle-mode power against added anti-corner edges; beta values are
-    fractions of the pre-change smallest eigenvalue (the PD limit)."""
-    return _power_engine(config, jobs, change="antidiag")
-
-
-@_one_blas_thread()
-def delay_profile(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
+def _delay_profile(config: ExperimentConfig, jobs: int) -> ExperimentResult:
     """Mean sup-norm trajectory around a change plus first-crossing delays.
 
     The change scenario interpolates between two independently generated
@@ -469,17 +442,19 @@ def delay_profile(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
 
 
 _RUNNERS = {
-    "fa_calibration": fa_calibration,
-    "plugin_calibration": plugin_calibration,
-    "power_curve": power_curve,
-    "delay_profile": delay_profile,
-    "lcpd_block": lcpd_block_power,
+    "fa_calibration": _fa_calibration,
+    "plugin_calibration": _plugin_calibration,
+    "power_curve": lambda config, jobs: _power_engine(config, jobs, "block"),
+    "delay_profile": _delay_profile,
+    "lcpd_block": lambda config, jobs: _power_engine(config, jobs, "antidiag"),
 }
 
 
+@_one_blas_thread()
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """Run ``config``'s experiment with ``jobs`` workers."""
-    return _RUNNERS[config.kind](config, jobs=jobs)
+    """Run ``config``'s experiment with ``jobs`` workers, on one BLAS thread
+    here and in each worker."""
+    return _RUNNERS[config.kind](config, jobs)
 
 
 def _preset(kind: str, replicates: int, **params) -> ExperimentConfig:

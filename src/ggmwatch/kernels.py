@@ -52,10 +52,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bindings import scipy_extension
+from .bindings import fblas
 
-_fblas = scipy_extension("linalg._fblas")  # the functions scipy.linalg.blas exports
-dspr, idamax = _fblas.dspr, _fblas.idamax
+dspr, idamax = fblas.dspr, fblas.idamax
 
 __all__ = ["BACKEND", "deviation", "window_supnorms", "sliding_supnorms", "RollingSupnorm"]
 

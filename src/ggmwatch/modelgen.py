@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .bindings import scipy_extension
+from .bindings import flapack
 from .errors import DimensionMismatch, NotPositiveDefinite
 
-dpotrs = scipy_extension("linalg._flapack").dpotrs
+dpotrs = flapack.dpotrs
 
 __all__ = [
     "PrecisionMatrix",

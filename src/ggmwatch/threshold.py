@@ -32,12 +32,9 @@ import warnings
 
 import numpy as np
 
-from .bindings import scipy_extension
+# erfc, gammaincinv, gammainccinv and gammaln: scipy.special's own ufunc objects
+from .bindings import special_ufuncs as special
 from .errors import NegativeZetaSquared, TargetOutOfRange
-
-# erfc, gammaincinv, gammainccinv and gammaln: scipy.special's own ufunc
-# objects, from the one extension module that holds them, without the package
-special = scipy_extension("special._special_ufuncs")
 
 __all__ = [
     "InnerProductTail",
@@ -142,6 +139,8 @@ def critical_value_exact(pi0: float, p: int, w: int) -> float:
     lo = 0.0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent doubles: no step moves them
+            break
         if tail(mid) > target:
             lo = mid
         else:

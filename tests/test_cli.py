@@ -89,6 +89,28 @@ class TestGen:
             )
         assert a.read_bytes() == b.read_bytes()
 
+    def test_bytes_independent_of_blas_threads_subprocess(self, tmp_path):
+        # every command runs on one BLAS thread: on two, the generators'
+        # Cholesky and inverse products and the stream's transform rounded
+        # differently in thousands of the written values
+        outs = []
+        for threads in ("1", "2"):
+            d = tmp_path / threads
+            d.mkdir()
+            env = dict(SRC_ENV, OPENBLAS_NUM_THREADS=threads)
+            for args in (["sparse", "--p", "300", "--density", "0.05", "--seed", "3",
+                          "--out", "s.txt"],
+                         ["hub", "--p", "300", "--hubs", "10", "--spokes", "20", "--seed", "3",
+                          "--out", "h.txt"],
+                         ["scenario", "--pre", "s.txt", "--post", "h.txt", "--t0", "1000",
+                          "--burnin", "0", "--horizon", "3000", "--out", "sc.json"],
+                         ["stream", "--scenario", "sc.json", "--seed", "1", "--count", "2300",
+                          "--out", "r.csv"]):
+                subprocess.run([sys.executable, "-m", "ggmwatch.cli", "gen", *args], check=True,
+                               capture_output=True, env=env, cwd=d, timeout=120)
+            outs.append([(d / name).read_bytes() for name in ("s.txt", "h.txt", "r.csv")])
+        assert outs[0] == outs[1]
+
     def test_invalid_density_exits_2(self, tmp_path, capsys):
         code = run_cli(
             ["gen", "sparse", "--p", "8", "--density", "1.5", "--seed", "1",
@@ -856,6 +878,25 @@ class TestMonitor:
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
 
+    def test_empty_oracle_matrix_in_config_exits_2(self, tmp_path, capsys):
+        # an empty value is not the key left out, which selects plug-in mode
+        rows = tmp_path / "rows.csv"
+        np.savetxt(rows, np.random.default_rng(2).standard_normal((20, 5)), delimiter=",")
+        cfg = tmp_path / "mon.cfg"
+        cfg.write_text("oracle_matrix=\nw=4\nn_burnin=12\n")
+        assert run_cli(["monitor", "--config", str(cfg), "--p", "5", "--input", str(rows)]) == 2
+        captured = capsys.readouterr()
+        assert "oracle_matrix is empty" in captured.err and captured.out == ""
+
+    def test_empty_oracle_matrix_flag_exits_2(self, oracle_setup, capsys):
+        tmp, pre, cfg = oracle_setup
+        code = run_cli(["monitor", "--config", str(cfg), "--oracle_matrix", "",
+                        "--input", str(tmp / "none.csv")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: oracle_matrix is empty; name a matrix file, or leave "
+                                "the key out\n")
+
     def test_p_against_oracle_dimension_exits_2(self, tmp_path, capsys):
         run_cli(["gen", "chain", "--p", "10", "--rho", "0.5", "--out", str(tmp_path / "pre.txt")])
         capsys.readouterr()
@@ -1083,6 +1124,24 @@ class TestExperiment:
             subprocess.run(cmd, check=True, capture_output=True, env=env)
             outs.append([out.with_suffix(ext).read_bytes() for ext in (".csv", ".ndjson")])
         assert outs[0] == outs[1] == outs[2]
+
+    def test_spawned_workers_run_on_one_blas_thread_subprocess(self, tmp_path):
+        # a worker that is not forked (forkserver, the default from Python
+        # 3.14) loads OpenBLAS at the environment's thread count, so the pool
+        # initializer must pin it for the bytes to equal --jobs 1's
+        code = ("import multiprocessing, sys\n"
+                "multiprocessing.set_start_method('forkserver')\n"
+                "from ggmwatch.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            cmd = [sys.executable, "-c", code, "experiment", "delay", "--preset", "fig3-desk",
+                   "--replicates", "260", "--jobs", jobs, "--out", str(out)]
+            env = dict(SRC_ENV, OPENBLAS_NUM_THREADS="2")
+            subprocess.run(cmd, check=True, capture_output=True, env=env, timeout=300)
+            outs.append([out.with_suffix(ext).read_bytes() for ext in (".csv", ".ndjson")])
+        assert outs[0] == outs[1]
 
     def test_byte_identical_across_jobs_subprocess(self, tmp_path):
         outs = []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ggmwatch.harness as hz
-from ggmwatch import kernels
+from ggmwatch import bindings, kernels
 from ggmwatch.iofmt import json_line, write_result_csv, write_result_ndjson
 from ggmwatch.modelgen import gen_chain_precision
 from ggmwatch.statistic import scale_entries
@@ -16,7 +16,7 @@ from conftest import strict_ndjson
 
 def _blas_threads(ctx, start, stop):
     """Chunk worker reporting the thread count of every OpenBLAS in its process."""
-    return [get() for get, _ in hz._openblas()]
+    return [get() for get, _ in bindings._openblas()]
 
 
 def _config(kind, replicates, **params):
@@ -43,7 +43,7 @@ class TestSeeding:
 
 class TestFaCalibration:
     def test_metrics_and_se_formula(self):
-        res = hz.fa_calibration(FA_SMALL)
+        res = hz.run_experiment(FA_SMALL)
         cell = res.cells[0]
         assert cell.n == 400
         for name in ("exceed_exact", "exceed_union", "quantile", "mean_sup"):
@@ -55,12 +55,12 @@ class TestFaCalibration:
         )
 
     def test_near_one_pi0_floods(self):
-        res = hz.fa_calibration(_config("fa_calibration", 300, p=30, rho0=0.5, w=20, pi0=0.999))
+        res = hz.run_experiment(_config("fa_calibration", 300, p=30, rho0=0.5, w=20, pi0=0.999))
         assert res.cells[0].metrics["exceed_exact"].value > 0.9
 
     def test_jobs_do_not_change_results(self, tmp_path):
-        a = hz.fa_calibration(FA_SMALL, jobs=1)
-        b = hz.fa_calibration(FA_SMALL, jobs=2)
+        a = hz.run_experiment(FA_SMALL, jobs=1)
+        b = hz.run_experiment(FA_SMALL, jobs=2)
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         write_result_csv(a, pa)
         write_result_csv(b, pb)
@@ -84,7 +84,7 @@ class TestPluginCalibration:
             n_grid=[],
             fits=2,
         )
-        res = hz.plugin_calibration(cfg)
+        res = hz.run_experiment(cfg)
         (cell,) = res.cells
         assert cell.cell["oracle"] == 1
         pn = cell.metrics["p_n"]
@@ -102,7 +102,7 @@ class TestPluginCalibration:
             n_grid=[100, 400],
             fits=2,
         )
-        res = hz.plugin_calibration(cfg)
+        res = hz.run_experiment(cfg)
         # the grid's cells, then the true model's
         assert [c.cell["n_burnin"] for c in res.cells] == [100, 400, 0]
         e_small, e_large, e_oracle = (c.metrics["e_n"].value for c in res.cells)
@@ -124,15 +124,15 @@ class TestPowerCurve:
     )
 
     def test_pi1_decreases_with_beta(self):
-        res = hz.power_curve(_config("power_curve", 300, **self.CFG))
+        res = hz.run_experiment(_config("power_curve", 300, **self.CFG))
         by_cell = {(c.cell["s"], c.cell["beta"]): c.metrics["pi1"].value for c in res.cells}
         for s in (1, 2):
             assert by_cell[(s, 5.0)] <= by_cell[(s, 0.0)]
 
     def test_cell_order_invariance(self):
-        base = hz.power_curve(_config("power_curve", 200, **self.CFG))
+        base = hz.run_experiment(_config("power_curve", 200, **self.CFG))
         flipped_params = dict(self.CFG, s_grid=[2, 1], beta_grid=[5.0, 0.0])
-        flipped = hz.power_curve(_config("power_curve", 200, **flipped_params))
+        flipped = hz.run_experiment(_config("power_curve", 200, **flipped_params))
         a = {(c.cell["s"], c.cell["beta"]): c.metrics["pi1"].value for c in base.cells}
         b = {(c.cell["s"], c.cell["beta"]): c.metrics["pi1"].value for c in flipped.cells}
         assert a == b
@@ -151,7 +151,7 @@ class TestLcpdBlock:
             beta_fracs=[0.0, 0.9],
             w_grid=[30],
         )
-        res = hz.lcpd_block_power(cfg)
+        res = hz.run_experiment(cfg)
         pi1 = [c.metrics["pi1"].value for c in res.cells]
         assert pi1[1] < pi1[0]
         assert res.cells[1].cell["beta"] == pytest.approx(
@@ -172,7 +172,7 @@ class TestDelayProfile:
     )
 
     def test_structure(self):
-        res = hz.delay_profile(_config("delay_profile", 150, **self.CFG))
+        res = hz.run_experiment(_config("delay_profile", 150, **self.CFG))
         change, control = res.cells
         assert change.cell["scenario"] == "change"
         assert len(change.series["mean"]) == self.CFG["t0"] + 1
@@ -181,14 +181,14 @@ class TestDelayProfile:
         assert 0.0 <= control.metrics["window_exceed"].value <= 1.0
 
     def test_trajectory_rises(self):
-        res = hz.delay_profile(_config("delay_profile", 150, **self.CFG))
+        res = hz.run_experiment(_config("delay_profile", 150, **self.CFG))
         change = res.cells[0]
         assert change.metrics["traj_end"].value > change.metrics["traj_start"].value
 
     def test_w_exceeding_t0_rejected(self):
         bad = dict(self.CFG, w=40)
         with pytest.raises(Exception):
-            hz.delay_profile(_config("delay_profile", 50, **bad))
+            hz.run_experiment(_config("delay_profile", 50, **bad))
 
 
 class TestRunExperiment:
@@ -229,7 +229,7 @@ class TestRunExperiment:
 
 class TestWriters:
     def test_ndjson_schema(self, tmp_path):
-        res = hz.fa_calibration(FA_SMALL)
+        res = hz.run_experiment(FA_SMALL)
         path = tmp_path / "out.ndjson"
         write_result_ndjson(res, path)
         head, cell = strict_ndjson(path.read_text())
@@ -260,7 +260,7 @@ class TestWriters:
                 json_line({"x": [1.0, bad]})
 
     def test_csv_schema(self, tmp_path):
-        res = hz.fa_calibration(FA_SMALL)
+        res = hz.run_experiment(FA_SMALL)
         path = tmp_path / "out.csv"
         write_result_csv(res, path)
         lines = path.read_text().splitlines()
@@ -271,7 +271,7 @@ class TestWriters:
 @contextmanager
 def _blas_threads_at(n):
     """Set every OpenBLAS in this process to ``n`` threads for the block."""
-    blas = hz._openblas()
+    blas = bindings._openblas()
     before = [get() for get, _ in blas]
     for _, set_threads in blas:
         set_threads(n)
@@ -301,35 +301,20 @@ class TestSingleThreadedBlas:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_chunks_run_single_threaded_blas(self, monkeypatch, jobs):
         """``run_experiment`` pins the runner's own work and every chunk, in
-        process or in a pool worker, to one BLAS thread, and restores the
-        previous counts afterwards."""
+        process or in a pool worker, to one BLAS thread where its caller runs
+        two, for every kind, and restores the caller's counts afterwards."""
         seen = self._record_blas(monkeypatch)
-        before = _blas_threads(None, 0, 1)
-        hz.run_experiment(FA_SMALL, jobs=jobs)
-        ((parent, chunk),) = seen
-        assert parent and chunk  # numpy and scipy each load an OpenBLAS
-        assert set(parent) == set(chunk) == {1}
-        assert _blas_threads(None, 0, 1) == before
-
-    @pytest.mark.parametrize(
-        "runner",
-        [hz.fa_calibration, hz.plugin_calibration, hz.power_curve, hz.lcpd_block_power,
-         hz.delay_profile],
-        ids=lambda f: f.__name__,
-    )
-    def test_direct_runner_call_pins_blas(self, monkeypatch, runner):
-        """A public runner called directly, not through ``run_experiment``,
-        also runs on one BLAS thread where its caller runs two."""
-        seen = self._record_blas(monkeypatch)
-        kind = next(k for k, f in hz._RUNNERS.items() if f is runner)
-        params = FA_SMALL.params if kind == "fa_calibration" else TestJobsByteIdentity.CONFIGS[kind]
-        with _blas_threads_at(2):
-            before = _blas_threads(None, 0, 1)
-            runner(_config(kind, 20, **params), jobs=1)
-            assert _blas_threads(None, 0, 1) == before
-        assert seen
-        for parent, chunk in seen:
-            assert parent and set(parent) == set(chunk) == {1}
+        configs = dict(TestJobsByteIdentity.CONFIGS, fa_calibration=FA_SMALL.params)
+        for kind in sorted(hz._RUNNERS):
+            with _blas_threads_at(2):
+                before = _blas_threads(None, 0, 1)
+                hz.run_experiment(_config(kind, 20, **configs[kind]), jobs=jobs)
+                assert _blas_threads(None, 0, 1) == before
+            assert seen, kind
+            for parent, chunk in seen:
+                assert parent and chunk  # numpy and scipy each load an OpenBLAS
+                assert set(parent) == set(chunk) == {1}, kind
+            seen.clear()
 
 
 class TestJobsByteIdentity:
@@ -420,7 +405,7 @@ class TestSharedDraws:
         ((worker, groups, n, results),) = calls
         assert worker is hz._group_chunk
         assert sum(len(g["cells"]) for g in groups) == len(res.cells) >= 3
-        with hz._one_blas_thread():
+        with bindings._one_blas_thread():
             for group, parts in zip(groups, results):
                 assert [part.shape[1] for part in parts] == [40, 40, 10]
                 shared = np.concatenate(parts, axis=1)
@@ -448,7 +433,7 @@ class TestSharedDraws:
         }
         tracemalloc.start()
         try:
-            with hz._one_blas_thread():
+            with bindings._one_blas_thread():
                 out = hz._group_chunk(group, 0, 250)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,43 @@ class TestExactCriticalValue:
     def test_target_out_of_range(self):
         with pytest.raises(TargetOutOfRange):
             gw.critical_value_exact(0.99, 2, 50)
+
+    @staticmethod
+    def _bisect_100(pi0, p, w):
+        """The solve's bisection run for all of its 100 steps."""
+        target = -2.0 * math.log1p(-pi0) / (p * (p + 1))
+        hi = 20.0
+        while gw.inner_product_tail(w, hi) > target:
+            hi *= 2.0
+        lo = 0.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if gw.inner_product_tail(w, mid) > target:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def test_stopping_early_keeps_the_bits(self, monkeypatch):
+        """The solve stops once the bracket's ends are adjacent doubles, where
+        every further step would leave them as they are."""
+        grid = [(pi0, p, w) for pi0 in (0.01, 0.05, 0.5) for p in (2, 10, 100)
+                for w in (2, 7, 50, 300)]
+        calls = []
+        tail_call = gw.InnerProductTail.__call__
+
+        def counted(self, t):
+            calls.append(t)
+            return tail_call(self, t)
+
+        monkeypatch.setattr(gw.InnerProductTail, "__call__", counted)
+        for point in grid:
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # a widened bracket
+                z = gw.critical_value_exact(*point)
+            assert len(calls) <= 64, point
+            assert z.hex() == self._bisect_100(*point).hex(), point
 
     # float.hex of the root at these (pi0, p, w); every preset's provenance
     # zeta fields carry these bits, so no refactor of the quadrature may move them
