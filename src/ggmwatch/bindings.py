@@ -1,4 +1,4 @@
-"""The program's contract with compiled scipy and OpenBLAS, in one module.
+"""The program's contract with compiled scipy, OpenBLAS and the CPU, in one module.
 
 ggmwatch calls four of scipy's private extension modules, and only this
 module names them: :data:`fblas` (``scipy.linalg._fblas``: ``dspr``,
@@ -25,7 +25,9 @@ import of it, the form scipy's own modules use, finds it.
 Threaded BLAS products round differently. :func:`_one_blas_thread` runs a
 block on one thread of each loaded OpenBLAS, and the two entry points,
 ``cli.main`` and ``harness.run_experiment``, run in it;
-:func:`_single_blas_thread` pins a process-pool worker.
+:func:`_single_blas_thread` pins a process-pool worker. :func:`usable_cores`
+counts the cores this process may run on, for a CLIME fit's threads and the
+default ``experiment --jobs``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import scipy
 
 from .errors import GgmWatchError
 
-__all__ = ["scipy_extension", "fblas", "flapack", "special_ufuncs", "highs"]
+__all__ = ["scipy_extension", "fblas", "flapack", "special_ufuncs", "highs", "usable_cores"]
 
 
 def scipy_extension(name: str) -> ModuleType:
@@ -92,6 +94,14 @@ def highs() -> ModuleType:
         raise GgmWatchError(
             f"scipy {scipy.__version__} has no usable HiGHS binding: {exc}"
         ) from None
+
+
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the platform
+    has one, else every core."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _openblas() -> list[tuple]:

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bindings import _one_blas_thread
+from .bindings import _one_blas_thread, usable_cores
 from .clime import ClimeConfig
 from .detector import Detector, DetectorConfig
 from .errors import (
@@ -177,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--preset", required=True)
     exp.add_argument("--replicates", type=int, default=None)
     exp.add_argument("--master_seed", type=int, default=None)
-    exp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    exp.add_argument("--jobs", type=int, default=usable_cores())
 
     return parser
 
@@ -386,6 +386,8 @@ def _parse_row(line: str, lineno: int, ndjson: bool, orjson) -> tuple[int | None
         if ndjson:  # orjson reads NaN, Infinity and an int past the float range as errors
             obj = orjson.loads(line)
             x, t = obj["x"], obj.get("t")
+            if type(x) is not list:
+                raise ValueError(f'"x" is {orjson.dumps(x).decode()}, not a list of numbers')
             # an exact type test: true is an int to Python, "1.5" a float to numpy
             if not set(map(type, x)) <= {int, float}:
                 bad = next(v for v in x if type(v) not in (int, float))
@@ -506,7 +508,7 @@ def cmd_experiment(args, argv: list[str]) -> int:
         )
     given = {"replicates": args.replicates, "master_seed": args.master_seed}
     config = dataclasses.replace(preset, **{k: v for k, v in given.items() if v is not None})
-    result = run_experiment(config, jobs=max(1, args.jobs))
+    result = run_experiment(config, jobs=args.jobs)
     write_result_csv(result, f"{args.out}.csv")
     write_result_ndjson(result, f"{args.out}.ndjson")
     manifest = _manifest_for(argv, [], master_seed=config.master_seed)

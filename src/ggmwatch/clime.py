@@ -20,7 +20,6 @@ PSD cone by dropping negative eigenvalues.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 
@@ -170,8 +169,7 @@ _local = threading.local()
 
 def _n_threads(p: int) -> int:
     """Threads for a fit of ``p`` columns: one per usable core, at most ``p``."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cores or 1, p))
+    return max(1, min(bindings.usable_cores(), p))
 
 
 def clime_column(

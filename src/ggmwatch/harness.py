@@ -1,28 +1,32 @@
 """Seeded Monte Carlo experiment drivers.
 
 :func:`run_experiment` is the way in: it runs the experiment an
-:class:`ExperimentConfig` (one of :data:`PRESETS`, say) names with ``jobs``
-workers. Replicate ``r`` of any experiment draws from a Philox stream keyed
-by ``sha256(master_seed | tag | ... | r)``, so results are reproducible
-bit-for-bit for a given ``(config, master_seed)`` at any worker count.
+:class:`ExperimentConfig` (one of :data:`PRESETS`, say) names on up to
+``jobs`` workers. Replicate ``r`` of any experiment draws from a Philox
+stream keyed by ``sha256(master_seed | tag | ... | r)``, so results are
+reproducible bit-for-bit for a given ``(config, master_seed)`` at any worker
+count.
 Every experiment follows one recipe: draw a model (``_sparse_model``, or the
 chain model for false-alarm calibration), take its covariance factor
 (``_cov_factor``), fit CLIME on seeded burn-in rows (``_burnin_fit``), then
 build a list of task contexts and map one of two chunk workers over every
 (context, replicate-chunk) task, context-major with chunks of ``_CHUNK``
-replicates, through at most one process pool. The workers only draw and
-score. ``_group_chunk`` takes a stream group: one stream key, the distinct
-covariance factors of its cells and the cells, each a ``(factor, w, fits)``
-triple. It draws each replicate once, at the group's largest ``w``, and
-returns the sup-norm of every cell's first window (calibration and power,
-through ``_first_windows``); it holds ``_SUB`` replicates' draws at a time.
+replicates, on ``min(jobs, tasks)`` workers: in this process when that is
+one, else through one process pool. The workers only draw and score.
+``_group_chunk`` takes a stream group: one stream key, the distinct covariance
+factors of its cells and the cells, each a ``(factor, w, fits)`` triple. It
+draws each replicate once, at the group's largest ``w``, and returns the
+sup-norm of every cell's first window (calibration and power, through
+``_first_windows``); it holds ``_SUB`` replicates' draws at a time.
 ``_path_chunk`` returns one path's sliding sup-norm trajectory (delay
 profile and its no-change control). The runner of each kind (``_RUNNERS``)
-reduces each cell's chunk results, in chunk order, to rates, delays and
-trajectories. ``run_experiment`` runs all of it, in this process and in the
-workers, on one BLAS thread (restored afterwards): threaded Gram products
-round differently, so results depend only on the config and master seed, not
-on ``--jobs`` or the BLAS setting.
+only computes cells: it reduces each cell's chunk results, in chunk order, to
+rates, delays and trajectories, and returns the cells with its provenance
+extras. ``run_experiment`` refuses ``jobs < 1``, assembles the one
+:class:`ExperimentResult` and its provenance, and runs all of it, in this
+process and in the workers, on one BLAS thread (restored afterwards):
+threaded Gram products round differently, so results depend only on the
+config and master seed, not on ``--jobs`` or the BLAS setting.
 
 The cells of a group share replicate streams (common random numbers): the
 calibration cells of one experiment, and the (beta, w) cells of one ``s`` in
@@ -127,6 +131,12 @@ def _rate_metric(hits: int, n: int) -> MetricValue:
     return MetricValue(value=r, se=math.sqrt(r * (1.0 - r) / n))
 
 
+def _mean_se(values: np.ndarray) -> float | None:
+    """Standard error of the mean of ``values``; None for a single value."""
+    n = len(values)
+    return float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else None
+
+
 def _upper_quantile(values: np.ndarray, pi0: float) -> float:
     k = int(math.ceil((1.0 - pi0) * len(values)))
     return float(np.sort(values)[k - 1])
@@ -134,16 +144,15 @@ def _upper_quantile(values: np.ndarray, pi0: float) -> float:
 
 def _map_cells(worker, ctxs: list[dict], n: int, jobs: int) -> list[list]:
     """Run ``worker(ctx, start, stop)`` over every (context, replicate-chunk)
-    task, context-major, through at most one process pool of no more workers
-    than tasks; returns each context's chunk results in chunk order."""
+    task, context-major, on ``min(jobs, tasks)`` workers: in this process when
+    that is one, else through one process pool. Returns each context's chunk
+    results in chunk order."""
     spans = [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
     tasks = [(ctx, a, b) for ctx in ctxs for a, b in spans]
-    if not tasks:
-        return []
-    if jobs <= 1:
-        results = list(map(worker, *zip(*tasks)))
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        results = [worker(*task) for task in tasks]
     else:
-        workers = min(jobs, len(tasks))
         with ProcessPoolExecutor(max_workers=workers, initializer=_single_blas_thread) as pool:
             results = list(pool.map(worker, *zip(*tasks)))
     k = len(spans)
@@ -239,19 +248,7 @@ def _first_windows(config: ExperimentConfig, jobs: int, groups: list[tuple]) -> 
     return [sups for parts in results for sups in np.concatenate(parts, axis=1)]
 
 
-def _provenance(config: ExperimentConfig, **extra) -> dict:
-    return {
-        "kind": config.kind,
-        "replicates": config.replicates,
-        "master_seed": config.master_seed,
-        "params": config.params,
-        "tool_version": __version__,
-        "backend": kernels.BACKEND,
-        **extra,
-    }
-
-
-def _fa_calibration(config: ExperimentConfig, jobs: int) -> ExperimentResult:
+def _fa_calibration(config: ExperimentConfig, jobs: int) -> tuple[list, dict]:
     """Oracle-statistic calibration on the chain model: exceedance rates at the
     exact and union thresholds plus the empirical upper quantile."""
     prm = config.params
@@ -267,16 +264,15 @@ def _fa_calibration(config: ExperimentConfig, jobs: int) -> ExperimentResult:
     metrics = {
         "exceed_exact": _rate_metric(int(np.sum(sups >= ze)), n),
         "quantile": MetricValue(_upper_quantile(sups, pi0), None),
-        "mean_sup": MetricValue(float(sups.mean()), float(sups.std(ddof=1) / math.sqrt(n))),
+        "mean_sup": MetricValue(float(sups.mean()), _mean_se(sups)),
     }
     if zu is not None:
         metrics["exceed_union"] = _rate_metric(int(np.sum(sups >= zu)), n)
     cell = CellResult(cell={"p": p, "rho0": rho0, "w": w, "pi0": pi0}, n=n, metrics=metrics)
-    prov = _provenance(config, zeta_exact=ze, zeta_union=zu, zeta_asymptotic=za)
-    return ExperimentResult(kind=config.kind, cells=[cell], provenance=prov)
+    return [cell], {"zeta_exact": ze, "zeta_union": zu, "zeta_asymptotic": za}
 
 
-def _plugin_calibration(config: ExperimentConfig, jobs: int) -> ExperimentResult:
+def _plugin_calibration(config: ExperimentConfig, jobs: int) -> tuple[list, dict]:
     """Plug-in calibration over a burn-in grid: several CLIME fits per cell,
     pooled no-rejection rate p_N and averaged normalized error e_N, plus the
     true model's cell."""
@@ -301,16 +297,13 @@ def _plugin_calibration(config: ExperimentConfig, jobs: int) -> ExperimentResult
     for sups, e, key in zip(all_sups, errs, cell_keys):
         metrics = {
             "p_n": _rate_metric(int(np.sum(sups <= ze)), len(sups)),
-            "e_n": MetricValue(
-                float(e.mean()), float(e.std(ddof=1) / math.sqrt(len(e))) if len(e) > 1 else None
-            ),
+            "e_n": MetricValue(float(e.mean()), _mean_se(e)),
         }
         cells.append(CellResult(cell=key, n=len(sups), metrics=metrics))
-    prov = _provenance(config, zeta_exact=ze)
-    return ExperimentResult(kind=config.kind, cells=cells, provenance=prov)
+    return cells, {"zeta_exact": ze}
 
 
-def _power_engine(config: ExperimentConfig, jobs: int, change: str) -> ExperimentResult:
+def _power_engine(config: ExperimentConfig, jobs: int, change: str) -> tuple[list, dict]:
     """Mis-detection rate over (s, beta, w) grids in the first full post-change
     window: of a leading-block change with the burn-in fit (``"block"``), or
     of added anti-corner edges with the true model, beta a fraction of the
@@ -346,17 +339,11 @@ def _power_engine(config: ExperimentConfig, jobs: int, change: str) -> Experimen
     for sups, cell in zip(_first_windows(config, jobs, groups), cell_keys):
         metrics = {"pi1": _rate_metric(int(np.sum(sups < zetas[cell["w"]])), len(sups))}
         cells.append(CellResult(cell=cell, n=len(sups), metrics=metrics))
-    prov = _provenance(
-        config,
-        zetas={str(w): z for w, z in zetas.items()},
-        e_n=e_n,
-        lambda_min=lam_min,
-        oracle=change != "block",
-    )
-    return ExperimentResult(kind=config.kind, cells=cells, provenance=prov)
+    return cells, {"zetas": {str(w): z for w, z in zetas.items()}, "e_n": e_n,
+                   "lambda_min": lam_min, "oracle": change != "block"}
 
 
-def _delay_profile(config: ExperimentConfig, jobs: int) -> ExperimentResult:
+def _delay_profile(config: ExperimentConfig, jobs: int) -> tuple[list, dict]:
     """Mean sup-norm trajectory around a change plus first-crossing delays.
 
     The change scenario interpolates between two independently generated
@@ -424,21 +411,12 @@ def _delay_profile(config: ExperimentConfig, jobs: int) -> ExperimentResult:
         "traj_max": MetricValue(float(ctl_mean.max()), None),
     }
     cells = [
-        CellResult(
-            cell={"scenario": "change", "attenuation": atten},
-            n=n,
-            metrics=metrics,
-            series=series,
-        ),
-        CellResult(
-            cell={"scenario": "control", "attenuation": atten},
-            n=len(ctl),
-            metrics=ctl_metrics,
-            series={"t": rel_t, "mean": ctl_mean.tolist()},
-        ),
+        CellResult(cell={"scenario": "change", "attenuation": atten}, n=n, metrics=metrics,
+                   series=series),
+        CellResult(cell={"scenario": "control", "attenuation": atten}, n=len(ctl),
+                   metrics=ctl_metrics, series={"t": rel_t, "mean": ctl_mean.tolist()}),
     ]
-    prov = _provenance(config, zeta_exact=zeta, e_n=e_n)
-    return ExperimentResult(kind=config.kind, cells=cells, provenance=prov)
+    return cells, {"zeta_exact": zeta, "e_n": e_n}
 
 
 _RUNNERS = {
@@ -452,9 +430,21 @@ _RUNNERS = {
 
 @_one_blas_thread()
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """Run ``config``'s experiment with ``jobs`` workers, on one BLAS thread
-    here and in each worker."""
-    return _RUNNERS[config.kind](config, jobs)
+    """Run ``config``'s experiment on up to ``jobs`` (at least 1) workers, on
+    one BLAS thread here and in each worker, and assemble its result."""
+    if jobs < 1:
+        raise InvalidConfig(f"jobs must be >= 1, got {jobs}")
+    cells, extras = _RUNNERS[config.kind](config, jobs)
+    provenance = {
+        "kind": config.kind,
+        "replicates": config.replicates,
+        "master_seed": config.master_seed,
+        "params": config.params,
+        "tool_version": __version__,
+        "backend": kernels.BACKEND,
+        **extras,
+    }
+    return ExperimentResult(kind=config.kind, cells=cells, provenance=provenance)
 
 
 def _preset(kind: str, replicates: int, **params) -> ExperimentConfig:

@@ -1143,6 +1143,46 @@ class TestExperiment:
             outs.append([out.with_suffix(ext).read_bytes() for ext in (".csv", ".ndjson")])
         assert outs[0] == outs[1]
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_default_jobs_on_one_core_builds_no_pool_subprocess(self, tmp_path):
+        # --jobs defaults to the cores the CPU affinity allows, the count a
+        # CLIME fit's threads follow; this child may run on one core only
+        code = ("import os, sys\n"
+                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                "import ggmwatch.harness as hz\n"
+                "from ggmwatch.cli import main\n"
+                "pools = []\n"
+                "class CountingPool(hz.ProcessPoolExecutor):\n"
+                "    def __init__(self, *args, **kwargs):\n"
+                "        pools.append(1)\n"
+                "        super().__init__(*args, **kwargs)\n"
+                "hz.ProcessPoolExecutor = CountingPool\n"
+                "assert main(sys.argv[1:]) == 0\n"
+                "print(len(pools))\n")
+        args = ["experiment", "fa-calibration", "--preset", "fig1-desk", "--replicates", "500"]
+        proc = subprocess.run([sys.executable, "-c", code, *args, "--out", str(tmp_path / "d")],
+                              check=True, capture_output=True, env=SRC_ENV, text=True)
+        assert proc.stdout == "0\n"  # two tasks, one worker, so no pool
+        assert run_cli([*args, "--jobs", "1", "--out", str(tmp_path / "j1")]) == 0
+        for ext in ("csv", "ndjson"):
+            assert (tmp_path / f"d.{ext}").read_bytes() == (tmp_path / f"j1.{ext}").read_bytes()
+
+    def test_one_replicate_has_no_mean_se_subprocess(self, tmp_path):
+        # the standard error of a single value is undefined: none is given,
+        # and numpy prints no warning for a std(ddof=1) of it
+        out = tmp_path / "one"
+        proc = subprocess.run([sys.executable, "-m", "ggmwatch.cli", "experiment",
+                               "fa-calibration", "--preset", "fig1-desk", "--replicates", "1",
+                               "--jobs", "1", "--out", str(out)], capture_output=True,
+                              env=SRC_ENV)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        rows = [row.split(",") for row in out.with_suffix(".csv").read_text().splitlines()]
+        (mean_sup,) = [row for row in rows if row[3] == "mean_sup"]
+        assert mean_sup[5] == "" and mean_sup[6] == "1"
+        cell = strict_ndjson(out.with_suffix(".ndjson").read_text())[1]
+        assert cell["metrics"]["mean_sup"]["se"] is None
+
     def test_byte_identical_across_jobs_subprocess(self, tmp_path):
         outs = []
         for jobs, name in (("1", "j1"), ("2", "j2")):
@@ -1157,10 +1197,11 @@ class TestExperiment:
         assert (tmp_path / "j1.ndjson").read_bytes() == (tmp_path / "j2.ndjson").read_bytes()
 
 
-# out-of-range inputs to each command, with the exit code each must give;
-# "{tmp}" is a directory holding m.txt (a p=4 chain), sc.json (a 10-row
-# scenario on it), huge.ndjson (a row with an integer too large for a float)
-# and the empty directory res
+# out-of-range inputs to each command, with the exit code each must give and,
+# for some, the error line; "{tmp}" is a directory holding m.txt (a p=4
+# chain), sc.json (a 10-row scenario on it), huge.ndjson (a row with an
+# integer too large for a float), x_str.ndjson and x_obj.ndjson (a good row,
+# then one whose "x" is a string or an object) and the empty directory res
 _BAD_INPUTS = {
     "gen_chain_rho": (2, ["gen", "chain", "--p", "4", "--rho", "0.7", "--out", "{tmp}/x"]),
     "gen_sparse_density": (2, ["gen", "sparse", "--p", "8", "--density", "-0.1",
@@ -1190,10 +1231,22 @@ _BAD_INPUTS = {
                              "--input", "{tmp}/huge.ndjson"]),
     "monitor_huge_int": (3, ["monitor", "--oracle_matrix", "{tmp}/m.txt", "--w", "3",
                              "--input", "{tmp}/huge.ndjson"]),
+    "monitor_x_string": (3, ["monitor", "--oracle_matrix", "{tmp}/m.txt", "--w", "3",
+                             "--input", "{tmp}/x_str.ndjson"],
+                         'error: line 2: malformed row: "x" is "1.5", not a list of numbers'),
+    "monitor_x_object": (3, ["monitor", "--oracle_matrix", "{tmp}/m.txt", "--w", "3",
+                             "--input", "{tmp}/x_obj.ndjson"],
+                         'error: line 2: malformed row: "x" is {"a":1}, not a list of numbers'),
     "experiment_replicates": (2, ["experiment", "fa-calibration", "--preset", "fig1-desk",
                                   "--replicates", "0", "--out", "{tmp}/x"]),
     "experiment_out_dir": (2, ["experiment", "fa-calibration", "--preset", "fig1-desk",
                                "--replicates", "2", "--jobs", "1", "--out", "{tmp}/res/"]),
+    "experiment_jobs_zero": (2, ["experiment", "fa-calibration", "--preset", "fig1-desk",
+                                 "--replicates", "2", "--jobs", "0", "--out", "{tmp}/x"],
+                             "error: jobs must be >= 1, got 0"),
+    "experiment_jobs_negative": (2, ["experiment", "fa-calibration", "--preset", "fig1-desk",
+                                     "--replicates", "2", "--jobs", "-3", "--out", "{tmp}/x"],
+                                 "error: jobs must be >= 1, got -3"),
 }
 
 
@@ -1204,13 +1257,18 @@ def test_bad_input_exits_2_or_3_with_one_error_line(tmp_path, capsys, name):
              str(tmp_path / "m.txt"), "--t0", "5", "--burnin", "0", "--horizon", "10",
              "--out", str(tmp_path / "sc.json")])
     (tmp_path / "huge.ndjson").write_text('{"x":[1%s,0.1,0.1,0.1]}\n' % ("0" * 400))
+    good = '{"x":[0.1,0.1,0.1,0.1]}\n'
+    (tmp_path / "x_str.ndjson").write_text(good + '{"t":1,"x":"1.5"}\n')
+    (tmp_path / "x_obj.ndjson").write_text(good + '{"x":{"a":1}}\n')
     (tmp_path / "res").mkdir()
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
-    code, args = _BAD_INPUTS[name]
+    code, args, *message = _BAD_INPUTS[name]
     assert run_cli([arg.replace("{tmp}", str(tmp_path)) for arg in args]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    if message:
+        assert err == message
     assert sorted(tmp_path.rglob("*")) == before  # nothing written
 
 

@@ -286,12 +286,14 @@ class TestSingleThreadedBlas:
     @staticmethod
     def _record_blas(monkeypatch) -> list:
         """Make every ``_map_cells`` call first record the BLAS thread counts of
-        the calling process and of one chunk task, then do its real work."""
+        the calling process and of two chunk tasks, then do its real work; two
+        tasks, because one runs in this process at any ``jobs``."""
         seen = []
         map_cells = hz._map_cells
 
         def recording(worker, ctxs, n, jobs):
-            ((chunk,),) = map_cells(_blas_threads, [{}], 1, jobs=jobs)
+            ((chunk,), (other,)) = map_cells(_blas_threads, [{}, {}], 1, jobs=jobs)
+            assert other == chunk
             seen.append((_blas_threads(None, 0, 1), chunk))
             return map_cells(worker, ctxs, n, jobs)
 
@@ -456,3 +458,25 @@ class TestPoolSize:
         assert math.ceil(FA_SMALL.replicates / hz._CHUNK) == 2  # one group, two tasks
         hz.run_experiment(FA_SMALL, jobs=8)
         assert sizes == [2]
+
+    def test_one_task_runs_in_process(self, monkeypatch):
+        pools = []
+
+        class CountingPool(hz.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(hz, "ProcessPoolExecutor", CountingPool)
+        config = _config("fa_calibration", hz._CHUNK, **FA_SMALL.params)  # one group, one task
+        assert hz.run_experiment(config, jobs=2) == hz.run_experiment(config, jobs=1)
+        assert pools == []
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, monkeypatch, jobs):
+        def fail(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(hz, "_map_cells", fail)
+        with pytest.raises(hz.InvalidConfig, match=f"jobs must be >= 1, got {jobs}"):
+            hz.run_experiment(FA_SMALL, jobs=jobs)
