@@ -385,6 +385,8 @@ def _parse_row(line: str, lineno: int, ndjson: bool, orjson) -> tuple[int | None
     try:
         if ndjson:  # orjson reads NaN, Infinity and an int past the float range as errors
             obj = orjson.loads(line)
+            if type(obj) is not dict or "x" not in obj:
+                raise ValueError('not an object with an "x"')
             x, t = obj["x"], obj.get("t")
             if type(x) is not list:
                 raise ValueError(f'"x" is {orjson.dumps(x).decode()}, not a list of numbers')
@@ -395,10 +397,11 @@ def _parse_row(line: str, lineno: int, ndjson: bool, orjson) -> tuple[int | None
             x = np.asarray(x, dtype=np.float64)
         else:
             x, t = _csv_values(line, orjson), None
-    except (ValueError, KeyError, TypeError) as exc:  # orjson's JSONDecodeError is a ValueError
+    except ValueError as exc:  # orjson's JSONDecodeError and float()'s error are ValueErrors
         raise DataError(f"line {lineno}: malformed row: {exc}") from None
     if t is not None and type(t) is not int:  # nor bool, nor an int orjson read as a float
-        raise DataError(f"line {lineno}: malformed row: \"t\" is {t!r}, not an integer")
+        raise DataError(f'line {lineno}: malformed row: "t" is {orjson.dumps(t).decode()}, '
+                        "not an integer")
     return t, x
 
 
@@ -536,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
         # threads would contend with spinning BLAS ones
         with _one_blas_thread():
             return commands[args.command](args, argv)
-    except (DataError, GgmWatchError, ValueError, OSError, KeyError) as exc:
+    except (DataError, GgmWatchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR if isinstance(exc, DataError) else CONFIG_ERROR
 

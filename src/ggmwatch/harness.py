@@ -9,24 +9,21 @@ count.
 Every experiment follows one recipe: draw a model (``_sparse_model``, or the
 chain model for false-alarm calibration), take its covariance factor
 (``_cov_factor``), fit CLIME on seeded burn-in rows (``_burnin_fit``), then
-build a list of task contexts and map one of two chunk workers over every
-(context, replicate-chunk) task, context-major with chunks of ``_CHUNK``
-replicates, on ``min(jobs, tasks)`` workers: in this process when that is
-one, else through one process pool. The workers only draw and score.
-``_group_chunk`` takes a stream group: one stream key, the distinct covariance
-factors of its cells and the cells, each a ``(factor, w, fits)`` triple. It
-draws each replicate once, at the group's largest ``w``, and returns the
-sup-norm of every cell's first window (calibration and power, through
-``_first_windows``); it holds ``_SUB`` replicates' draws at a time.
-``_path_chunk`` returns one path's sliding sup-norm trajectory (delay
+map one of two chunk workers over every (context, replicate-chunk) task with
+``_map_cells``, on ``min(jobs, tasks)`` workers: in this process when that is
+one, else through one process pool. The workers only draw and score, and
+``_map_cells`` returns one replicate-major array per context. ``_group_chunk``
+scores a stream group ``(key, [(chol, [(w, fits), ...]), ...])``, each
+covariance factor listed with the cells it serves, and gives one column per
+cell in factor order (calibration and power, through ``_first_windows``);
+``_path_chunk`` gives one sliding sup-norm trajectory per replicate (delay
 profile and its no-change control). The runner of each kind (``_RUNNERS``)
-only computes cells: it reduces each cell's chunk results, in chunk order, to
-rates, delays and trajectories, and returns the cells with its provenance
-extras. ``run_experiment`` refuses ``jobs < 1``, assembles the one
-:class:`ExperimentResult` and its provenance, and runs all of it, in this
-process and in the workers, on one BLAS thread (restored afterwards):
-threaded Gram products round differently, so results depend only on the
-config and master seed, not on ``--jobs`` or the BLAS setting.
+reduces those arrays to rates, delays and trajectories and returns its cells
+with its provenance extras. ``run_experiment`` refuses ``jobs < 1``,
+assembles the one :class:`ExperimentResult` and its provenance, and runs all
+of it, in this process and in the workers, on one BLAS thread (restored
+afterwards): threaded Gram products round differently, so results depend
+only on the config and master seed, not on ``--jobs`` or the BLAS setting.
 
 The cells of a group share replicate streams (common random numbers): the
 calibration cells of one experiment, and the (beta, w) cells of one ``s`` in
@@ -142,11 +139,11 @@ def _upper_quantile(values: np.ndarray, pi0: float) -> float:
     return float(np.sort(values)[k - 1])
 
 
-def _map_cells(worker, ctxs: list[dict], n: int, jobs: int) -> list[list]:
+def _map_cells(worker, ctxs: list[dict], n: int, jobs: int) -> list[np.ndarray]:
     """Run ``worker(ctx, start, stop)`` over every (context, replicate-chunk)
     task, context-major, on ``min(jobs, tasks)`` workers: in this process when
-    that is one, else through one process pool. Returns each context's chunk
-    results in chunk order."""
+    that is one, else through one process pool. Returns one replicate-major
+    array per context, its chunks joined in chunk order."""
     spans = [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
     tasks = [(ctx, a, b) for ctx in ctxs for a, b in spans]
     workers = min(jobs, len(tasks))
@@ -156,7 +153,7 @@ def _map_cells(worker, ctxs: list[dict], n: int, jobs: int) -> list[list]:
         with ProcessPoolExecutor(max_workers=workers, initializer=_single_blas_thread) as pool:
             results = list(pool.map(worker, *zip(*tasks)))
     k = len(spans)
-    return [results[i : i + k] for i in range(0, len(results), k)]
+    return [np.concatenate(results[i : i + k]) for i in range(0, len(results), k)]
 
 
 # ---------------------------------------------------------------------------
@@ -164,37 +161,36 @@ def _map_cells(worker, ctxs: list[dict], n: int, jobs: int) -> list[list]:
 
 
 def _group_chunk(group: dict, start: int, stop: int) -> np.ndarray:
-    """Sup-norms, shape ``(cells, stop - start)``, of the first window of each
-    replicate for every cell of a stream group. Replicate ``r`` draws
-    ``(max w, p)`` rows from the stream ``(*key, r)`` once; for each cell
-    ``(factor, w, fits)`` they are transformed by ``chols[factor]`` (once per
-    factor) and the first ``w`` rows are scored with fit ``r % len(fits)``.
+    """Sup-norms, shape ``(stop - start, cells)``, of the first window of each
+    replicate for every cell of a stream group, cells in factor order.
+    Replicate ``r`` draws ``(max w, p)`` rows from the stream ``(*key, r)``
+    once; each factor ``(chol, cells)`` transforms them, and each of its
+    ``(w, fits)`` cells scores the first ``w`` rows with fit ``r % len(fits)``.
     Philox draws are prefix-consistent, so a cell scores the rows a draw of
     ``(w, p)`` alone would give. Draws are held ``_SUB`` replicates at a time."""
-    chols, cells = group["chols"], group["cells"]
-    out = np.empty((len(cells), stop - start))
+    factors = group["factors"]
+    cells = [cell for _, fcells in factors for cell in fcells]
+    out = np.empty((stop - start, len(cells)))
     if not cells:  # an empty grid axis
         return out
-    shape = (max(w for _, w, _ in cells), chols[0].shape[0])
+    shape = (max(w for w, _ in cells), factors[0][0].shape[0])
     for a in range(start, stop, _SUB):
         b = min(a + _SUB, stop)
         z = np.empty((b - a, *shape))
         for i, r in enumerate(range(a, b)):
             _generator(group["master_seed"], *group["key"], r).standard_normal(out=z[i])
-        for f, chol in enumerate(chols):
+        cols = iter(out[a - start : b - start].T)
+        for f, (chol, fcells) in enumerate(factors):
             # the last factor transforms the draw in place
-            xs = z if f == len(chols) - 1 else np.empty_like(z)
+            xs = z if f == len(factors) - 1 else np.empty_like(z)
             for i in range(b - a):
                 xs[i] = z[i] @ chol.T
-            for c, (cf, w, fits) in enumerate(cells):
-                if cf != f:
-                    continue
+            # zip reads fcells first, so it takes one column per cell and no more
+            for (w, fits), col in zip(fcells, cols):
                 m = len(fits)
                 for g, (omega, psi) in enumerate(fits):
                     k = (g - a) % m
-                    out[c, a - start + k : b - start : m] = kernels.window_supnorms(
-                        xs[k::m, :w], omega, psi
-                    )
+                    col[k::m] = kernels.window_supnorms(xs[k::m, :w], omega, psi)
     return out
 
 
@@ -238,14 +234,12 @@ def _burnin_fit(config: ExperimentConfig, chol: np.ndarray, n: int, *key) -> np.
 
 def _first_windows(config: ExperimentConfig, jobs: int, groups: list[tuple]) -> list[np.ndarray]:
     """Sup-norms of every replicate's first window, one array per cell, for
-    ``(key, chols, cells)`` stream groups as ``_group_chunk`` takes them; cells
-    in group order."""
-    ctxs = [
-        {"master_seed": config.master_seed, "key": key, "chols": chols, "cells": cells}
-        for key, chols, cells in groups
-    ]
+    ``(key, [(chol, [(w, fits), ...]), ...])`` stream groups; cells in group
+    order, and within a group in factor order."""
+    ctxs = [{"master_seed": config.master_seed, "key": key, "factors": factors}
+            for key, factors in groups]
     results = _map_cells(_group_chunk, ctxs, config.replicates, jobs)
-    return [sups for parts in results for sups in np.concatenate(parts, axis=1)]
+    return [sups for group_sups in results for sups in group_sups.T]
 
 
 def _fa_calibration(config: ExperimentConfig, jobs: int) -> tuple[list, dict]:
@@ -259,7 +253,7 @@ def _fa_calibration(config: ExperimentConfig, jobs: int) -> tuple[list, dict]:
     zu = critical_value_union(pi0, p) if pi0 < 0.5 else None
     za = critical_value_asymptotic(pi0, p)
     fit = (omega.entries, scale_entries(omega.entries))
-    (sups,) = _first_windows(config, jobs, [(("fa",), [chol], [(0, w, [fit])])])
+    (sups,) = _first_windows(config, jobs, [(("fa",), [(chol, [(w, [fit])])])])
     n = len(sups)
     metrics = {
         "exceed_exact": _rate_metric(int(np.sum(sups >= ze)), n),
@@ -291,7 +285,7 @@ def _plugin_calibration(config: ExperimentConfig, jobs: int) -> tuple[list, dict
     errs.append(np.zeros(1))  # the true model: e_N = 0 with no standard error
     cell_keys.append({"n_burnin": 0, "oracle": 1})
     all_sups = _first_windows(
-        config, jobs, [(("window",), [chol], [(0, w, fits) for fits in fit_sets])]
+        config, jobs, [(("window",), [(chol, [(w, fits) for fits in fit_sets])])]
     )
     cells = []
     for sups, e, key in zip(all_sups, errs, cell_keys):
@@ -328,13 +322,12 @@ def _power_engine(config: ExperimentConfig, jobs: int, change: str) -> tuple[lis
     fit = (omega_hat, scale_entries(omega_hat))
     groups, cell_keys = [], []
     for s in prm["s_grid"]:
-        chols, group_cells = [], []
+        factors = []
         for beta, beta_cell in cells_axis:
-            chols.append(_cov_factor(make_change(omega, s, beta)) if beta != 0.0 else chol_pre)
-            for w in w_grid:
-                group_cells.append((len(chols) - 1, w, [fit]))
-                cell_keys.append({"s": s, "w": w, **beta_cell})
-        groups.append((("rep", s), chols, group_cells))
+            chol = _cov_factor(make_change(omega, s, beta)) if beta != 0.0 else chol_pre
+            factors.append((chol, [(w, [fit]) for w in w_grid]))
+            cell_keys += [{"s": s, "w": w, **beta_cell} for w in w_grid]
+        groups.append((("rep", s), factors))
     cells = []
     for sups, cell in zip(_first_windows(config, jobs, groups), cell_keys):
         metrics = {"pi1": _rate_metric(int(np.sum(sups < zetas[cell["w"]])), len(sups))}
@@ -377,9 +370,8 @@ def _delay_profile(config: ExperimentConfig, jobs: int) -> tuple[list, dict]:
         # switching at the path's end keeps every row on chol_pre
         dict(base, key=("control",), switch=t0 + w, chol_post=chol_pre),
     ]
-    change_parts, control_parts = _map_cells(_path_chunk, ctxs, config.replicates, jobs)
+    sups, ctl = _map_cells(_path_chunk, ctxs, config.replicates, jobs)
     rel_t = list(range(-t0, 1))
-    sups = np.concatenate(change_parts)
     n = len(sups)
     traj_mean, traj_se = sups.mean(axis=0), sups.std(axis=0) / math.sqrt(n)
     over = np.nonzero(traj_mean >= zeta)[0]
@@ -404,7 +396,6 @@ def _delay_profile(config: ExperimentConfig, jobs: int) -> tuple[list, dict]:
         "traj_end": MetricValue(float(traj_mean[-1]), float(traj_se[-1])),
     }
     series = {"t": rel_t, "mean": traj_mean.tolist(), "se": traj_se.tolist()}
-    ctl = np.concatenate(control_parts)
     ctl_mean = ctl.mean(axis=0)
     ctl_metrics = {
         "window_exceed": _rate_metric(int((ctl >= zeta).sum()), ctl.size),

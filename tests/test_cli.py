@@ -1201,7 +1201,16 @@ class TestExperiment:
 # for some, the error line; "{tmp}" is a directory holding m.txt (a p=4
 # chain), sc.json (a 10-row scenario on it), huge.ndjson (a row with an
 # integer too large for a float), x_str.ndjson and x_obj.ndjson (a good row,
-# then one whose "x" is a string or an object) and the empty directory res
+# then one whose "x" is a string or an object), <name>.ndjson for each row of
+# _BAD_ROWS (a good row, then that row) and the empty directory res
+_BAD_ROWS = {  # name: (NDJSON row, its error after "malformed row: ")
+    "int": ("5", 'not an object with an "x"'),
+    "list": ("[0.1,0.2,0.3,0.4]", 'not an object with an "x"'),
+    "string": ('"row"', 'not an object with an "x"'),
+    "no_x": ('{"t":1}', 'not an object with an "x"'),
+    "t_true": ('{"t":true,"x":[0.1,0.1,0.1,0.1]}', '"t" is true, not an integer'),
+    "t_string": ('{"t":"a","x":[0.1,0.1,0.1,0.1]}', '"t" is "a", not an integer'),
+}
 _BAD_INPUTS = {
     "gen_chain_rho": (2, ["gen", "chain", "--p", "4", "--rho", "0.7", "--out", "{tmp}/x"]),
     "gen_sparse_density": (2, ["gen", "sparse", "--p", "8", "--density", "-0.1",
@@ -1237,6 +1246,12 @@ _BAD_INPUTS = {
     "monitor_x_object": (3, ["monitor", "--oracle_matrix", "{tmp}/m.txt", "--w", "3",
                              "--input", "{tmp}/x_obj.ndjson"],
                          'error: line 2: malformed row: "x" is {"a":1}, not a list of numbers'),
+    **{
+        f"monitor_row_{name}": (3, ["monitor", "--oracle_matrix", "{tmp}/m.txt", "--w", "3",
+                                    "--input", f"{{tmp}}/{name}.ndjson"],
+                                f"error: line 2: malformed row: {message}")
+        for name, (_, message) in _BAD_ROWS.items()
+    },
     "experiment_replicates": (2, ["experiment", "fa-calibration", "--preset", "fig1-desk",
                                   "--replicates", "0", "--out", "{tmp}/x"]),
     "experiment_out_dir": (2, ["experiment", "fa-calibration", "--preset", "fig1-desk",
@@ -1260,6 +1275,8 @@ def test_bad_input_exits_2_or_3_with_one_error_line(tmp_path, capsys, name):
     good = '{"x":[0.1,0.1,0.1,0.1]}\n'
     (tmp_path / "x_str.ndjson").write_text(good + '{"t":1,"x":"1.5"}\n')
     (tmp_path / "x_obj.ndjson").write_text(good + '{"x":{"a":1}}\n')
+    for row_name, (row, _) in _BAD_ROWS.items():
+        (tmp_path / f"{row_name}.ndjson").write_text(good + row + "\n")
     (tmp_path / "res").mkdir()
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()

@@ -292,7 +292,7 @@ class TestSingleThreadedBlas:
         map_cells = hz._map_cells
 
         def recording(worker, ctxs, n, jobs):
-            ((chunk,), (other,)) = map_cells(_blas_threads, [{}, {}], 1, jobs=jobs)
+            chunk, other = (a.tolist() for a in map_cells(_blas_threads, [{}, {}], 1, jobs=jobs))
             assert other == chunk
             seen.append((_blas_threads(None, 0, 1), chunk))
             return map_cells(worker, ctxs, n, jobs)
@@ -369,24 +369,27 @@ class TestSharedDraws:
 
     SPARSE = dict(p=12, density=0.2, inflation=0.1, pi0=0.05)
     CONFIGS = {
+        "fa_calibration": dict(p=12, rho0=0.5, w=20, pi0=0.05),
         "power_curve": dict(
             SPARSE, n_burnin=150, s_grid=[1, 2], beta_grid=[0.0, 4.0], w_grid=[16, 24, 40]
         ),
         "plugin_calibration": dict(SPARSE, w=20, n_grid=[60, 120], fits=3),
+        "lcpd_block": dict(SPARSE, s_grid=[1, 3], beta_fracs=[0.0, 0.5], w_grid=[16, 24, 40]),
     }
 
     @staticmethod
     def _recompute(group: dict, n: int) -> np.ndarray:
-        """Each cell on its own: replicate ``r`` draws ``(w, p)`` rows from
-        ``(*key, r)``, transforms them and scores them with fit ``r % len(fits)``."""
-        chols = group["chols"]
-        out = np.empty((len(group["cells"]), n))
-        for c, (f, w, fits) in enumerate(group["cells"]):
+        """Each cell on its own, in factor order: replicate ``r`` draws ``(w, p)``
+        rows from ``(*key, r)``, transforms them and scores them with fit
+        ``r % len(fits)``."""
+        cells = [(chol, w, fits) for chol, fcells in group["factors"] for w, fits in fcells]
+        out = np.empty((n, len(cells)))
+        for c, (chol, w, fits) in enumerate(cells):
             for r in range(n):
                 rng = hz._generator(group["master_seed"], *group["key"], r)
-                x = rng.standard_normal((w, chols[f].shape[0])) @ chols[f].T
+                x = rng.standard_normal((w, chol.shape[0])) @ chol.T
                 omega, psi = fits[r % len(fits)]
-                out[c, r] = kernels.window_supnorms(x[None], omega, psi)[0]
+                out[r, c] = kernels.window_supnorms(x[None], omega, psi)[0]
         return out
 
     @pytest.mark.parametrize("kind", sorted(CONFIGS))
@@ -394,23 +397,29 @@ class TestSharedDraws:
         # chunks of 40 replicates start off the fit cycle and split into
         # sub-chunks of 25 and 15
         monkeypatch.setattr(hz, "_CHUNK", 40)
-        calls = []
-        map_cells = hz._map_cells
+        calls, spans = [], {}
+        map_cells, group_chunk = hz._map_cells, hz._group_chunk
 
         def recording(worker, ctxs, n, jobs):
             results = map_cells(worker, ctxs, n, jobs)
             calls.append((worker, ctxs, n, results))
             return results
 
+        def chunk_recording(group, start, stop):
+            out = group_chunk(group, start, stop)
+            spans.setdefault(id(group), []).append(len(out))
+            return out
+
         monkeypatch.setattr(hz, "_map_cells", recording)
+        monkeypatch.setattr(hz, "_group_chunk", chunk_recording)
         res = hz.run_experiment(_config(kind, 90, **self.CONFIGS[kind]))
         ((worker, groups, n, results),) = calls
-        assert worker is hz._group_chunk
-        assert sum(len(g["cells"]) for g in groups) == len(res.cells) >= 3
+        assert worker is chunk_recording
+        n_cells = sum(len(fcells) for g in groups for _, fcells in g["factors"])
+        assert n_cells == len(res.cells) >= (1 if kind == "fa_calibration" else 3)
         with bindings._one_blas_thread():
-            for group, parts in zip(groups, results):
-                assert [part.shape[1] for part in parts] == [40, 40, 10]
-                shared = np.concatenate(parts, axis=1)
+            for group, shared in zip(groups, results):
+                assert spans[id(group)] == [40, 40, 10]
                 assert shared.tobytes() == self._recompute(group, n).tobytes()
 
     @pytest.mark.parametrize(
@@ -430,8 +439,9 @@ class TestSharedDraws:
         group = {
             "master_seed": 1,
             "key": ("fa",),
-            "chols": [hz._cov_factor(omega)],
-            "cells": [(0, 300, [(omega.entries, scale_entries(omega.entries))])],
+            "factors": [
+                (hz._cov_factor(omega), [(300, [(omega.entries, scale_entries(omega.entries))])])
+            ],
         }
         tracemalloc.start()
         try:
@@ -440,7 +450,7 @@ class TestSharedDraws:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.shape == (1, 250)
+        assert out.shape == (250, 1)
         assert peak < 25e6
 
 
