@@ -400,6 +400,11 @@ def _parse_row(line: str, lineno: int, ndjson: bool, orjson) -> tuple[int | None
     except ValueError as exc:  # orjson's JSONDecodeError and float()'s error are ValueErrors
         raise DataError(f"line {lineno}: malformed row: {exc}") from None
     if t is not None and type(t) is not int:  # nor bool, nor an int orjson read as a float
+        if type(t) is float:  # orjson reads an int outside [-2**63, 2**64) as a float
+            t = json.loads(line)["t"]  # the row's own digits, exactly
+        if type(t) is int:
+            raise DataError(f'line {lineno}: malformed row: "t" is {t}, '
+                            "not in [-2**63, 2**64)")
         raise DataError(f'line {lineno}: malformed row: "t" is {orjson.dumps(t).decode()}, '
                         "not an integer")
     return t, x

@@ -12,11 +12,12 @@ monitored. Monitored row ``m`` goes to slot ``(m - 1) % w`` of one ``(w, p)``
 ring, and from ``m >= w`` on each step tests the last ``w`` rows.
 
 A test costs O(p^2): a :class:`ggmwatch.kernels.RollingSupnorm` rolls the
-window's Gram matrix (see :mod:`ggmwatch.kernels` for its error bound).
-Where it gives no value, the step is *exact*: it passes the last ``w`` rows,
-in time order, to :func:`ggmwatch.statistic.oracle_statistic` /
-``plugin_statistic``. Decisions and detection statistics are bit-for-bit
-those of an exact evaluation at every step.
+window's centred Gram matrix (see :mod:`ggmwatch.kernels` for its error
+bound). Where it gives no value, the step is *exact*: it passes the last
+``w`` rows, in time order, to :func:`ggmwatch.statistic.oracle_statistic` /
+``plugin_statistic``, with the scale ``psi`` computed once per estimate.
+Decisions and detection statistics are bit-for-bit those of an exact
+evaluation at every step.
 
 Plug-in fits (at ``m == 0``, and after a test that does not fire whenever its
 number ``m - w + 1`` is a multiple of ``batch``) use every sample
@@ -128,6 +129,7 @@ class Detector:
         self._scorer = RollingSupnorm(p, w, config.zeta)
         self._history: list[np.ndarray] = []
         self._omega: np.ndarray | None = None
+        self._psi: np.ndarray | None = None  # scale_entries(self._omega)
         if config.oracle_omega is not None:
             self._set_estimate(config.oracle_omega.entries)
 
@@ -139,8 +141,8 @@ class Detector:
         """Cache what a test needs of the estimate ``omega``; the next test is exact."""
         if np.any(omega.diagonal() <= 0.0):
             raise NonPositiveDiagonal("plug-in estimate has a nonpositive diagonal entry")
-        self._omega = omega
-        self._scorer.set_estimate(omega, scale_entries(omega))
+        self._omega, self._psi = omega, scale_entries(omega)
+        self._scorer.set_estimate(omega, self._psi)
 
     def _refit(self) -> None:
         if self.config.oracle_omega is None:  # only plug-in fits read the history
@@ -162,9 +164,9 @@ class Detector:
         i = m % self.config.w
         window = np.concatenate((self._ring[i:], self._ring[:i]))
         if self.config.oracle_omega is not None:
-            sup = oracle_statistic(self.config.oracle_omega, window).sup_norm
+            sup = oracle_statistic(self.config.oracle_omega, window, psi=self._psi).sup_norm
         else:
-            sup = plugin_statistic(self._omega, window).sup_norm
+            sup = plugin_statistic(self._omega, window, psi=self._psi).sup_norm
         if not math.isfinite(sup):
             self._restart()
             raise NonFiniteSample(f"statistic at sample {self.t} is {sup}; values too large")

@@ -5,47 +5,59 @@ respect to a precision matrix ``omega`` and its entry-wise scale ``psi`` is
 
     E = (Y'Y - w * omega) * scale,    Y = X @ omega,    scale = psi / sqrt(w).
 
-:func:`deviation` is the single source of this formula: the statistic
-module's oracle and plug-in statistics, :func:`window_supnorms` and
-:class:`RollingSupnorm` all call it on a Gram matrix ``Y'Y``, each with a
-``scale`` it computes once per estimate.
+:func:`deviation` is the single written source of this formula: the statistic
+module's oracle and plug-in statistics and :func:`window_supnorms` call it on
+a Gram matrix ``Y'Y``, each with a ``scale`` it computes once per estimate.
+:class:`RollingSupnorm` keeps the centred Gram ``Y'Y - w * omega`` between
+rows, so it takes the formula's two steps apart: it subtracts ``w * omega``
+once per exact Gram and multiplies by ``scale`` once per row, each as
+:func:`deviation` does, which gives an exact evaluation the statistic's bits.
 
 :class:`RollingSupnorm` serves the detector's monitoring step and
 :func:`sliding_supnorms`, the delay profile's scan. It slides the window's
-Gram matrix by a rank-one update and a downdate, O(p^2) per row, and bounds
+centred Gram by a rank-one update and a downdate, O(p^2) per row, and bounds
 the rounding error: with ``c`` the largest column 2-norm of ``omega``, the
-entries of ``x @ omega`` and of ``|x| @ |omega|`` are at most ``|x|_2 c``, so
-counting the transforms, the Gram sums, the ``2 rolled`` rank-one updates and
-the deviation, ``|rolling - exact| <= 4 u (p + w + rolled + 2) (c^2 mass +
-w max|omega|) max(scale)`` to first order in ``u = eps / 2``, where
-``mass`` sums ``|x|_2^2`` over the window of the last exact Gram and every
-row added since. The scorer takes four times that. It asks for an exact
-evaluation when the rolling value is not finite or comes within the bound of
-``zeta``, and once the rows that have left the window since the last exact
-Gram outweigh three times those in it, as after a huge outlier leaves or,
-with rows of steady size, after about ``3 w`` rolls. The bound holds for any
+entries of ``x @ omega`` and of ``|x| @ |omega|`` are at most ``|x|_2 c``.
+Let ``mass`` sum ``|x|_2^2`` over the window of the last exact Gram and every
+row added since. Then each product ``y_u y_v`` of transformed entries is at
+most ``|x|_2^2 c^2``, the exact and the rolled Gram's entries, and every
+partial sum of them, are at most ``c^2 mass``, and every entry the centred
+roll holds or rounds to is at most ``c^2 mass + w max|omega|``. Counting the
+transforms (``p`` roundings an entry, for the exact window and for each
+rolled row), the Gram sums (``w``), the one subtraction of ``w * omega``,
+the ``2 rolled`` rank-one updates (one product and one sum each) and the
+multiplication by ``scale``, on both the rolling and the exact side,
+``|rolling - exact| <= 4 u (p + w + rolled + 2) (c^2 mass + w max|omega|)
+max(scale)`` to first order in ``u = eps / 2``. The scorer takes four times
+that. It asks for an exact evaluation when the rolling value is not finite
+or comes within the bound of ``zeta``, and once the rows that have left the
+window since the last exact Gram outweigh three times those in it, as after
+a huge outlier leaves or, with rows of steady size, after about ``3 w``
+rolls. The bound holds for any
 ``rolled``, so a rolling value the scorer returns is on the exact one's side
 of ``zeta``; with ``mass`` at most four times the window's own sum, the
 bound it takes is at most ``16 u (p + w + rolled + 2) (4 c^2 window + w
 max|omega|) max(scale)``, and only rows that keep growing keep ``rolled``
 past about ``3 w``. An exact evaluation, :meth:`RollingSupnorm.recompute`,
 restarts the roll from the Gram of the window's transformed rows in time
-order, the statistic's own Gram.
+order, the statistic's own Gram, less ``w * omega``.
 
-:class:`RollingSupnorm` keeps the Gram, ``w * omega`` and ``scale`` as their
-upper triangles packed by column, the layout BLAS ``dspr`` updates in place.
-Every matrix it sees is exactly symmetric (:meth:`RollingSupnorm.set_estimate`
-refuses an ``omega`` or ``psi`` that is not, numpy forms ``y.T @ y`` as one
-triangle and mirrors it, and a rank-one update adds the same product to
-``(u, v)`` and ``(v, u)``), so the triangle's sup is the matrix's.
-:meth:`RollingSupnorm.push` finds it with one BLAS ``idamax`` pass over the
-packed deviation, which gives ``max|e|`` to the bit but would pass over a
-nan. None can hide there: the Gram's entries are sums of products of
-transformed entries, each at most ``|x|_2 c``, so every one is at most ``c^2
-mass``, and a non-finite entry (the only way to a nan deviation) needs ``c^2
-mass`` to overflow, which makes the bound ``inf`` and ``push`` return None.
-:meth:`RollingSupnorm.recompute` keeps ``np.abs(e).max()``, which propagates
-nan.
+:class:`RollingSupnorm` keeps the centred Gram, ``w * omega`` and ``scale``
+as their upper triangles packed by column, the layout BLAS ``dspr`` updates
+in place. Every matrix it sees is exactly symmetric
+(:meth:`RollingSupnorm.set_estimate` refuses an ``omega`` or ``psi`` that is
+not, numpy forms ``y.T @ y`` as one triangle and mirrors it, and a rank-one
+update adds the same product to ``(u, v)`` and ``(v, u)``), so the
+triangle's sup is the matrix's. :meth:`RollingSupnorm.push` finds it with one
+BLAS ``idamax`` pass over the packed deviation, which gives ``max|e|`` to the
+bit but would pass over a nan. None can hide there: the centred Gram's
+entries start finite and change only by sums with products of transformed
+entries, so the first non-finite one (the only way to a nan deviation) needs
+a transformed entry, a product or a sum to overflow. Each of these is at
+most ``c^2 mass + w max|omega|`` by the above, or has a square that is, so
+``c^2 mass + w max|omega|`` overflows too, which makes the bound ``inf`` and
+``push`` return None. :meth:`RollingSupnorm.recompute` keeps
+``np.abs(e).max()``, which propagates nan.
 """
 
 from __future__ import annotations
@@ -117,7 +129,8 @@ class RollingSupnorm:
         # flat indices u p + v of the upper triangle, u <= v, in packed order:
         # entry (u, v) of a packed array sits at u + v (v + 1) / 2
         self._pack = np.ravel_multi_index(np.tril_indices(p)[::-1], (p, p))
-        self._gram = _line_aligned(len(self._pack))  # Y'Y of the ring, packed
+        # the ring's centred Gram Y'Y - w omega, packed
+        self._gram = _line_aligned(len(self._pack))
         self._scratch = _line_aligned(len(self._pack))
         self.stale = True  # whether the next push returns None whatever the row
         self._rolled = 0  # rolls since the last exact Gram
@@ -150,12 +163,14 @@ class RollingSupnorm:
         if self.stale:
             self._sq[slot] = sq
             return None
-        y_out = self._ring[slot]
-        dspr(len(y), 1.0, y, self._gram, overwrite_ap=True)
-        dspr(len(y), -1.0, y_out, self._gram, overwrite_ap=True)
+        y_out, centred = self._ring[slot], self._gram
+        # positional (n, alpha, x, ap, incx, offx, lower, overwrite_ap): the
+        # upper triangle, updated in place
+        dspr(len(y), 1.0, y, centred, 1, 0, 0, 1)
+        dspr(len(y), -1.0, y_out, centred, 1, 0, 0, 1)
         y_out[...] = y
         # a nan here would come with an infinite bound
-        e = deviation(self._gram, self._w_omega, self._scale, self._scratch)
+        e = np.multiply(centred, self._scale, out=self._scratch)
         sup = abs(e.item(idamax(e)))
         self._rolled += 1
         self._mass += sq
@@ -168,14 +183,16 @@ class RollingSupnorm:
         return sup if sup + bound < self.zeta else None  # False for nan
 
     def recompute(self, y: np.ndarray, first: int) -> float:
-        """Recompute the Gram as ``y.T @ y`` from the window's transformed rows
-        ``y``, oldest first and in slot ``first``, and return its sup-norm."""
-        np.take(y.T @ y, self._pack, out=self._gram)
+        """Recompute the centred Gram as ``y.T @ y - w * omega`` from the
+        window's transformed rows ``y``, oldest first and in slot ``first``,
+        and return the window's sup-norm."""
+        centred = np.take(y.T @ y, self._pack, out=self._gram)
+        centred -= self._w_omega  # deviation's two steps, apart
         self._ring[first:] = y[: self.w - first]
         self._ring[:first] = y[self.w - first :]
         self.stale, self._rolled = False, 0
         self._mass = self._window = sum(self._sq)
-        e = deviation(self._gram, self._w_omega, self._scale, self._scratch)
+        e = np.multiply(centred, self._scale, out=self._scratch)
         return float(np.abs(e, out=e).max())
 
 

@@ -8,7 +8,9 @@ with the entry-wise scale ``psi[u, v] = (omega[u,u] omega[v,v] + omega[u,v]^2)^(
 (the inverse standard deviation of each entry of the window's second moment,
 by Isserlis' theorem). The oracle and plug-in statistics evaluate it with
 :func:`ggmwatch.kernels.deviation` through one code path, so feeding the true
-precision matrix to the plug-in gives bit-identical output.
+precision matrix to the plug-in gives bit-identical output. Both take an
+optional ``psi``: a caller that tests many windows against one estimate, as
+the detector does, computes ``scale_entries`` once and passes it on.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def scale_entries(omega: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(np.outer(d, d) + omega * omega)
 
 
-def _window_deviation(xs, omega: np.ndarray) -> DeviationMatrix:
+def _window_deviation(xs, omega: np.ndarray, psi: np.ndarray | None) -> DeviationMatrix:
     x = np.asarray(xs, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionMismatch(f"expected a (w, p) array, got shape {x.shape}")
@@ -55,22 +57,26 @@ def _window_deviation(xs, omega: np.ndarray) -> DeviationMatrix:
         )
     w = x.shape[0]
     y = x @ omega
-    e = deviation(y.T @ y, w * omega, scale_entries(omega) / np.sqrt(w))
+    if psi is None:
+        psi = scale_entries(omega)
+    e = deviation(y.T @ y, w * omega, psi / np.sqrt(w))
     return DeviationMatrix(entries=e, sup_norm=float(np.abs(e).max()))
 
 
-def oracle_statistic(omega: PrecisionMatrix, xs) -> DeviationMatrix:
+def oracle_statistic(omega: PrecisionMatrix, xs, psi: np.ndarray | None = None) -> DeviationMatrix:
     """Standardized deviation of a ``(w, p)`` window (oldest row first) under a
-    known precision matrix.
+    known precision matrix. ``psi``, when given, must be
+    ``scale_entries(omega)``; it is computed when not.
 
     Invariant under permutations of the window's samples; equivariant under
     simultaneous node relabeling of ``omega`` and the samples.
     """
-    return _window_deviation(xs, _as_array(omega))
+    return _window_deviation(xs, _as_array(omega), psi)
 
 
-def plugin_statistic(omega_hat, xs) -> DeviationMatrix:
-    """Same formula with an estimated precision matrix substituted.
+def plugin_statistic(omega_hat, xs, psi: np.ndarray | None = None) -> DeviationMatrix:
+    """Same formula with an estimated precision matrix substituted, and
+    ``psi`` as for :func:`oracle_statistic`.
 
     ``omega_hat`` must be symmetric with strictly positive diagonal; positive
     definiteness is not required.
@@ -78,7 +84,7 @@ def plugin_statistic(omega_hat, xs) -> DeviationMatrix:
     om = _as_array(omega_hat)
     if np.any(om.diagonal() <= 0.0):
         raise NonPositiveDiagonal("plug-in estimate has a nonpositive diagonal entry")
-    return _window_deviation(xs, om)
+    return _window_deviation(xs, om, psi)
 
 
 def change_signal(omega_pre: PrecisionMatrix, sigma_post: np.ndarray) -> DeviationMatrix:

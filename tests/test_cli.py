@@ -1210,6 +1210,11 @@ _BAD_ROWS = {  # name: (NDJSON row, its error after "malformed row: ")
     "no_x": ('{"t":1}', 'not an object with an "x"'),
     "t_true": ('{"t":true,"x":[0.1,0.1,0.1,0.1]}', '"t" is true, not an integer'),
     "t_string": ('{"t":"a","x":[0.1,0.1,0.1,0.1]}', '"t" is "a", not an integer'),
+    # orjson reads these as floats; the error names the integer the row holds
+    "t_2_64": ('{"t":18446744073709551616,"x":[0.1,0.1,0.1,0.1]}',
+               '"t" is 18446744073709551616, not in [-2**63, 2**64)'),
+    "t_below_-2_63": ('{"t":-9223372036854775809,"x":[0.1,0.1,0.1,0.1]}',
+                      '"t" is -9223372036854775809, not in [-2**63, 2**64)'),
 }
 _BAD_INPUTS = {
     "gen_chain_rho": (2, ["gen", "chain", "--p", "4", "--rho", "0.7", "--out", "{tmp}/x"]),

@@ -10,6 +10,7 @@ from numpy.random import Generator, Philox
 
 import ggmwatch as gw
 import ggmwatch.detector as detector_module
+import ggmwatch.statistic as statistic_module
 from ggmwatch.errors import DimensionMismatch, Infeasible, InvalidConfig, NonFiniteSample
 
 
@@ -386,6 +387,31 @@ class TestStep:
             prev = cur
         # tests begin at t=13 (burn-in 10 + window 3); refits every 4 tests
         assert refit_steps == [16, 20, 24, 28]
+
+    @pytest.mark.parametrize("oracle", [True, False])
+    def test_scale_is_computed_once_per_estimate(self, rng, monkeypatch, oracle):
+        # exact steps pass the estimate's psi on: scale_entries runs once for
+        # the oracle matrix and once per plug-in fit, never per exact step
+        omega = gw.gen_chain_precision(4, 0.4)
+        calls, fits, exacts = [], [], []
+        for module in (detector_module, statistic_module):
+            scale = module.scale_entries
+            monkeypatch.setattr(module, "scale_entries",
+                                lambda om, scale=scale: calls.append(1) or scale(om))
+        estimate = detector_module.clime_estimate
+        monkeypatch.setattr(detector_module, "clime_estimate",
+                            lambda *args: fits.append(1) or estimate(*args))
+        config = gw.DetectorConfig(p=4, w=3, zeta=1e9, n_burnin=10, batch=8,
+                                   oracle_omega=omega if oracle else None)
+        det = gw.Detector(config)
+        exact = det._exact
+        det._exact = lambda m: exacts.append(m) or exact(m)
+        chol = gw.cholesky_factor(gw.invert_spd(omega.entries))
+        for x in rng.standard_normal((60, 4)) @ chol.T:
+            det.step(x)
+        assert len(fits) == (0 if oracle else 7)  # at t = 10, then 20, 28, ..., 60
+        assert len(exacts) >= 5
+        assert len(calls) == (1 if oracle else len(fits))
 
     def test_batch_none_keeps_estimate(self, rng):
         omega = gw.gen_chain_precision(4, 0.4)

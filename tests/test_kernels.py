@@ -96,8 +96,8 @@ def test_recompute_is_the_statistic(setup, first):
 
 def test_push_refuses_a_nan_in_the_rolling_gram(setup):
     # idamax passes over a nan; by the module docstring a nan entry of the
-    # rolling Gram needs the window mass to overflow, which makes the bound
-    # infinite, so push returns None
+    # rolling centred Gram needs the window mass to overflow, which makes the
+    # bound infinite, so push returns None
     om, chol, psi, rng = setup
     w = 8
     x = rng.standard_normal((w + 2, 20)) @ chol.T
@@ -114,15 +114,15 @@ def test_push_refuses_a_nan_in_the_rolling_gram(setup):
 
 
 class FullGramRoll:
-    """Reference for the scorer's arithmetic: the full ``(p, p)`` Gram,
-    Fortran-ordered and rolled by BLAS ``dger``, scored over the whole
-    deviation."""
+    """Reference for the scorer's arithmetic: the full ``(p, p)`` centred
+    Gram ``Y'Y - w * omega``, Fortran-ordered and rolled by BLAS ``dger``,
+    scored over the whole deviation."""
 
     def __init__(self, omega, psi, w):
         self.w_omega, self.scale = w * omega, psi / np.sqrt(w)
 
     def recompute(self, y, first):
-        self.gram = np.asfortranarray(y.T @ y)
+        self.gram = np.asfortranarray(y.T @ y - self.w_omega)
         self.ring = np.roll(y, first, axis=0)
         return self.sup()
 
@@ -134,14 +134,14 @@ class FullGramRoll:
         return self.sup()
 
     def sup(self):
-        return np.abs(kernels.deviation(self.gram, self.w_omega, self.scale)).max()
+        return np.abs(self.gram * self.scale).max()
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 20])
 def test_packed_roll_is_the_full_dger_roll(p):
     # the scorer packs in dspr's order, keeps the upper triangle of the full
-    # dger roll's Gram to the bit, and returns the full deviation's sup-norm
-    # to the bit, over rolls that reuse every slot three times
+    # dger roll's centred Gram to the bit, and returns the full deviation's
+    # sup-norm to the bit, over rolls that reuse every slot three times
     rng = np.random.default_rng(p)
     a = rng.uniform(-0.3, 0.3, (p, p))
     om = a + a.T + 2.0 * p * np.eye(p)
@@ -170,6 +170,21 @@ def test_packed_roll_is_the_full_dger_roll(p):
             assert np.array_equal(scorer._gram, ref.gram.take(pack))
         assert sup == ref_sup
     assert rolled > 2 * w
+
+
+@pytest.mark.parametrize("alpha", [1.0, -1.0])
+def test_positional_dspr_is_the_keyword_call(alpha):
+    # push passes dspr's optional arguments (incx, offx, lower, overwrite_ap)
+    # by position: the call updates the packed upper triangle in place, with
+    # the bits of the call that names them
+    rng = np.random.default_rng(11)
+    n = 6
+    x, ap = rng.standard_normal(n), rng.standard_normal(n * (n + 1) // 2)
+    want = dspr(n, alpha, x, ap.copy(), incx=1, offx=0, lower=0, overwrite_ap=True)
+    got = ap.copy()
+    kernels.dspr(n, alpha, x, got, 1, 0, 0, 1)
+    assert np.array_equal(got, want)
+    assert not np.array_equal(want, dspr(n, alpha, x, ap.copy(), lower=1))
 
 
 @pytest.mark.parametrize("which", ["omega", "psi"])

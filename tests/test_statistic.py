@@ -146,6 +146,18 @@ class TestPluginStatistic:
         assert np.array_equal(a.entries, b.entries)
         assert a.sup_norm == b.sup_norm
 
+    @_property
+    @given(p=_P, w=_W, seed=_SEED)
+    def test_given_scale_gives_the_same_bytes(self, p, w, seed):
+        # a caller that passes psi = scale_entries(omega) gets what the
+        # statistic computes without it, to the byte
+        omega, xs, _ = _model_and_window(p, w, seed)
+        psi = gw.scale_entries(omega.entries)
+        for statistic, om in ((gw.oracle_statistic, omega), (gw.plugin_statistic, omega.entries)):
+            a, b = statistic(om, xs), statistic(om, xs, psi=psi)
+            assert a.entries.tobytes() == b.entries.tobytes()
+            assert a.sup_norm.hex() == b.sup_norm.hex()
+
     def test_all_zero_window_closed_form(self):
         om_hat = np.array([[2.0, 0.3], [0.3, 1.0]])
         window = np.zeros((6, 2))
