@@ -199,7 +199,7 @@ def _check_out(out: str) -> None:
 def _beside(anchor: str, path: str) -> str:
     """``path`` taken relative to the directory of the file ``anchor`` (an
     absolute ``path`` stays as it is)."""
-    return os.path.join(os.path.dirname(os.path.abspath(anchor)), path)
+    return os.path.join(os.path.dirname(anchor), path)
 
 
 def _load_scenario(pre_path, post_path, t0, burnin, horizon) -> ChangeScenario:
@@ -450,16 +450,15 @@ def cmd_monitor(args, argv: list[str]) -> int:
     settings = _monitor_settings(args)
     detector = _monitor_detector(settings)
     inputs = [p for p in (args.config, settings["oracle_matrix"]) if p]
-    manifest = _manifest_for(argv, inputs, config=args.config)
     out = sys.stdout
-    out.write(json_line({"type": "run_manifest", **manifest}))
-    out.flush()
-
     # a byte that is not UTF-8 becomes a lone surrogate, which no number
     # contains, so its row fails to parse and names its line
     stdin = args.input == "-"
     with open(sys.stdin.fileno() if stdin else args.input, "rb", buffering=0,
-              closefd=not stdin) as fh:
+              closefd=not stdin) as fh:  # an input that cannot be opened writes nothing
+        out.write(json_line({"type": "run_manifest",
+                             **_manifest_for(argv, inputs, config=args.config)}))
+        out.flush()
         ndjson = None
         lineno = 0
         for lines in _chunks(fh):

@@ -8,8 +8,8 @@ when the sup-norm of the window's deviation reaches ``zeta``.
 All phase state follows from the step count ``t`` and the last detection
 ``t_last``: with ``m = t - t_last - n_burnin``, steps with ``m < 0`` are
 burn-in, step ``m == 0`` fits the estimate, and every step with ``m >= 1`` is
-monitored. Monitored row ``m`` goes to slot ``(m - 1) % w`` of one ``(w, p)``
-ring, and from ``m >= w`` on each step tests the last ``w`` rows.
+monitored; from ``m >= w`` on each step tests the last ``w`` rows. The
+detector keeps one copy of each row it needs in one list.
 
 A test costs O(p^2): a :class:`ggmwatch.kernels.RollingSupnorm` rolls the
 window's centred Gram matrix (see :mod:`ggmwatch.kernels` for its error
@@ -22,7 +22,7 @@ evaluation at every step.
 Plug-in fits (at ``m == 0``, and after a test that does not fire whenever its
 number ``m - w + 1`` is a multiple of ``batch``) use every sample
 observed since the last detection (an expanding window, burn-in samples
-included); only plug-in mode keeps that history. A failed fit (including an
+included); oracle mode keeps only the last ``w``. A failed fit (including an
 estimate with a nonpositive diagonal) raises its error after leaving a
 consistent state: a failed burn-in fit starts burn-in again from the next
 row, and a failed batch refit keeps the previous estimate. A window whose
@@ -124,10 +124,9 @@ class Detector:
         self.t = 0
         self.t_last = 0
         self.last_statistic: float | None = None
-        p, w = config.p, config.w
-        self._ring = np.empty((w, p))
-        self._scorer = RollingSupnorm(p, w, config.zeta)
-        self._history: list[np.ndarray] = []
+        self._scorer = RollingSupnorm(config.p, config.w, config.zeta)
+        # since the last restart: every row in plug-in mode, the last w in oracle mode
+        self._rows: list[np.ndarray] = []
         self._omega: np.ndarray | None = None
         self._psi: np.ndarray | None = None  # scale_entries(self._omega)
         if config.oracle_omega is not None:
@@ -145,24 +144,22 @@ class Detector:
         self._scorer.set_estimate(omega, self._psi)
 
     def _refit(self) -> None:
-        if self.config.oracle_omega is None:  # only plug-in fits read the history
-            fit = clime_estimate(np.array(self._history), self.config.clime)
+        if self.config.oracle_omega is None:  # a plug-in fit reads every row kept
+            fit = clime_estimate(np.array(self._rows), self.config.clime)
             self._set_estimate(fit.omega_hat)
 
     def _restart(self) -> None:
         """Begin a new burn-in with the next row."""
         self.t_last = self.t
-        self._history = []
+        self._rows = []
         self._scorer.reset()
 
-    def _exact(self, m: int) -> float:
-        """Sup-norm of the window ending at monitored row ``m``, evaluated
-        from the window in time order; unless it reaches ``zeta`` (the step
-        then restarts), the scorer restarts from the same window's Gram. A
-        value that is not finite restarts the detector and raises
-        NonFiniteSample."""
-        i = m % self.config.w
-        window = np.concatenate((self._ring[i:], self._ring[:i]))
+    def _exact(self) -> float:
+        """Sup-norm of the window of the last ``w`` rows, evaluated from the
+        window in time order; unless it reaches ``zeta`` (the step then
+        restarts), the scorer restarts from the same window's Gram. A value
+        that is not finite restarts the detector and raises NonFiniteSample."""
+        window = np.array(self._rows[-self.config.w :])
         if self.config.oracle_omega is not None:
             sup = oracle_statistic(self.config.oracle_omega, window, psi=self._psi).sup_norm
         else:
@@ -171,7 +168,7 @@ class Detector:
             self._restart()
             raise NonFiniteSample(f"statistic at sample {self.t} is {sup}; values too large")
         if sup < self.config.zeta:
-            self._scorer.recompute(window @ self._omega, i)
+            self._scorer.recompute(window @ self._omega)
         return sup
 
     def step(self, x) -> DetectionEvent | None:
@@ -184,9 +181,10 @@ class Detector:
             raise NonFiniteSample(f"sample {self.t + 1} has a non-finite entry")
         self.t += 1
         self.last_statistic = None
-        cfg = self.config
-        if cfg.oracle_omega is None:
-            self._history.append(x.copy())  # the caller may reuse its buffer
+        cfg, w = self.config, self.config.w
+        self._rows.append(x.copy())  # the caller may reuse its buffer
+        if cfg.oracle_omega is not None and len(self._rows) > w:
+            del self._rows[0]
         m = self.t - self.t_last - cfg.n_burnin
         if m == 0:
             try:
@@ -196,14 +194,11 @@ class Detector:
                 raise
         if m <= 0:
             return None
-        w = cfg.w
-        slot = (m - 1) % w
-        sup = self._scorer.push(slot, None if self._scorer.stale else x @ self._omega, sq)
-        self._ring[slot] = x
+        sup = self._scorer.push(None if self._scorer.stale else x @ self._omega, sq)
         if m < w:
             return None
         if sup is None:
-            sup = self._exact(m)
+            sup = self._exact()
         self.last_statistic = sup
         zeta = cfg.zeta
         if sup >= zeta:

@@ -111,11 +111,14 @@ def manifest_dict(
     input_paths: list[str],
     tool_version: str,
 ) -> dict:
+    """The run manifest; an input is keyed by its path where its file name repeats."""
+    paths = sorted(set(input_paths))
+    names = [os.path.basename(p) for p in paths]
     return {
         "command": command,
         "config": config_path,
         "master_seed": master_seed,
-        "inputs": {os.path.basename(p): sha256_file(p) for p in sorted(input_paths)},
+        "inputs": {p if names.count(n) > 1 else n: sha256_file(p) for p, n in zip(paths, names)},
         "tool_version": tool_version,
     }
 

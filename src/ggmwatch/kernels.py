@@ -14,7 +14,8 @@ once per exact Gram and multiplies by ``scale`` once per row, each as
 :func:`deviation` does, which gives an exact evaluation the statistic's bits.
 
 :class:`RollingSupnorm` serves the detector's monitoring step and
-:func:`sliding_supnorms`, the delay profile's scan. It slides the window's
+:func:`sliding_supnorms`, the delay profile's scan; both only push rows, as
+the scorer keeps the window's ring and its slots. It slides the window's
 centred Gram by a rank-one update and a downdate, O(p^2) per row, and bounds
 the rounding error: with ``c`` the largest column 2-norm of ``omega``, the
 entries of ``x @ omega`` and of ``|x| @ |omega|`` are at most ``|x|_2 c``.
@@ -117,15 +118,16 @@ def _line_aligned(n: int) -> np.ndarray:
 class RollingSupnorm:
     """Rolling sup-norm of a window of ``w`` rows, tested against ``zeta``.
 
-    The caller keeps the window in a ring of ``w`` slots and passes each new
-    row, times the estimate, to :meth:`push` with the slot it overwrites.
-    Where ``push`` returns None the caller evaluates the window exactly with
-    :meth:`recompute`."""
+    The scorer keeps the window's rows, times the estimate, in a ring of
+    ``w`` slots; each row given to :meth:`push` replaces the oldest, and
+    where ``push`` returns None the caller evaluates the window exactly with
+    :meth:`recompute`. :meth:`reset` begins a new window at the first slot."""
 
     def __init__(self, p: int, w: int, zeta: float):
         self.w, self.zeta = w, zeta
         self._ring = np.empty((w, p))  # the window's rows times the estimate, by slot
         self._sq = [0.0] * w  # squared 2-norm of each raw ring row
+        self._slot = 0  # the slot of the window's oldest row
         # flat indices u p + v of the upper triangle, u <= v, in packed order:
         # entry (u, v) of a packed array sits at u + v (v + 1) / 2
         self._pack = np.ravel_multi_index(np.tril_indices(p)[::-1], (p, p))
@@ -149,17 +151,18 @@ class RollingSupnorm:
         self._w_omega_max = float(np.abs(self._w_omega).max())
         self._tol = 8.0 * np.finfo(np.float64).eps * float(self._scale.max())
         self._terms = omega.shape[0] + self.w + 2
-        self.reset()
+        self.stale = True  # a new estimate keeps the window and its slots
 
     def reset(self) -> None:
-        """Drop the Gram: the next window is evaluated exactly."""
-        self.stale = True
+        """Drop the Gram and begin a new window at the first slot."""
+        self.stale, self._slot = True, 0
 
-    def push(self, slot: int, y: np.ndarray, sq: float) -> float | None:
+    def push(self, y: np.ndarray, sq: float) -> float | None:
         """Put the transformed row ``y`` of a raw row with squared 2-norm
-        ``sq`` in ``slot``, and return the new window's rolling sup-norm, or
-        None where it may not stand in for the exact one. While the scorer is
-        :attr:`stale` it only records ``sq``, and ``y`` may be None."""
+        ``sq`` in place of the oldest, and return the new window's rolling
+        sup-norm, or None where it may not stand in for the exact one. While
+        the scorer is :attr:`stale` it only records ``sq``; ``y`` may be None."""
+        slot, self._slot = self._slot, (self._slot + 1) % self.w
         if self.stale:
             self._sq[slot] = sq
             return None
@@ -182,14 +185,14 @@ class RollingSupnorm:
                  * (self._col2 * self._mass + self._w_omega_max))
         return sup if sup + bound < self.zeta else None  # False for nan
 
-    def recompute(self, y: np.ndarray, first: int) -> float:
+    def recompute(self, y: np.ndarray) -> float:
         """Recompute the centred Gram as ``y.T @ y - w * omega`` from the
-        window's transformed rows ``y``, oldest first and in slot ``first``,
-        and return the window's sup-norm."""
+        window's transformed rows ``y``, oldest first and put in the ring
+        from the oldest row's slot on, and return the window's sup-norm."""
         centred = np.take(y.T @ y, self._pack, out=self._gram)
         centred -= self._w_omega  # deviation's two steps, apart
-        self._ring[first:] = y[: self.w - first]
-        self._ring[:first] = y[self.w - first :]
+        k = self.w - self._slot  # the rows from the oldest one's slot to the end
+        self._ring[self._slot :], self._ring[: self._slot] = y[:k], y[k:]
         self.stale, self._rolled = False, 0
         self._mass = self._window = sum(self._sq)
         e = np.multiply(centred, self._scale, out=self._scratch)
@@ -209,9 +212,9 @@ def sliding_supnorms(x: np.ndarray, omega: np.ndarray, psi: np.ndarray, w: int) 
     scorer.set_estimate(omega, psi)
     out = np.empty(t_len - w + 1)
     for k in range(t_len):
-        sup = scorer.push(k % w, y[k], sq[k])  # row k lives in slot k % w
+        sup = scorer.push(y[k], sq[k])
         if k >= w - 1:
             if sup is None:
-                sup = scorer.recompute(y[k - w + 1 : k + 1], (k + 1) % w)
+                sup = scorer.recompute(y[k - w + 1 : k + 1])
             out[k - w + 1] = sup
     return out

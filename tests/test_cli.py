@@ -22,7 +22,7 @@ import ggmwatch.harness as harness_module
 from ggmwatch.bindings import _openblas
 from ggmwatch.cli import _parse_row, main
 from ggmwatch.errors import Infeasible
-from ggmwatch.iofmt import read_matrix
+from ggmwatch.iofmt import read_matrix, sha256_file
 
 from conftest import SRC_ENV, strict_json, strict_ndjson
 
@@ -214,6 +214,29 @@ class TestGen:
                         "--out", str(out)])
         assert code == 2
         assert f"output directory {str(out.parent)!r} does not exist" in capsys.readouterr().err
+
+    def test_same_named_inputs_each_keep_their_hash(self, tmp_path, monkeypatch):
+        # matrices that share a file name are keyed by their paths; a file
+        # given twice, or a name no other input has, is keyed by its name
+        monkeypatch.chdir(tmp_path)
+        for folder, rho in (("a", "0.3"), ("b", "0.4")):
+            os.mkdir(folder)
+            run_cli(["gen", "chain", "--p", "4", "--rho", rho, "--out", f"{folder}/omega.txt"])
+        digest = {path: sha256_file(path) for path in ("a/omega.txt", "b/omega.txt")}
+
+        def inputs(*args):
+            *_, out = args
+            assert run_cli(list(args)) == 0
+            with open(f"{out}.manifest.json") as fh:
+                return strict_json(fh.read())["inputs"]
+
+        scenario = ["gen", "scenario", "--t0", "5", "--burnin", "0", "--horizon", "20"]
+        assert inputs(*scenario, "--pre", "a/omega.txt", "--post", "b/omega.txt",
+                      "--out", "sc.json") == digest
+        assert inputs("gen", "stream", "--scenario", "sc.json", "--count", "20",
+                      "--out", "rows.csv") == {**digest, "sc.json": sha256_file("sc.json")}
+        assert inputs(*scenario, "--pre", "a/omega.txt", "--post", "a/omega.txt",
+                      "--out", "same.json") == {"omega.txt": digest["a/omega.txt"]}
 
     @pytest.mark.parametrize("text, message", [
         (_scenario_text(t0="5"), "'t0' is \"5\", not an integer"),
@@ -905,6 +928,18 @@ class TestMonitor:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "oracle matrix dimension 10 != detector p 12" in captured.err
+
+    @pytest.mark.parametrize("name", ["none.csv", "."], ids=["missing", "directory"])
+    def test_unopenable_input_exits_2_before_the_manifest(self, oracle_setup, capsys, name):
+        # an --input that cannot be opened is a configuration error like any
+        # other: exit 2, the path named, and no manifest line on stdout
+        tmp, pre, cfg = oracle_setup
+        path = os.path.join(tmp, name)
+        capsys.readouterr()
+        code = run_cli(["monitor", "--config", str(cfg), "--input", path])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and repr(path) in captured.err
 
     def test_repeated_config_key_names_its_line(self, tmp_path, capsys):
         cfg = tmp_path / "dup.cfg"

@@ -147,14 +147,14 @@ class TestStep:
         scorer, exact = det._scorer, det._exact
         recompute = scorer.recompute
 
-        def spy_recompute(y, first):
+        def spy_recompute(y):
             recomputes.append(det.t)
-            return recompute(y, first)
+            return recompute(y)
 
-        def spy_exact(m):
+        def spy_exact():
             gram, ring = scorer._gram.copy(), scorer._ring.copy()
             before = len(recomputes)
-            sup = exact(m)
+            sup = exact()
             branches.add(sup >= zeta)
             if sup >= zeta:
                 assert len(recomputes) == before
@@ -351,7 +351,7 @@ class TestStep:
         for i, x in enumerate(rng.standard_normal((2050, 10)), start=1):
             det.step(x)
             assert det.phase == ("burn_in" if i < n_burnin else "monitoring")
-        assert det._history == []
+            assert len(det._rows) <= 5  # the window, and no history
         assert det.last_statistic is not None
 
     @pytest.mark.parametrize("oracle", [True, False])
@@ -405,7 +405,7 @@ class TestStep:
                                    oracle_omega=omega if oracle else None)
         det = gw.Detector(config)
         exact = det._exact
-        det._exact = lambda m: exacts.append(m) or exact(m)
+        det._exact = lambda: exacts.append(det.t) or exact()
         chol = gw.cholesky_factor(gw.invert_spd(omega.entries))
         for x in rng.standard_normal((60, 4)) @ chol.T:
             det.step(x)
@@ -472,6 +472,41 @@ class TestStep:
             assert det._omega is estimate
         det.step(xs[19])
         assert det._omega is not estimate
+
+    def test_each_fit_reads_the_rows_since_the_last_restart(self, monkeypatch):
+        # a plug-in fit gets every row since the last detection or failed
+        # burn-in fit, in order; a failed batch refit keeps them all
+        rng = Generator(Philox(key=3))
+        omega = gw.gen_chain_precision(4, 0.4)
+        chol = gw.cholesky_factor(gw.invert_spd(omega.entries))
+        n_burnin, zeta = 10, gw.critical_value(0.05, 4, 3)
+        det = gw.Detector(gw.DetectorConfig(p=4, w=3, zeta=zeta, n_burnin=n_burnin, batch=2))
+        estimate, kept, fits = detector_module.clime_estimate, [], []
+
+        def spy(samples, config):
+            assert np.array_equal(samples, np.array(kept))
+            fits.append(len(samples))
+            if len(fits) in (1, 6):
+                raise Infeasible("no feasible point")
+            return estimate(samples, config)
+
+        monkeypatch.setattr(detector_module, "clime_estimate", spy)
+        detections = 0
+        for x in rng.standard_normal((200, 4)) @ chol.T:
+            kept.append(x)
+            try:
+                event = det.step(x)
+            except Infeasible:
+                event = None
+                if fits[-1] == n_burnin:  # burn-in starts again from the next row
+                    kept.clear()
+            if event is not None:
+                detections += 1
+                kept.clear()
+        assert detections >= 2
+        assert fits[0] == n_burnin  # a failed burn-in fit
+        assert n_burnin < fits[5] == fits[6] - 2  # a failed batch refit, then the next
+        assert fits.count(n_burnin) >= 3 and len(fits) - fits.count(n_burnin) >= 3
 
 
 class TestRunOffline:

@@ -46,7 +46,7 @@ def test_steady_rows_roll_past_w(setup, monkeypatch):
     calls = []
     recompute = kernels.RollingSupnorm.recompute
     monkeypatch.setattr(kernels.RollingSupnorm, "recompute",
-                        lambda self, y, first: calls.append(first) or recompute(self, y, first))
+                        lambda self, y: calls.append(self._slot) or recompute(self, y))
     kernels.sliding_supnorms(x, om, psi, w)
     assert calls == [0]
 
@@ -74,22 +74,25 @@ def test_short_path_rejected(setup):
         kernels.sliding_supnorms(np.zeros((4, 20)), om, psi, 10)
 
 
-@pytest.mark.parametrize("first", [0, 3, 7])
+@pytest.mark.parametrize("first", range(8))
 def test_recompute_is_the_statistic(setup, first):
-    # recompute returns the statistic of the time-ordered window to the bit,
-    # puts its oldest row in slot ``first``, and the next push replaces it
+    # after ``first`` rows and a window of w more, recompute returns the
+    # statistic of the time-ordered window to the bit, puts its oldest row in
+    # slot ``first``, and the next push replaces it
     om, chol, psi, rng = setup
     w = 8
     x = rng.standard_normal((w + 1, 20)) @ chol.T
     scorer = kernels.RollingSupnorm(20, w, np.inf)
     scorer.set_estimate(om, psi)
     sq = np.einsum("ij,ij->i", x, x)
+    for _ in range(first):
+        scorer.push(None, 1e300)  # rows that leave before the recompute: their norms drop out
     for j in range(w):
-        scorer.push((first + j) % w, None, sq[j])
+        scorer.push(None, sq[j])
     y = x[:w] @ om
-    assert scorer.recompute(y, first) == gw.plugin_statistic(om, x[:w]).sup_norm
+    assert scorer.recompute(y) == gw.plugin_statistic(om, x[:w]).sup_norm
     assert np.array_equal(scorer._ring, np.roll(y, first, axis=0))
-    sup = scorer.push(first, x[w] @ om, sq[w])
+    sup = scorer.push(x[w] @ om, sq[w])
     exact = gw.plugin_statistic(om, x[1:]).sup_norm
     assert abs(sup - exact) <= 1e-12 * exact
 
@@ -106,11 +109,11 @@ def test_push_refuses_a_nan_in_the_rolling_gram(setup):
     scorer = kernels.RollingSupnorm(20, w, 1e3)
     scorer.set_estimate(om, psi)
     for j in range(w):
-        scorer.push(j, None, sq[j])
-    scorer.recompute(y[:w], 0)
-    assert scorer.push(0, y[w], sq[w]) is not None  # rolling, well inside the bound
+        scorer.push(None, sq[j])
+    scorer.recompute(y[:w])
+    assert scorer.push(y[w], sq[w]) is not None  # rolling, well inside the bound
     scorer._gram[1] = np.nan  # entry (0, 1) of the packed upper triangle
-    assert scorer.push(1, y[w + 1], np.inf) is None  # a row whose squared norm overflows
+    assert scorer.push(y[w + 1], np.inf) is None  # a row whose squared norm overflows
 
 
 class FullGramRoll:
@@ -141,7 +144,8 @@ class FullGramRoll:
 def test_packed_roll_is_the_full_dger_roll(p):
     # the scorer packs in dspr's order, keeps the upper triangle of the full
     # dger roll's centred Gram to the bit, and returns the full deviation's
-    # sup-norm to the bit, over rolls that reuse every slot three times
+    # sup-norm to the bit, over rolls that reuse every slot three times; the
+    # reference is handed each slot, the scorer keeps its own
     rng = np.random.default_rng(p)
     a = rng.uniform(-0.3, 0.3, (p, p))
     om = a + a.T + 2.0 * p * np.eye(p)
@@ -156,7 +160,7 @@ def test_packed_roll_is_the_full_dger_roll(p):
     ref = FullGramRoll(om, psi, w)
     rolled = 0
     for k in range(len(x)):
-        sup = scorer.push(k % w, y[k], sq[k])
+        sup = scorer.push(y[k], sq[k])
         if k < w - 1:
             continue
         if k >= w:
@@ -165,7 +169,7 @@ def test_packed_roll_is_the_full_dger_roll(p):
             rolled += sup is not None
         if sup is None:
             window = y[k - w + 1 : k + 1]
-            sup = scorer.recompute(window, (k + 1) % w)
+            sup = scorer.recompute(window)
             ref_sup = ref.recompute(window, (k + 1) % w)
             assert np.array_equal(scorer._gram, ref.gram.take(pack))
         assert sup == ref_sup

@@ -143,12 +143,12 @@ def run_detector(config, xs):
     det = gw.Detector(config)
     scorer, exact, recompute = det._scorer, det._exact, det._scorer.recompute
     exacts, recomputed = [], []
-    det._exact = lambda m: exacts.append(det.t) or exact(m)
-    scorer.recompute = lambda y, first: recomputed.append(recompute(y, first)) or recomputed[-1]
+    det._exact = lambda: exacts.append(det.t) or exact()
+    scorer.recompute = lambda y: recomputed.append(recompute(y)) or recomputed[-1]
     push, pushed = scorer.push, []
 
-    def spy_push(slot, y, sq):
-        sup = push(slot, y, sq)
+    def spy_push(y, sq):
+        sup = push(y, sq)
         if sup is not None:
             pushed.append(bound(scorer))  # a refit after the step resets the state
         return sup
@@ -280,8 +280,8 @@ def test_sliding_scan_matches_reference(case):
     omega = spd(xs.shape[1], key)
     push, bounds = RollingSupnorm.push, []
 
-    def spy_push(self, slot, y, sq):
-        sup = push(self, slot, y, sq)
+    def spy_push(self, y, sq):
+        sup = push(self, y, sq)
         bounds.append(None if sup is None else bound(self))
         return sup
 
