@@ -1,14 +1,13 @@
 """The program's contract with compiled scipy, OpenBLAS and the CPU, in one module.
 
-ggmwatch calls four of scipy's private extension modules, and only this
+ggmwatch calls three of scipy's private extension modules, and only this
 module names them: :data:`fblas` (``scipy.linalg._fblas``: ``dspr``,
-``idamax``, ``ddot``), :data:`flapack` (``scipy.linalg._flapack``: ``dpotrs``)
-and :data:`special_ufuncs` (``scipy.special._special_ufuncs``: ``erfc``,
-``gammaln``, ``gammaincinv``, ``gammainccinv``), loaded with this module, and
-HiGHS's ``scipy.optimize._highspy._core``, which :func:`highs` loads at the
-first CLIME fit. The ufunc module holds the very ufunc objects
-``scipy.special`` exports;
-``scipy.special._ufuncs``, where most other ufuncs live, cannot be loaded
+``idamax``, ``ddot``, ``dtrsm``) and :data:`special_ufuncs`
+(``scipy.special._special_ufuncs``: ``erfc``, ``gammaln``, ``gammaincinv``,
+``gammainccinv``), loaded with this module, and HiGHS's
+``scipy.optimize._highspy._core``, which :func:`highs` loads at the first
+CLIME fit. The ufunc module holds the very ufunc objects ``scipy.special``
+exports; ``scipy.special._ufuncs``, where most other ufuncs live, cannot be loaded
 this way: its initialisation needs the ``scipy.special`` package. An ordinary
 import of one of them first runs ``scipy.optimize``'s, ``scipy.linalg``'s or
 ``scipy.special``'s ``__init__``, which import most of that package: tens of
@@ -46,7 +45,7 @@ import scipy
 
 from .errors import GgmWatchError
 
-__all__ = ["scipy_extension", "fblas", "flapack", "special_ufuncs", "highs", "usable_cores"]
+__all__ = ["scipy_extension", "fblas", "special_ufuncs", "highs", "usable_cores"]
 
 
 def scipy_extension(name: str) -> ModuleType:
@@ -80,7 +79,6 @@ def scipy_extension(name: str) -> ModuleType:
 
 
 fblas = scipy_extension("linalg._fblas")  # the functions scipy.linalg.blas exports
-flapack = scipy_extension("linalg._flapack")  # and scipy.linalg.lapack
 special_ufuncs = scipy_extension("special._special_ufuncs")
 
 

@@ -190,7 +190,7 @@ def _manifest_for(argv: list[str], inputs: list[str], master_seed=None, config=N
 def _check_out(out: str) -> None:
     """Refuse, before any work, an ``--out`` that names no file in an existing directory."""
     head, name = os.path.split(out)
-    if not name:
+    if not name or os.path.isdir(out):
         raise ValueError(f"--out {out!r} names a directory, not a file")
     if not os.path.isdir(head or "."):
         raise ValueError(f"output directory {head or '.'!r} does not exist")

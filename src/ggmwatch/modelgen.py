@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .bindings import flapack
+from .bindings import fblas
 from .errors import DimensionMismatch, NotPositiveDefinite
 
-dpotrs = flapack.dpotrs
+dtrsm = fblas.dtrsm
 
 __all__ = [
     "PrecisionMatrix",
@@ -123,14 +123,12 @@ def invert_spd(m) -> np.ndarray:
     inverse is not finite.
     """
     a = _as_array(m)
-    # scipy.linalg.cho_solve's check and LAPACK call: numpy's factor of a nan
-    # or an infinite matrix is not finite rather than an error
+    # scipy.linalg.cho_solve's check: numpy's factor of a nan or an infinite
+    # matrix is not finite rather than an error
     low = np.asarray_chkfinite(cholesky_factor(a))
-    if low.size == 0:  # the LAPACK wrapper refuses an order of 0
-        return np.empty((0, 0))
-    inv, info = dpotrs(low, np.eye(a.shape[0]), lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
+    # (L L')^-1 = L'^-1 L^-1: solve L y = I, then L' x = y, the order (and so
+    # the bits) of LAPACK dpotrs, which cho_solve calls
+    inv = dtrsm(1.0, low, dtrsm(1.0, low, np.eye(a.shape[0]), lower=1), lower=1, trans_a=1)
     inv = 0.5 * (inv + inv.T)
     # a factor can pass with a pivot too small to divide by (a subnormal one)
     if not np.isfinite(inv).all():

@@ -56,32 +56,52 @@ def test_scipy_optimize_after_a_fit():
 def test_packages_imported_first_are_used():
     out = _run("""
         from scipy.optimize._highspy import _core
-        import scipy.linalg.blas, scipy.linalg.lapack
+        import scipy.linalg.blas
         import importlib.util
         importlib.util.spec_from_file_location = None  # no file is loaded again
         from ggmwatch import detector, kernels, modelgen
         from ggmwatch.bindings import scipy_extension
         print(scipy_extension("optimize._highspy._core") is _core,
-              scipy_extension("linalg._flapack") is scipy.linalg._flapack,
               kernels.dspr is scipy.linalg.blas.dspr,
               detector.ddot is scipy.linalg.blas.ddot,
-              modelgen.dpotrs is scipy.linalg.lapack.dpotrs)
+              modelgen.dtrsm is scipy.linalg.blas.dtrsm)
     """)
-    assert out.splitlines() == ["True True True True True"]
+    assert out.splitlines() == ["True True True True"]
 
 
 def test_scipy_linalg_after_the_bindings():
     out = _run("""
         from ggmwatch import detector, kernels, modelgen
         import scipy.linalg
-        from scipy.linalg import blas, lapack
+        from scipy.linalg import blas
         print(blas.dspr is kernels.dspr, blas.idamax is kernels.idamax,
-              blas.ddot is detector.ddot, lapack.dpotrs is modelgen.dpotrs,
+              blas.ddot is detector.ddot, blas.dtrsm is modelgen.dtrsm,
               blas.get_blas_funcs("dot", dtype=np.float64) is detector.ddot)
         a = np.array([[4.0, 2.0], [2.0, 3.0]])
         print(scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), [2.0, 1.0]).tolist())
     """)
     assert out.splitlines() == ["True True True True True", "[0.5, 0.0]"]
+
+
+def test_no_command_loads_lapack(tmp_path):
+    out = _run(f"tmp = {str(tmp_path)!r}\n", """
+        import contextlib, io
+        from ggmwatch.cli import main
+        np.savetxt(tmp + "/rows.csv", np.full((30, 20), 0.1), delimiter=",")
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.suppress(SystemExit):
+                main(["--version"])
+            codes = [
+                main(["gen", "sparse", "--p", "20", "--density", "0.1", "--seed", "1",
+                      "--out", tmp + "/m.txt"]),
+                main(["monitor", "--oracle_matrix", tmp + "/m.txt", "--w", "10",
+                      "--input", tmp + "/rows.csv"]),
+                main(["experiment", "fa-calibration", "--preset", "fig1-desk",
+                      "--replicates", "2", "--jobs", "1", "--out", tmp + "/fa"]),
+            ]
+        print(codes, "scipy.linalg._flapack" in sys.modules)
+    """)
+    assert out.splitlines() == ["[0, 0, 0] False"]
 
 
 def test_a_threshold_solve_loads_only_the_ufuncs():

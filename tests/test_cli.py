@@ -1270,6 +1270,9 @@ _BAD_INPUTS = {
     "gen_stream_seed": (2, ["gen", "stream", "--scenario", "{tmp}/sc.json", "--count", "5",
                             "--seed", "-7", "--out", "{tmp}/x"]),
     "gen_out_dir": (2, ["gen", "chain", "--p", "4", "--rho", "0.3", "--out", "{tmp}/res/"]),
+    "gen_out_existing_dir": (2, ["gen", "sparse", "--p", "1500", "--density", "0.01",
+                                 "--seed", "1", "--out", "{tmp}/res"],
+                             "error: --out '{tmp}/res' names a directory, not a file"),
     "threshold_p": (2, ["threshold", "--pi0", "0.05", "--p", "1", "--w", "50"]),
     "threshold_w": (2, ["threshold", "--pi0", "0.05", "--p", "10", "--w", "1"]),
     "monitor_w": (2, ["monitor", "--oracle_matrix", "{tmp}/m.txt", "--w", "1",
@@ -1296,6 +1299,10 @@ _BAD_INPUTS = {
                                   "--replicates", "0", "--out", "{tmp}/x"]),
     "experiment_out_dir": (2, ["experiment", "fa-calibration", "--preset", "fig1-desk",
                                "--replicates", "2", "--jobs", "1", "--out", "{tmp}/res/"]),
+    "experiment_out_existing_dir": (2, ["experiment", "fa-calibration", "--preset", "fig1-desk",
+                                        "--replicates", "2", "--jobs", "1",
+                                        "--out", "{tmp}/res"],
+                                    "error: --out '{tmp}/res' names a directory, not a file"),
     "experiment_jobs_zero": (2, ["experiment", "fa-calibration", "--preset", "fig1-desk",
                                  "--replicates", "2", "--jobs", "0", "--out", "{tmp}/x"],
                              "error: jobs must be >= 1, got 0"),
@@ -1325,7 +1332,7 @@ def test_bad_input_exits_2_or_3_with_one_error_line(tmp_path, capsys, name):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     if message:
-        assert err == message
+        assert err == [line.replace("{tmp}", str(tmp_path)) for line in message]
     assert sorted(tmp_path.rglob("*")) == before  # nothing written
 
 

@@ -74,6 +74,27 @@ class TestInvertSpd:
         inv = scipy.linalg.cho_solve((gw.cholesky_factor(m), True), np.eye(p))
         assert np.array_equal(gw.invert_spd(m), 0.5 * (inv + inv.T))
 
+    @pytest.mark.parametrize("make, min_cond", [
+        (lambda: np.array([[3.0]]), 1.0),
+        (lambda: gw.gen_chain_precision(100, 0.3).entries, 1.0),
+        (lambda: gw.gen_chain_precision(300, 0.5).entries, 1e4),
+        (lambda: gw.gen_random_sparse(120, 0.05, 0.1, seed=4).entries, 1.0),
+        (lambda: gw.gen_hub_precision(150, 5, 12, 0.1, seed=6).entries, 1.0),
+    ], ids=["p1", "chain_p100", "chain_p300_ill_conditioned", "sparse_p120", "hub_p150"])
+    def test_bits_and_layout_of_scipy_cho_solve(self, make, min_cond):
+        # the two triangular solves are LAPACK dpotrs's: the same bits in the
+        # same memory order. On the scipy floor this is the one check of
+        # dtrsm's f2py signature
+        import scipy.linalg
+
+        m = make()
+        assert np.linalg.cond(m) >= min_cond
+        inv = scipy.linalg.cho_solve((np.linalg.cholesky(m), True), np.eye(m.shape[0]))
+        want = 0.5 * (inv + inv.T)
+        got = gw.invert_spd(m)
+        assert np.array_equal(got, want)
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+
 
 class TestChainPrecision:
     def test_rho_zero_is_identity(self):
