@@ -454,8 +454,10 @@ def cmd_monitor(args, argv: list[str]) -> int:
     # a byte that is not UTF-8 becomes a lone surrogate, which no number
     # contains, so its row fails to parse and names its line
     stdin = args.input == "-"
+    # an input that cannot be opened writes nothing; numpy's overflow warnings are
+    # off, since the detector already turns each overflow into NonFiniteSample
     with open(sys.stdin.fileno() if stdin else args.input, "rb", buffering=0,
-              closefd=not stdin) as fh:  # an input that cannot be opened writes nothing
+              closefd=not stdin) as fh, np.errstate(over="ignore", invalid="ignore"):
         out.write(json_line({"type": "run_manifest",
                              **_manifest_for(argv, inputs, config=args.config)}))
         out.flush()

@@ -65,6 +65,10 @@ class DetectorConfig:
     ``batch=None`` disables re-estimation. ``oracle_omega`` bypasses CLIME;
     in oracle mode ``n_burnin`` may be 0, in which case monitoring starts
     immediately.
+
+    Construction raises InvalidConfig unless ``p >= 1``, ``w >= 2``, ``zeta``
+    is finite and positive, ``batch`` is None or ``>= 1``, and ``n_burnin`` is
+    ``>= 2`` (plug-in) or ``>= 0`` with ``oracle_omega.p == p`` (oracle).
     """
 
     p: int
@@ -74,6 +78,25 @@ class DetectorConfig:
     batch: int | None
     clime: ClimeConfig = field(default_factory=ClimeConfig)
     oracle_omega: PrecisionMatrix | None = None
+
+    def __post_init__(self) -> None:
+        if self.p < 1:
+            raise InvalidConfig(f"p must be >= 1, got {self.p}")
+        if self.w < 2:
+            raise InvalidConfig(f"w must be >= 2, got {self.w}")
+        if self.zeta is None or not 0.0 < self.zeta < math.inf:
+            raise InvalidConfig(f"zeta must be finite and positive, got {self.zeta}")
+        if self.batch is not None and self.batch < 1:
+            raise InvalidConfig(f"batch must be >= 1 or None, got {self.batch}")
+        if self.oracle_omega is None:
+            if self.n_burnin < 2:
+                raise InvalidConfig(f"n_burnin must be >= 2, got {self.n_burnin}")
+        elif self.n_burnin < 0:
+            raise InvalidConfig("n_burnin must be nonnegative")
+        elif self.oracle_omega.p != self.p:
+            raise InvalidConfig(
+                f"oracle matrix dimension {self.oracle_omega.p} != detector p {self.p}"
+            )
 
 
 @dataclass(frozen=True)
@@ -87,27 +110,6 @@ class DetectionEvent:
     delay_estimate: int
 
 
-def _validate(config: DetectorConfig) -> None:
-    if config.p < 1:
-        raise InvalidConfig(f"p must be >= 1, got {config.p}")
-    if config.w < 2:
-        raise InvalidConfig(f"w must be >= 2, got {config.w}")
-    if config.zeta is None or not 0.0 < config.zeta < math.inf:
-        raise InvalidConfig(f"zeta must be finite and positive, got {config.zeta}")
-    if config.batch is not None and config.batch < 1:
-        raise InvalidConfig(f"batch must be >= 1 or None, got {config.batch}")
-    if config.oracle_omega is None:
-        if config.n_burnin < 2:
-            raise InvalidConfig(f"n_burnin must be >= 2, got {config.n_burnin}")
-    else:
-        if config.n_burnin < 0:
-            raise InvalidConfig("n_burnin must be nonnegative")
-        if config.oracle_omega.p != config.p:
-            raise InvalidConfig(
-                f"oracle matrix dimension {config.oracle_omega.p} != detector p {config.p}"
-            )
-
-
 class Detector:
     """Mutable state machine; strictly single-owner.
 
@@ -119,7 +121,6 @@ class Detector:
     """
 
     def __init__(self, config: DetectorConfig):
-        _validate(config)
         self.config = config
         self.t = 0
         self.t_last = 0

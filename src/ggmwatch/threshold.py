@@ -104,12 +104,9 @@ class InnerProductTail:
         return prev
 
 
-_tail = functools.cache(InnerProductTail)
-
-
 def inner_product_tail(w: int, t: float) -> float:
     """P(|<X, Y>| / sqrt(w) >= t) for independent standard Gaussian w-vectors."""
-    return _tail(w)(t)
+    return InnerProductTail(w)(t)
 
 
 def _validate_pi0(pi0: float) -> None:
@@ -129,11 +126,10 @@ def critical_value_exact(pi0: float, p: int, w: int) -> float:
         raise TargetOutOfRange(
             f"tail target {target:.3g} >= 1; no positive critical value exists"
         )
-    tail = _tail(w)
+    tail = InnerProductTail(w)
     hi = 20.0
     while tail(hi) > target:
         hi *= 2.0
-        warnings.warn(f"critical-value bracket widened to [0, {hi}]", RuntimeWarning)
         if hi > 1e4:
             raise TargetOutOfRange("failed to bracket the critical value")
     lo = 0.0

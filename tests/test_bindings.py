@@ -121,7 +121,6 @@ def test_scipy_special_after_a_solve():
         print(all(getattr(scipy.special, name) is getattr(threshold.special, name)
                   for name in ("erfc", "gammaln", "gammaincinv", "gammainccinv")))
         print(scipy.special.gamma(3.0))  # scipy.special._ufuncs initialised
-        threshold._tail.cache_clear()
         threshold._quadrature.cache_clear()
         print(critical_value_exact(0.05, 30, 40).hex() == first.hex())
     """)

@@ -292,6 +292,17 @@ class TestThreshold:
         err = capsys.readouterr().err.strip()
         assert strict_json(err)["tool_version"] == gw.__version__
 
+    def test_widened_bracket_writes_only_the_manifest(self):
+        # the exact root lies beyond the first bracket [0, 20]; a real process
+        # shows any warning that pytest would record instead
+        argv = ["threshold", "--pi0", "1e-9", "--p", "100", "--w", "2"]
+        proc = subprocess.run([sys.executable, "-m", "ggmwatch.cli", *argv],
+                              capture_output=True, text=True, env=SRC_ENV, check=True,
+                              timeout=120)
+        assert proc.stdout == "exact      20.682754\nasymptotic 7.430534\nunion      7.430534\n"
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and strict_json(err[0])["command"] == argv
+
     def test_invalid_pi0_exits_2(self, capsys):
         assert run_cli(["threshold", "--pi0", "0", "--p", "100", "--w", "50"]) == 2
 
@@ -752,7 +763,6 @@ class TestMonitor:
         if hasattr(signal, "SIGPIPE"):
             assert proc.returncode == -signal.SIGPIPE
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_huge_finite_row_exits_3_with_strict_json(self, oracle_setup, capsys):
         tmp, pre, cfg = oracle_setup
         rows = [["0.1"] * 10 for _ in range(35)]
@@ -762,13 +772,13 @@ class TestMonitor:
         code = run_cli(["monitor", "--config", str(cfg), "--input", str(bad), "--trace"])
         captured = capsys.readouterr()
         assert code == 3
-        assert "line 32" in captured.err
+        assert captured.err == ("error: line 32: statistic at sample 32 is inf; "
+                                "values too large\n")
         objs = strict_ndjson(captured.out)
         assert objs[0]["type"] == "run_manifest"
         assert [o["t"] for o in objs[1:]] == [30, 31]
         assert all(o.get("type") != "change_point" for o in objs)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_huge_burnin_row_exits_3_with_strict_json(self, tmp_path, capsys):
         rows = np.random.default_rng(4).standard_normal((20, 4)).astype(str)
         rows[4, 2] = "1e200"  # finite, but the burn-in covariance overflows
@@ -778,7 +788,9 @@ class TestMonitor:
                         "--input", str(bad), "--trace"])
         captured = capsys.readouterr()
         assert code == 3
-        assert "line 12" in captured.err  # the fit at the end of the burn-in
+        # the fit at the end of the burn-in
+        assert captured.err == ("error: line 12: sample covariance is not finite; "
+                                "values too large\n")
         objs = strict_ndjson(captured.out)
         assert [o["type"] for o in objs] == ["run_manifest"]
 
@@ -1281,6 +1293,14 @@ _BAD_INPUTS = {
                           "--input", "{tmp}/huge.ndjson"]),
     "monitor_n_burnin": (2, ["monitor", "--p", "4", "--w", "3", "--n_burnin", "1",
                              "--input", "{tmp}/huge.ndjson"]),
+    "monitor_no_w": (2, ["monitor", "--p", "5", "--input", "{tmp}/huge.ndjson"],
+                     "error: missing required setting 'w'"),
+    "monitor_config_no_equals": (2, ["monitor", "--config", "{tmp}/bad.cfg",
+                                     "--input", "{tmp}/huge.ndjson"],
+                                 "error: {tmp}/bad.cfg:1: expected key=value, got 'w 5'"),
+    "monitor_matrix_short_body": (2, ["monitor", "--oracle_matrix", "{tmp}/short.txt", "--w", "3",
+                                      "--input", "{tmp}/huge.ndjson"],
+                                  "error: {tmp}/short.txt: expected 3x3 body, got shape (2, 3)"),
     "monitor_huge_int": (3, ["monitor", "--oracle_matrix", "{tmp}/m.txt", "--w", "3",
                              "--input", "{tmp}/huge.ndjson"]),
     "monitor_x_string": (3, ["monitor", "--oracle_matrix", "{tmp}/m.txt", "--w", "3",
@@ -1324,6 +1344,8 @@ def test_bad_input_exits_2_or_3_with_one_error_line(tmp_path, capsys, name):
     (tmp_path / "x_obj.ndjson").write_text(good + '{"x":{"a":1}}\n')
     for row_name, (row, _) in _BAD_ROWS.items():
         (tmp_path / f"{row_name}.ndjson").write_text(good + row + "\n")
+    (tmp_path / "bad.cfg").write_text("w 5\n")
+    (tmp_path / "short.txt").write_text("p 3\n1 0 0\n0 1 0\n")
     (tmp_path / "res").mkdir()
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()

@@ -55,6 +55,10 @@ class TestSampleCovariance:
         s = gw.sample_covariance(rng.standard_normal((4, 6)))
         assert np.linalg.eigvalsh(s)[0] >= -1e-12
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match=r"nonempty \(N, p\) sample array, got shape \(0, 3\)"):
+            gw.sample_covariance(np.empty((0, 3)))
+
 
 class TestClimeColumn:
     def test_identity_lambda_zero(self):
@@ -70,6 +74,14 @@ class TestClimeColumn:
     def test_diagonal(self):
         beta = gw.clime_column(np.diag([2.0, 4.0]), 1, 0.0)
         assert_allclose(beta, [0.0, 0.25], atol=1e-9)
+
+    def test_column_index_out_of_range_rejected(self):
+        with pytest.raises(IndexError, match="column index 3 out of range for p=3"):
+            gw.clime_column(np.eye(3), 3, 0.1)
+
+    def test_negative_lambda_rejected(self):
+        with pytest.raises(ValueError, match="lambda must be nonnegative"):
+            gw.clime_column(np.eye(3), 0, -0.1)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_matches_bruteforce(self, p):

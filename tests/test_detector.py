@@ -55,9 +55,16 @@ class TestNewDetector:
 
     @pytest.mark.parametrize("p", [0, -3])
     def test_dimension_below_one_rejected(self, p):
-        config = gw.DetectorConfig(p=p, w=2, zeta=1.0, n_burnin=2, batch=None)
         with pytest.raises(InvalidConfig, match=f"p must be >= 1, got {p}"):
-            gw.Detector(config)
+            gw.DetectorConfig(p=p, w=2, zeta=1.0, n_burnin=2, batch=None)
+
+    def test_window_below_two_rejected_at_construction(self):
+        with pytest.raises(InvalidConfig, match="w must be >= 2, got 1"):
+            gw.DetectorConfig(p=5, w=1, zeta=4.0, n_burnin=10, batch=None)
+
+    def test_oracle_negative_burnin_rejected_at_construction(self):
+        with pytest.raises(InvalidConfig, match="n_burnin must be nonnegative"):
+            _oracle_config(n_burnin=-1)
 
     def test_plugin_mode_requires_burnin(self):
         with pytest.raises(InvalidConfig):

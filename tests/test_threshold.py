@@ -1,6 +1,5 @@
 import math
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +23,14 @@ MC_W50 = {
 class TestTail:
     def test_total_probability(self):
         assert gw.inner_product_tail(50, 0.0) == 1.0
+
+    def test_window_below_one_rejected(self):
+        with pytest.raises(ValueError, match="w must be >= 1"):
+            gw.InnerProductTail(0)
+
+    def test_negative_t_rejected(self):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            gw.InnerProductTail(5)(-1.0)
 
     def test_monotone_nonincreasing(self):
         for w in (2, 10, 50, 500):
@@ -148,9 +155,7 @@ class TestExactCriticalValue:
         monkeypatch.setattr(gw.InnerProductTail, "__call__", counted)
         for point in grid:
             calls.clear()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # a widened bracket
-                z = gw.critical_value_exact(*point)
+            z = gw.critical_value_exact(*point)
             assert len(calls) <= 64, point
             assert z.hex() == self._bisect_100(*point).hex(), point
 
