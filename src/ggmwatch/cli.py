@@ -34,6 +34,7 @@ from .errors import (
     NegativeZetaSquared,
     NonFiniteSample,
     NonPositiveDiagonal,
+    NotPositiveDefinite,
     SolverStall,
 )
 from .iofmt import (
@@ -202,10 +203,13 @@ def _beside(anchor: str, path: str) -> str:
     return os.path.join(os.path.dirname(anchor), path)
 
 
-def _load_scenario(pre_path, post_path, t0, burnin, horizon) -> ChangeScenario:
-    pre = PrecisionMatrix.from_entries(read_matrix(pre_path))
-    post = PrecisionMatrix.from_entries(read_matrix(post_path))
-    return ChangeScenario(omega_pre=pre, omega_post=post, t0=t0, n_burnin=burnin, horizon=horizon)
+def _gen_change(a) -> PrecisionMatrix:
+    try:
+        return _CHANGES[a.kind](read_matrix(a.matrix), a.s, a.beta)
+    except NotPositiveDefinite as exc:  # the changed model; read_matrix names its file
+        params = f"beta={a.beta}" if a.kind == "uniform" else f"s={a.s}, beta={a.beta}"
+        raise ValueError(f"the {a.kind} change of {a.matrix} ({params}) "
+                         f"is not positive definite: {exc}") from None
 
 
 # the model each `gen` kind other than scenario and stream writes
@@ -213,14 +217,13 @@ _MODELS = {
     "chain": lambda a: gen_chain_precision(a.p, a.rho),
     "sparse": lambda a: gen_random_sparse(a.p, a.density, a.inflation, a.seed),
     "hub": lambda a: gen_hub_precision(a.p, a.hubs, a.spokes, a.inflation, a.seed),
-    "change": lambda a: _CHANGES[a.kind](
-        PrecisionMatrix.from_entries(read_matrix(a.matrix)), a.s, a.beta
-    ),
+    "change": _gen_change,
 }
 
 
 def _gen_scenario(args) -> list[str]:
-    _load_scenario(args.pre, args.post, args.t0, args.burnin, args.horizon)  # validates
+    models = read_matrix(args.pre), read_matrix(args.post)
+    ChangeScenario(*models, args.t0, args.burnin, args.horizon)  # validates
     # `gen stream` reads the matrix paths relative to the scenario file
     base = os.path.dirname(os.path.abspath(args.out))
     pre, post = (path if os.path.isabs(path) else os.path.relpath(path, base)
@@ -237,9 +240,9 @@ _SCENARIO_KEYS = {"pre_matrix": str, "post_matrix": str, "t0": int, "n_burnin": 
                   "horizon": int}
 
 
-def _read_scenario(path: str) -> dict:
-    """The scenario object in the JSON file ``path``; a ValueError names the
-    file and, for a missing or ill-typed value, its key."""
+def _read_scenario(path: str) -> tuple[ChangeScenario, str, str]:
+    """The scenario in the JSON file ``path`` and its two matrix paths; a
+    ValueError names the file and, for a missing or ill-typed value, its key."""
     try:
         with open(path) as fh:
             spec = json.load(fh)
@@ -253,13 +256,16 @@ def _read_scenario(path: str) -> dict:
         if type(spec[key]) is not typ:  # so neither true nor 5.0 is an int
             raise ValueError(f"{path}: {key!r} is {json.dumps(spec[key])}, not "
                              f"{'a string' if typ is str else 'an integer'}")
-    return spec
+    pre, post = (_beside(path, spec[key]) for key in ("pre_matrix", "post_matrix"))
+    models = read_matrix(pre), read_matrix(post)
+    try:
+        return ChangeScenario(*models, spec["t0"], spec["n_burnin"], spec["horizon"]), pre, post
+    except (ValueError, DimensionMismatch) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _gen_stream(args) -> list[str]:
-    spec = _read_scenario(args.scenario)
-    pre, post = (_beside(args.scenario, spec[key]) for key in ("pre_matrix", "post_matrix"))
-    scenario = _load_scenario(pre, post, spec["t0"], spec["n_burnin"], spec["horizon"])
+    scenario, pre, post = _read_scenario(args.scenario)
     rows = GaussianStream(scenario, args.seed).take(args.count).tolist()
     with open(args.out, "w") as fh:
         for t, row in enumerate(rows, start=1):
@@ -308,11 +314,11 @@ def _monitor_settings(args) -> dict:
         raw = load_config(args.config)
         for key, value in raw.items():
             if key not in _MONITOR_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
+                raise ValueError(f"{args.config}: unknown config key {key!r}")
             try:
                 settings[key] = _MONITOR_KEYS[key][0](value)
             except ValueError as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from None
+                raise ValueError(f"{args.config}: config key {key!r}: {exc}") from None
         if settings["oracle_matrix"]:  # relative to the config file, as in `gen stream`
             settings["oracle_matrix"] = _beside(args.config, settings["oracle_matrix"])
     for key in _MONITOR_KEYS:
@@ -336,7 +342,7 @@ def _given(settings: dict, prefix: str) -> dict:
 def _monitor_detector(settings: dict) -> Detector:
     oracle = None
     if settings["oracle_matrix"]:
-        oracle = PrecisionMatrix.from_entries(read_matrix(settings["oracle_matrix"]))
+        oracle = read_matrix(settings["oracle_matrix"])
         if settings["p"] is None:
             settings["p"] = oracle.p
     for key in ("p", "w"):

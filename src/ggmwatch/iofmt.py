@@ -2,6 +2,7 @@
 
 Matrix file: first line ``p <dim>``, then p rows of p space-separated floats
 printed with 17 significant digits (round-trip exact for binary64).
+:func:`read_matrix` returns the validated :class:`PrecisionMatrix`.
 
 Config file: flat ``key=value`` lines; blank lines and ``#`` comments ignored.
 
@@ -19,6 +20,9 @@ import math
 import os
 
 import numpy as np
+
+from .errors import NotPositiveDefinite
+from .modelgen import PrecisionMatrix
 
 __all__ = [
     "format_float",
@@ -53,9 +57,9 @@ def write_matrix(path: str, m: np.ndarray) -> None:
             fh.write(" ".join(format_float(v) for v in row) + "\n")
 
 
-def read_matrix(path: str) -> np.ndarray:
-    """The matrix in ``path``; a malformed line raises ``ValueError`` naming
-    ``<path>:<line>``."""
+def read_matrix(path: str) -> PrecisionMatrix:
+    """The validated model in ``path``; a ``ValueError`` names ``<path>:<line>``
+    for a malformed line, and ``<path>`` for a matrix that is not a model."""
     rows: list[list[float]] = []
     lineno = 1
     # a byte that is not UTF-8 becomes a lone surrogate, which no number
@@ -66,6 +70,8 @@ def read_matrix(path: str) -> np.ndarray:
             if len(header) != 2 or header[0] != "p":
                 raise ValueError(f"expected header 'p <dim>', got {header!r}")
             p = int(header[1])
+            if p < 1:
+                raise ValueError(f"expected a dimension of at least 1, got {p}")
             for lineno, line in enumerate(fh, start=2):
                 if line.strip():
                     rows.append([float(tok) for tok in line.split()])
@@ -76,7 +82,10 @@ def read_matrix(path: str) -> np.ndarray:
     a = np.array(rows, dtype=np.float64)
     if a.shape != (p, p):
         raise ValueError(f"{path}: expected {p}x{p} body, got shape {a.shape}")
-    return a
+    try:
+        return PrecisionMatrix.from_entries(a)
+    except (ValueError, NotPositiveDefinite) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_config(path: str) -> dict[str, str]:

@@ -71,14 +71,14 @@ class TestGen:
     def test_chain_roundtrip(self, tmp_path):
         out = tmp_path / "m.txt"
         assert run_cli(["gen", "chain", "--p", "7", "--rho", "0.5", "--out", str(out)]) == 0
-        m = read_matrix(out)
+        m = read_matrix(out).entries
         assert np.array_equal(m, gw.gen_chain_precision(7, 0.5).entries)
         assert (tmp_path / "m.txt.manifest.json").exists()
 
     def test_matrix_format_exact_roundtrip(self, tmp_path):
         out = tmp_path / "s.txt"
         run_cli(["gen", "sparse", "--p", "12", "--density", "0.2", "--seed", "9", "--out", str(out)])
-        m = read_matrix(out)
+        m = read_matrix(out).entries
         assert np.array_equal(m, gw.gen_random_sparse(12, 0.2, 0.1, 9).entries)
 
     def test_sparse_reproducible_bytes(self, tmp_path):
@@ -148,7 +148,7 @@ class TestGen:
             ["gen", "hub", "--p", "20", "--hubs", "2", "--spokes", "5", "--seed", "3",
              "--out", str(out)]
         ) == 0
-        assert read_matrix(out).shape == (20, 20)
+        assert read_matrix(out).entries.shape == (20, 20)
 
     def test_change_and_scenario_and_stream(self, tmp_path):
         pre = tmp_path / "pre.txt"
@@ -160,7 +160,7 @@ class TestGen:
             ["gen", "change", "--matrix", str(pre), "--kind", "uniform", "--beta", "1.0",
              "--out", str(post)]
         ) == 0
-        assert np.allclose(read_matrix(post), read_matrix(pre) / 2.0)
+        assert np.allclose(read_matrix(post).entries, read_matrix(pre).entries / 2.0)
         assert run_cli(
             ["gen", "scenario", "--pre", str(pre), "--post", str(post), "--t0", "10",
              "--burnin", "0", "--horizon", "40", "--out", str(scn)]
@@ -911,7 +911,7 @@ class TestMonitor:
         cfg.write_text(f"w=5\n{line}\n")
         assert run_cli(["monitor", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
-        assert message in captured.err and captured.out == ""
+        assert f"error: {cfg}: {message}" in captured.err and captured.out == ""
 
     def test_empty_oracle_matrix_in_config_exits_2(self, tmp_path, capsys):
         # an empty value is not the key left out, which selects plug-in mode
@@ -1301,6 +1301,41 @@ _BAD_INPUTS = {
     "monitor_matrix_short_body": (2, ["monitor", "--oracle_matrix", "{tmp}/short.txt", "--w", "3",
                                       "--input", "{tmp}/huge.ndjson"],
                                   "error: {tmp}/short.txt: expected 3x3 body, got shape (2, 3)"),
+    "monitor_matrix_zero_dim": (2, ["monitor", "--oracle_matrix", "{tmp}/zero.txt", "--w", "3",
+                                    "--input", "{tmp}/huge.ndjson"],
+                                "error: {tmp}/zero.txt:1: expected a dimension of at least 1, "
+                                "got 0"),
+    "monitor_matrix_not_pd": (2, ["monitor", "--oracle_matrix", "{tmp}/np.txt", "--w", "3",
+                                  "--input", "{tmp}/huge.ndjson"],
+                              "error: {tmp}/np.txt: Matrix is not positive definite"),
+    "monitor_matrix_not_finite": (2, ["monitor", "--oracle_matrix", "{tmp}/nan.txt", "--w", "3",
+                                      "--input", "{tmp}/huge.ndjson"],
+                                  "error: {tmp}/nan.txt: precision matrix entries must be finite"),
+    "monitor_matrix_asymmetric": (2, ["monitor", "--oracle_matrix", "{tmp}/asym.txt", "--w", "3",
+                                      "--input", "{tmp}/huge.ndjson"],
+                                  "error: {tmp}/asym.txt: precision matrix entries must be "
+                                  "exactly symmetric"),
+    "monitor_config_unknown_key": (2, ["monitor", "--config", "{tmp}/foo.cfg",
+                                       "--input", "{tmp}/huge.ndjson"],
+                                   "error: {tmp}/foo.cfg: unknown config key 'foo'"),
+    "gen_scenario_post_not_pd": (2, ["gen", "scenario", "--pre", "{tmp}/eye2.txt",
+                                     "--post", "{tmp}/np.txt", "--t0", "5", "--burnin", "0",
+                                     "--horizon", "10", "--out", "{tmp}/x"],
+                                 "error: {tmp}/np.txt: Matrix is not positive definite"),
+    "gen_stream_t0_past_horizon": (2, ["gen", "stream", "--scenario", "{tmp}/t0.json",
+                                       "--count", "5", "--out", "{tmp}/x"],
+                                   "error: {tmp}/t0.json: t0 must lie in [1, horizon], got t0=11"),
+    "gen_stream_dimensions_differ": (2, ["gen", "stream", "--scenario", "{tmp}/dim.json",
+                                         "--count", "5", "--out", "{tmp}/x"],
+                                     "error: {tmp}/dim.json: pre (4) and post (2) dimensions "
+                                     "differ"),
+    "gen_change_input_not_pd": (2, ["gen", "change", "--matrix", "{tmp}/np.txt", "--kind",
+                                    "uniform", "--beta", "1", "--out", "{tmp}/x"],
+                                "error: {tmp}/np.txt: Matrix is not positive definite"),
+    "gen_change_result_not_pd": (2, ["gen", "change", "--matrix", "{tmp}/m.txt", "--kind",
+                                     "block", "--s", "2", "--beta", "-5", "--out", "{tmp}/x"],
+                                 "error: the block change of {tmp}/m.txt (s=2, beta=-5.0) is "
+                                 "not positive definite: Matrix is not positive definite"),
     "monitor_huge_int": (3, ["monitor", "--oracle_matrix", "{tmp}/m.txt", "--w", "3",
                              "--input", "{tmp}/huge.ndjson"]),
     "monitor_x_string": (3, ["monitor", "--oracle_matrix", "{tmp}/m.txt", "--w", "3",
@@ -1346,6 +1381,14 @@ def test_bad_input_exits_2_or_3_with_one_error_line(tmp_path, capsys, name):
         (tmp_path / f"{row_name}.ndjson").write_text(good + row + "\n")
     (tmp_path / "bad.cfg").write_text("w 5\n")
     (tmp_path / "short.txt").write_text("p 3\n1 0 0\n0 1 0\n")
+    (tmp_path / "zero.txt").write_text("p 0\n")
+    (tmp_path / "np.txt").write_text("p 2\n1 2\n2 1\n")
+    (tmp_path / "eye2.txt").write_text("p 2\n1 0\n0 1\n")
+    (tmp_path / "nan.txt").write_text("p 2\n1 nan\nnan 1\n")
+    (tmp_path / "asym.txt").write_text("p 2\n1 0.1\n0.2 1\n")
+    (tmp_path / "foo.cfg").write_text("w=5\nfoo=1\n")
+    (tmp_path / "t0.json").write_text(_scenario_text(t0=11, horizon=10))
+    (tmp_path / "dim.json").write_text(_scenario_text(post_matrix="eye2.txt"))
     (tmp_path / "res").mkdir()
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
