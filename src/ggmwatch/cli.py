@@ -116,8 +116,16 @@ _CHANGES = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line as ``main`` refuses any bad input: with one
+    ``error:`` line and exit 2, and no usage block. Subparsers share the class."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ggmwatch")
+    parser = _Parser(prog="ggmwatch")
     parser.add_argument("--version", action="version", version=f"ggmwatch {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     out = argparse.ArgumentParser(add_help=False)  # every command that writes files
@@ -542,11 +550,11 @@ def main(argv: list[str] | None = None) -> int:
             # the exit then leaves the objects of the numpy/scipy imports unwalked
             gc.freeze()
     argv = list(argv)
-    args = _build_parser().parse_args(argv)
     # looked up at call time, so that a wrapped cmd_* is the one that runs
     commands = {"gen": cmd_gen, "threshold": cmd_threshold, "monitor": cmd_monitor,
                 "experiment": cmd_experiment}
     try:
+        args = _build_parser().parse_args(argv)  # --help and --version still exit 0
         # threaded BLAS products round differently, and a plug-in fit's HiGHS
         # threads would contend with spinning BLAS ones
         with _one_blas_thread():

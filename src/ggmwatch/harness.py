@@ -44,7 +44,7 @@ from numpy.random import Generator, Philox
 from . import __version__, kernels
 from .bindings import _one_blas_thread, _single_blas_thread
 from .clime import clime_estimate, normalized_error
-from .errors import InvalidConfig
+from .errors import InvalidConfig, NegativeZetaSquared
 from .modelgen import (
     PrecisionMatrix,
     cholesky_factor,
@@ -251,7 +251,10 @@ def _fa_calibration(config: ExperimentConfig, jobs: int) -> tuple[list, dict]:
     chol = _cov_factor(omega)
     ze = critical_value_exact(pi0, p, w)
     zu = critical_value_union(pi0, p) if pi0 < 0.5 else None
-    za = critical_value_asymptotic(pi0, p)
+    try:
+        za = critical_value_asymptotic(pi0, p)
+    except NegativeZetaSquared:  # undefined for this p and pi0: threshold's n/a
+        za = None
     fit = (omega.entries, scale_entries(omega.entries))
     (sups,) = _first_windows(config, jobs, [(("fa",), [(chol, [(w, [fit])])])])
     n = len(sups)

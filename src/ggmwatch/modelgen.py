@@ -246,11 +246,17 @@ def gen_hub_precision(
     return _standardize(weights, diag_inflation)
 
 
+def _check_beta(beta: float) -> None:
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+
+
 def make_block_change(omega_pre: PrecisionMatrix, s: int, beta: float) -> PrecisionMatrix:
     """Add ``beta / s`` to every entry of the leading s-by-s block.
 
     The perturbation has Frobenius norm exactly ``|beta|``, independent of ``s``.
     """
+    _check_beta(beta)
     p = omega_pre.p
     if not 1 <= s <= p:
         raise ValueError(f"s must lie in [1, {p}], got {s}")
@@ -262,6 +268,7 @@ def make_block_change(omega_pre: PrecisionMatrix, s: int, beta: float) -> Precis
 def make_antidiag_change(omega_pre: PrecisionMatrix, s: int, beta: float) -> PrecisionMatrix:
     """Add ``s`` new symmetric edges of weight ``beta`` joining node ``i`` to
     node ``p - s + i`` (identity blocks at the anti-corners)."""
+    _check_beta(beta)
     p = omega_pre.p
     if s < 0 or 2 * s > p:
         raise ValueError(f"s must lie in [0, p/2], got {s}")
@@ -276,6 +283,7 @@ def make_antidiag_change(omega_pre: PrecisionMatrix, s: int, beta: float) -> Pre
 
 def make_uniform_change(omega_pre: PrecisionMatrix, beta: float) -> PrecisionMatrix:
     """Scale the whole precision matrix by ``1 / (1 + beta)``."""
+    _check_beta(beta)
     if beta <= -1:
         raise ValueError("beta must be > -1")
     return PrecisionMatrix.from_entries(omega_pre.entries / (1.0 + beta))

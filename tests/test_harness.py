@@ -58,6 +58,14 @@ class TestFaCalibration:
         res = hz.run_experiment(_config("fa_calibration", 300, p=30, rho0=0.5, w=20, pi0=0.999))
         assert res.cells[0].metrics["exceed_exact"].value > 0.9
 
+    def test_undefined_closed_forms_are_none(self):
+        # at p=3 the asymptotic zeta^2 at pi0=0.95 is negative, and the union
+        # form needs pi0 < 1/2: the run records both as None, as threshold's n/a
+        res = hz.run_experiment(_config("fa_calibration", 20, p=3, rho0=0.3, w=10, pi0=0.95))
+        assert res.provenance["zeta_asymptotic"] is None
+        assert res.provenance["zeta_union"] is None
+        assert sorted(res.cells[0].metrics) == ["exceed_exact", "mean_sup", "quantile"]
+
     def test_jobs_do_not_change_results(self, tmp_path):
         a = hz.run_experiment(FA_SMALL, jobs=1)
         b = hz.run_experiment(FA_SMALL, jobs=2)

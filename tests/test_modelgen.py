@@ -264,6 +264,17 @@ class TestUniformChange:
             gw.make_uniform_change(chain5, -1.0)
 
 
+@pytest.mark.parametrize("beta", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("change", [
+    lambda om, beta: gw.make_block_change(om, 2, beta),
+    lambda om, beta: gw.make_antidiag_change(om, 1, beta),
+    gw.make_uniform_change,
+], ids=["block", "antidiag", "uniform"])
+def test_non_finite_beta_names_beta(chain5, change, beta):
+    with pytest.raises(ValueError, match=f"^beta must be finite, got {beta}$"):
+        change(chain5, beta)
+
+
 def _identity_scenario(p, t0=50, n_burnin=0, horizon=10**6):
     om = gw.PrecisionMatrix.from_entries(np.eye(p))
     return gw.ChangeScenario(
