@@ -19,7 +19,6 @@ from .clime import (
 from .detector import DetectionEvent, Detector, DetectorConfig, run_offline
 from .modelgen import (
     ChangeScenario,
-    GaussianStream,
     PrecisionMatrix,
     cholesky_factor,
     gen_chain_precision,
@@ -29,6 +28,7 @@ from .modelgen import (
     make_antidiag_change,
     make_block_change,
     make_uniform_change,
+    stream_blocks,
 )
 from .statistic import (
     DeviationMatrix,
@@ -54,7 +54,6 @@ __all__ = [
     "Detector",
     "DetectorConfig",
     "DeviationMatrix",
-    "GaussianStream",
     "InnerProductTail",
     "PrecisionEstimate",
     "PrecisionMatrix",
@@ -81,4 +80,5 @@ __all__ = [
     "run_offline",
     "sample_covariance",
     "scale_entries",
+    "stream_blocks",
 ]

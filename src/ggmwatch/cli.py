@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: ``gen`` (models, changes, scenarios, streams), ``threshold``
-(critical values), ``monitor`` (run the sequential detector over NDJSON or
-CSV rows), and ``experiment`` (Monte Carlo presets).
+Subcommands: ``gen`` (models, changes, scenarios, streams written block by
+block), ``threshold`` (critical values), ``monitor`` (run the sequential
+detector over NDJSON or CSV rows), and ``experiment`` (Monte Carlo presets).
 
 Exit codes: 0 success, 2 configuration/validation error, 3 data error.
 Every run emits a manifest: file-writing commands place
@@ -50,7 +50,6 @@ from .iofmt import (
 )
 from .modelgen import (
     ChangeScenario,
-    GaussianStream,
     PrecisionMatrix,
     gen_chain_precision,
     gen_hub_precision,
@@ -58,6 +57,7 @@ from .modelgen import (
     make_antidiag_change,
     make_block_change,
     make_uniform_change,
+    stream_blocks,
 )
 from .threshold import (
     critical_value,
@@ -75,8 +75,8 @@ class DataError(Exception):
 
 
 def _flag(text: str) -> bool:
-    if text not in ("0", "1"):
-        raise ValueError(f"expected 0 or 1, got {text!r}")
+    if text not in ("0", "1"):  # argparse prints this error's text, not the function's name
+        raise argparse.ArgumentTypeError(f"expected 0 or 1, got {text!r}")
     return text == "1"
 
 
@@ -274,9 +274,9 @@ def _read_scenario(path: str) -> tuple[ChangeScenario, str, str]:
 
 def _gen_stream(args) -> list[str]:
     scenario, pre, post = _read_scenario(args.scenario)
-    rows = GaussianStream(scenario, args.seed).take(args.count).tolist()
+    blocks = stream_blocks(scenario, args.seed, args.count)  # refuses a bad count: nothing opened
     with open(args.out, "w") as fh:
-        for t, row in enumerate(rows, start=1):
+        for t, row in enumerate((r for block in blocks for r in block.tolist()), start=1):
             fh.write(json_line({"t": t, "x": row}) if args.ndjson
                      else ",".join(map(format_float, row)) + "\n")
     return [args.scenario, pre, post]
@@ -325,7 +325,7 @@ def _monitor_settings(args) -> dict:
                 raise ValueError(f"{args.config}: unknown config key {key!r}")
             try:
                 settings[key] = _MONITOR_KEYS[key][0](value)
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{args.config}: config key {key!r}: {exc}") from None
         if settings["oracle_matrix"]:  # relative to the config file, as in `gen stream`
             settings["oracle_matrix"] = _beside(args.config, settings["oracle_matrix"])

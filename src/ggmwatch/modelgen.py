@@ -1,4 +1,4 @@
-"""Synthetic precision matrices, change scenarios and Gaussian stream sampling.
+"""Synthetic precision matrices, change scenarios and block-drawn sample streams.
 
 All generators return a validated :class:`PrecisionMatrix` (exactly symmetric,
 positive definite, inverse standardized to unit variance where stated) and are
@@ -8,6 +8,7 @@ deterministic in their ``seed`` argument via a counter-based Philox stream.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,6 @@ dtrsm = fblas.dtrsm
 __all__ = [
     "PrecisionMatrix",
     "ChangeScenario",
-    "GaussianStream",
     "cholesky_factor",
     "invert_spd",
     "gen_chain_precision",
@@ -30,6 +30,7 @@ __all__ = [
     "make_block_change",
     "make_antidiag_change",
     "make_uniform_change",
+    "stream_blocks",
 ]
 
 
@@ -289,39 +290,37 @@ def make_uniform_change(omega_pre: PrecisionMatrix, beta: float) -> PrecisionMat
     return PrecisionMatrix.from_entries(omega_pre.entries / (1.0 + beta))
 
 
-class GaussianStream:
-    """Deterministic sample stream for a :class:`ChangeScenario`.
+# rows per draw and per product; every product is this tall, since BLAS may
+# round the rows of a shorter one differently
+_BLOCK = 2048
+
+
+def stream_blocks(scenario: ChangeScenario, seed: int, count: int) -> Iterator[np.ndarray]:
+    """The first ``count`` samples of ``scenario``'s stream, in consecutive
+    arrays of at most ``_BLOCK`` rows; a bad count is refused at the call.
 
     Sample ``i`` (1-based) is drawn from the pre-change model when
     ``i <= n_burnin + t0`` and from the post-change model afterwards, as
     ``x = L z`` with ``L`` the Cholesky factor of the covariance and ``z``
-    standard normal from a Philox stream keyed by ``seed``. Identical
-    ``(scenario, seed)`` reproduce bit-identical streams regardless of how
-    the draw is chunked.
+    standard normal from a Philox stream keyed by ``seed``. Every product
+    ``Z L'`` is ``_BLOCK`` rows tall, so a sample's bits depend only on the
+    scenario, the seed and ``i``: a stream is a prefix of any longer one.
     """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if count > scenario.total_length:
+        raise ValueError(f"stream exhausted: requested up to sample {count}, "
+                         f"scenario ends at {scenario.total_length}")
+    pre, post = (cholesky_factor(invert_spd(m.entries)).T
+                 for m in (scenario.omega_pre, scenario.omega_post))
+    return _blocks(Generator(Philox(key=seed)), pre, post, scenario.n_burnin + scenario.t0, count)
 
-    def __init__(self, scenario: ChangeScenario, seed: int):
-        self.scenario = scenario
-        self.seed = seed
-        self.cursor = 0
-        self._rng = Generator(Philox(key=seed))
-        self._l_pre = cholesky_factor(invert_spd(scenario.omega_pre.entries))
-        self._l_post = cholesky_factor(invert_spd(scenario.omega_post.entries))
-        self._change_at = scenario.n_burnin + scenario.t0  # last pre-change index, 1-based
 
-    def take(self, count: int) -> np.ndarray:
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        if self.cursor + count > self.scenario.total_length:
-            raise ValueError(
-                f"stream exhausted: requested up to sample {self.cursor + count}, "
-                f"scenario ends at {self.scenario.total_length}"
-            )
-        p = self.scenario.p
-        z = self._rng.standard_normal((count, p))
-        out = np.empty((count, p))
-        n_pre = min(count, max(0, self._change_at - self.cursor))
-        out[:n_pre] = z[:n_pre] @ self._l_pre.T
-        out[n_pre:] = z[n_pre:] @ self._l_post.T
-        self.cursor += count
-        return out
+def _blocks(rng: Generator, pre, post, n_pre: int, count: int) -> Iterator[np.ndarray]:
+    for start in range(0, count, _BLOCK):
+        z = rng.standard_normal((_BLOCK, pre.shape[0]))
+        k = n_pre - start  # the block's pre-change rows, where positive
+        x = z @ (pre if k >= _BLOCK else post)
+        if 0 < k < _BLOCK:
+            x[:k] = (z @ pre)[:k]
+        yield x[:count - start]

@@ -143,6 +143,48 @@ class TestGen:
         assert len(rows[0].split(",")) == 6
 
 
+    def test_stream_is_a_prefix_of_a_longer_stream(self, tmp_path):
+        # the change lies 5 rows before the end of the shorter stream; at
+        # p=100 a product of a few rows rounds its rows unlike a taller one
+        run_cli(["gen", "chain", "--p", "100", "--rho", "0.4", "--out", str(tmp_path / "m.txt")])
+        run_cli(["gen", "change", "--matrix", str(tmp_path / "m.txt"), "--kind", "block",
+                 "--s", "10", "--beta", "2", "--out", str(tmp_path / "post.txt")])
+        run_cli(["gen", "scenario", "--pre", str(tmp_path / "m.txt"),
+                 "--post", str(tmp_path / "post.txt"), "--t0", "1700", "--burnin", "100",
+                 "--horizon", "3000", "--out", str(tmp_path / "sc.json")])
+        rows = {}
+        for count in ("1805", "2300"):
+            assert run_cli(["gen", "stream", "--scenario", str(tmp_path / "sc.json"),
+                            "--seed", "3", "--count", count,
+                            "--out", str(tmp_path / f"{count}.csv")]) == 0
+            rows[count] = (tmp_path / f"{count}.csv").read_bytes()
+        assert rows["1805"].count(b"\n") == 1805
+        assert rows["2300"].startswith(rows["1805"])
+
+    def test_long_stream_in_flat_memory_subprocess(self, tmp_path):
+        # a child's peak memory, in MiB, and its exit code; each child is
+        # launched directly, so its peak is its own
+        def peak(args, stdin=None):
+            proc = subprocess.Popen([sys.executable, "-m", "ggmwatch.cli", *args], env=SRC_ENV,
+                                    cwd=tmp_path, stdin=stdin, stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            return proc.returncode, usage.ru_maxrss / 1024
+
+        run_cli(["gen", "chain", "--p", "5", "--rho", "0.4", "--out", str(tmp_path / "m.txt")])
+        (tmp_path / "sc.json").write_text(_scenario_text(t0=1000, horizon=200_000))
+        gen, monitor = {}, {}
+        for count in (20_000, 200_000):
+            gen[count] = peak(["gen", "stream", "--scenario", "sc.json", "--count", str(count),
+                               "--out", f"{count}.csv"])
+            with open(tmp_path / f"{count}.csv", "rb") as rows:
+                monitor[count] = peak(["monitor", "--oracle_matrix", "m.txt", "--w", "10",
+                                       "--input", "-"], stdin=rows)
+        for peaks in (gen, monitor):
+            assert peaks[20_000][0] == peaks[200_000][0] == 0
+            # ten times the rows: the whole stream in memory would add tens of MiB
+            assert peaks[200_000][1] - peaks[20_000][1] < 4.0
+
     def test_scenario_paths_relative_to_scenario_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run_cli(["gen", "chain", "--p", "4", "--rho", "0.3", "--out", "omega.txt"])
@@ -177,7 +219,7 @@ class TestGen:
         def fail(*args, **kwargs):
             raise AssertionError("rows were drawn")
 
-        monkeypatch.setattr(cli_module.GaussianStream, "take", fail)
+        monkeypatch.setattr(cli_module, "stream_blocks", fail)
         out = tmp_path / "nodir" / "rows.csv"
         code = run_cli(["gen", "stream", "--scenario", str(scn), "--count", "20",
                         "--out", str(out)])
@@ -1190,6 +1232,9 @@ _BAD_INPUTS = {
     "gen_stream_count": (2, ["gen", "stream", "--scenario", "{tmp}/sc.json", "--count", "21",
                              "--out", "{tmp}/x"],
                          "error: stream exhausted: requested up to sample 21, scenario ends at 20"),
+    "gen_stream_count_negative": (2, ["gen", "stream", "--scenario", "{tmp}/sc.json",
+                                      "--count", "-1", "--out", "{tmp}/x"],
+                                  "error: count must be nonnegative"),
     **{
         f"gen_stream_{name}": (2, ["gen", "stream", "--scenario", f"{{tmp}}/{name}.json",
                                    "--count", "5", "--out", "{tmp}/x"],
@@ -1263,7 +1308,7 @@ _BAD_INPUTS = {
     **{
         f"monitor_flag_{key}_{value or 'empty'}": (
             2, ["monitor", "--p", "4", "--w", "4", f"--{key}", value],
-            f"error: argument --{key}: invalid _flag value: {value!r}")
+            f"error: argument --{key}: expected 0 or 1, got {value!r}")
         for key in ("clime_psd_project", "clime_center") for value in ("7", "2", "-1", "true", "")
     },
     "monitor_config_no_equals": (2, ["monitor", "--config", "{tmp}/bad.cfg",

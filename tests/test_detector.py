@@ -542,7 +542,7 @@ class TestRunOffline:
         # stop at 90 samples: a second full window after the first detection
         # would re-trigger (the oracle matrix stays pre-change)
         sc = gw.ChangeScenario(omega_pre=pre, omega_post=post, t0=60, n_burnin=0, horizon=200)
-        xs = gw.GaussianStream(sc, seed=8).take(90)
+        (xs,) = gw.stream_blocks(sc, seed=8, count=90)
         zeta = gw.critical_value(1e-4, 10, 30)
         config = gw.DetectorConfig(
             p=10, w=30, zeta=zeta, n_burnin=0, batch=None, oracle_omega=pre

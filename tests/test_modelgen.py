@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import ggmwatch as gw
 from ggmwatch.errors import DimensionMismatch, NotPositiveDefinite
+from ggmwatch.modelgen import _BLOCK
 
 
 class TestCholesky:
@@ -282,9 +283,13 @@ def _identity_scenario(p, t0=50, n_burnin=0, horizon=10**6):
     )
 
 
+def _draw(scenario, seed, count):
+    return np.vstack(list(gw.stream_blocks(scenario, seed, count)))
+
+
 class TestSampleStream:
     def test_zero_mean(self):
-        xs = gw.GaussianStream(_identity_scenario(4), seed=11).take(100_000)
+        xs = _draw(_identity_scenario(4), seed=11, count=100_000)
         assert np.abs(xs.mean(axis=0)).max() < 0.02
 
     def test_variance_p1(self):
@@ -292,34 +297,44 @@ class TestSampleStream:
         sc = gw.ChangeScenario(
             omega_pre=om, omega_post=om, t0=10, n_burnin=0, horizon=10**6
         )
-        xs = gw.GaussianStream(sc, seed=5).take(100_000)
+        xs = _draw(sc, seed=5, count=100_000)
         assert xs.var() == pytest.approx(0.25, abs=0.005)
 
     def test_bit_identical_repeat(self):
         sc = _identity_scenario(3)
-        a = gw.GaussianStream(sc, seed=77).take(500)
-        b = gw.GaussianStream(sc, seed=77).take(500)
-        assert np.array_equal(a, b)
+        assert np.array_equal(_draw(sc, seed=77, count=500), _draw(sc, seed=77, count=500))
 
-    def test_chunking_invariance(self):
-        sc = _identity_scenario(3)
-        stream = gw.GaussianStream(sc, seed=9)
-        chunked = np.vstack([stream.take(13), stream.take(7), stream.take(10)])
-        assert np.array_equal(chunked, gw.GaussianStream(sc, seed=9).take(30))
+    def test_prefix_of_a_longer_stream(self):
+        # a non-identity factor at p > 256, where BLAS rounds a row of a
+        # product by the product's height; the change lies 5 rows before the
+        # end of the shorter stream, in its second block
+        pre = gw.gen_chain_precision(300, 0.4)
+        sc = gw.ChangeScenario(omega_pre=pre, omega_post=gw.make_block_change(pre, 10, 2.0),
+                               t0=_BLOCK + 5, n_burnin=5, horizon=10**6)
+        blocks = list(gw.stream_blocks(sc, 9, _BLOCK + 15))
+        assert [b.shape for b in blocks] == [(_BLOCK, 300), (15, 300)]
+        longer = _draw(sc, seed=9, count=3 * _BLOCK + 1)
+        assert np.array_equal(np.vstack(blocks), longer[:_BLOCK + 15])
+        assert np.array_equal(_draw(sc, seed=9, count=1), longer[:1])
 
     def test_change_point_boundary(self):
         pre = gw.PrecisionMatrix.from_entries(np.array([[1.0]]))
         post = gw.PrecisionMatrix.from_entries(np.array([[100.0]]))
         sc = gw.ChangeScenario(omega_pre=pre, omega_post=post, t0=3, n_burnin=2, horizon=10**6)
-        xs = gw.GaussianStream(sc, seed=1).take(100_000)
+        xs = _draw(sc, seed=1, count=100_000)
         # samples 1..5 are unit variance, later ones have variance 0.01
         assert xs[:5].var() > 0.1
         assert xs[5:].var() == pytest.approx(0.01, rel=0.05)
 
     def test_exhaustion(self):
+        # refused at the call, before a row is drawn
         sc = _identity_scenario(2, t0=5, horizon=10)
-        with pytest.raises(ValueError):
-            gw.GaussianStream(sc, seed=0).take(11)
+        with pytest.raises(ValueError, match="^stream exhausted: requested up to sample 11, "
+                                             "scenario ends at 10$"):
+            gw.stream_blocks(sc, seed=0, count=11)
+        with pytest.raises(ValueError, match="^count must be nonnegative$"):
+            gw.stream_blocks(sc, seed=0, count=-1)
+        assert list(gw.stream_blocks(sc, seed=0, count=0)) == []
 
 
 class TestTypes:
