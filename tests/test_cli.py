@@ -67,6 +67,20 @@ def _scenario_text(**changes) -> str:
     return json.dumps({k: v for k, v in {**_SCENARIO, **changes}.items() if v is not ...})
 
 
+# Runs ``ggmwatch.cli`` with its arguments and ends with its exit code, after
+# writing the CLI's peak memory in KiB as its last stderr line. On Linux a
+# child's ``ru_maxrss`` starts at the resident set of the process that spawned
+# it, so the CLI is spawned from this small interpreter: spawned from the test
+# process, every peak would read the test process's size.
+_PEAK_LAUNCHER = """import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "ggmwatch.cli", *sys.argv[1:]],
+                     os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss, file=sys.stderr)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
 class TestGen:
     def test_chain_roundtrip(self, tmp_path):
         out = tmp_path / "m.txt"
@@ -161,29 +175,66 @@ class TestGen:
         assert rows["1805"].count(b"\n") == 1805
         assert rows["2300"].startswith(rows["1805"])
 
-    def test_long_stream_in_flat_memory_subprocess(self, tmp_path):
-        # a child's peak memory, in MiB, and its exit code; each child is
-        # launched directly, so its peak is its own
-        def peak(args, stdin=None):
-            proc = subprocess.Popen([sys.executable, "-m", "ggmwatch.cli", *args], env=SRC_ENV,
-                                    cwd=tmp_path, stdin=stdin, stdout=subprocess.DEVNULL)
-            _, status, usage = os.wait4(proc.pid, 0)
-            proc.returncode = os.waitstatus_to_exitcode(status)
-            return proc.returncode, usage.ru_maxrss / 1024
+    @staticmethod
+    def _child(cwd, args, stdin=None) -> subprocess.Popen:
+        """The CLI, spawned by ``_PEAK_LAUNCHER`` so that its peak memory is
+        its own, not this process's."""
+        return subprocess.Popen([sys.executable, "-c", _PEAK_LAUNCHER, *args], env=SRC_ENV,
+                                cwd=cwd, stdin=stdin, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE, text=True)
 
+    @staticmethod
+    def _peak(proc: subprocess.Popen) -> tuple[int, float]:
+        """A ``_child``'s exit code and peak memory in MiB, once it has ended."""
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(), int(err.splitlines()[-1]) / 1024
+
+    def test_long_stream_in_flat_memory_subprocess(self, tmp_path):
         run_cli(["gen", "chain", "--p", "5", "--rho", "0.4", "--out", str(tmp_path / "m.txt")])
         (tmp_path / "sc.json").write_text(_scenario_text(t0=1000, horizon=200_000))
         gen, monitor = {}, {}
         for count in (20_000, 200_000):
-            gen[count] = peak(["gen", "stream", "--scenario", "sc.json", "--count", str(count),
-                               "--out", f"{count}.csv"])
+            gen[count] = self._peak(self._child(tmp_path, [
+                "gen", "stream", "--scenario", "sc.json", "--count", str(count),
+                "--out", f"{count}.csv"]))
             with open(tmp_path / f"{count}.csv", "rb") as rows:
-                monitor[count] = peak(["monitor", "--oracle_matrix", "m.txt", "--w", "10",
-                                       "--input", "-"], stdin=rows)
+                monitor[count] = self._peak(self._child(tmp_path, [
+                    "monitor", "--oracle_matrix", "m.txt", "--w", "10", "--input", "-"], rows))
         for peaks in (gen, monitor):
             assert peaks[20_000][0] == peaks[200_000][0] == 0
             # ten times the rows: the whole stream in memory would add tens of MiB
             assert peaks[200_000][1] - peaks[20_000][1] < 4.0
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(
+        os.environ.get("GGMWATCH_RUN_SLOW") != "1", reason="set GGMWATCH_RUN_SLOW=1"
+    )
+    def test_million_row_soak_subprocess(self, tmp_path):
+        """A 10⁶-row stream goes from ``gen stream`` through a FIFO into oracle
+        ``monitor --input -`` (no row touches the disk); both peak within a
+        few MiB of their 10⁴-row run."""
+        run_cli(["gen", "chain", "--p", "5", "--rho", "0.4", "--out", str(tmp_path / "m.txt")])
+        (tmp_path / "sc.json").write_text(_scenario_text(t0=1000, horizon=1_000_000))
+        # a writer that failed before opening the FIFO would leave the reader
+        # waiting: check in process that the command runs
+        assert run_cli(["gen", "stream", "--scenario", str(tmp_path / "sc.json"), "--count",
+                        "10", "--out", str(tmp_path / "check.csv")]) == 0
+        gen, monitor = {}, {}
+        for count in (10_000, 1_000_000):
+            fifo = tmp_path / f"{count}.fifo"
+            os.mkfifo(fifo)
+            writer = self._child(tmp_path, ["gen", "stream", "--scenario", "sc.json",
+                                            "--count", str(count), "--out", fifo.name])
+            with open(fifo, "rb") as rows:  # returns once the writer has opened it
+                reader = self._child(tmp_path, ["monitor", "--oracle_matrix", "m.txt",
+                                                "--w", "10", "--input", "-"], rows)
+            monitor[count], gen[count] = self._peak(reader), self._peak(writer)
+        for peaks in (gen, monitor):
+            assert peaks[10_000][0] == peaks[1_000_000][0] == 0
+            # a hundred times the rows: the whole stream in memory would add
+            # hundreds of MiB
+            assert peaks[1_000_000][1] - peaks[10_000][1] < 4.0
 
     def test_scenario_paths_relative_to_scenario_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from contextlib import contextmanager
 
@@ -402,8 +403,8 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("kind", sorted(CONFIGS))
     def test_bitwise_per_cell_recompute(self, monkeypatch, kind):
-        # chunks of 40 replicates start off the fit cycle and split into
-        # sub-chunks of 25 and 15
+        # chunks of 40 replicates start off the fit cycle and split into four
+        # runs of 10
         monkeypatch.setattr(hz, "_CHUNK", 40)
         calls, spans = [], {}
         map_cells, group_chunk = hz._map_cells, hz._group_chunk
@@ -460,6 +461,87 @@ class TestSharedDraws:
             tracemalloc.stop()
         assert out.shape == (250, 1)
         assert peak < 25e6
+
+
+class TestDrawAhead:
+    """``_group_chunk`` draws its next run of replicates on one helper thread
+    while it scores the current run: no byte depends on the run size, and
+    the helper never outlives the call, whether it returns or raises."""
+
+    @staticmethod
+    def _group(kind: str) -> dict:
+        """A p=12 stream group with two factors of two cells each, or one
+        factor with two cells of two and three fits."""
+        pre, post = gen_chain_precision(12, 0.5), gen_chain_precision(12, 0.2)
+        fits = [(o.entries, scale_entries(o.entries)) for o in (pre, post, pre)]
+        if kind == "factors":
+            factors = [(hz._cov_factor(o), [(16, fits[:1]), (24, fits[1:2])]) for o in (pre, post)]
+        else:
+            factors = [(hz._cov_factor(pre), [(16, fits[:2]), (24, fits)])]
+        return {"master_seed": 7, "key": ("draw-ahead",), "factors": factors}
+
+    @staticmethod
+    def _chunk(group: dict, start: int = 13, stop: int = 53) -> np.ndarray:
+        """One chunk of 40 replicates that starts off the fit cycle, run on one
+        BLAS thread with the thread count checked before and after."""
+        before = threading.active_count()
+        try:
+            with bindings._one_blas_thread():
+                return hz._group_chunk(group, start, stop)
+        finally:
+            assert threading.active_count() == before
+
+    @pytest.mark.parametrize("kind", ["factors", "fits"])
+    def test_bytes_do_not_depend_on_run_size(self, monkeypatch, kind):
+        group = self._group(kind)
+        outs = []
+        for sub in (1, 7, hz._SUB):
+            monkeypatch.setattr(hz, "_SUB", sub)
+            outs.append(self._chunk(group).tobytes())
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_draws_run_on_one_helper_thread(self, monkeypatch):
+        threads = set()
+        generator = hz._generator
+
+        def recording(*args):
+            threads.add(threading.get_ident())
+            return generator(*args)
+
+        monkeypatch.setattr(hz, "_generator", recording)
+        self._chunk(self._group("fits"))
+        assert len(threads) == 1
+        assert threading.get_ident() not in threads
+
+    def test_draw_error_escapes_and_joins(self, monkeypatch):
+        error = RuntimeError("draw failed")
+        generator = hz._generator
+
+        def failing(*args):
+            if args[-1] == 13 + hz._SUB + 3:  # a replicate of the second run
+                raise error
+            return generator(*args)
+
+        monkeypatch.setattr(hz, "_generator", failing)
+        with pytest.raises(RuntimeError) as exc:
+            self._chunk(self._group("fits"))
+        assert exc.value is error
+
+    def test_kernel_error_escapes_and_joins(self, monkeypatch):
+        error = RuntimeError("kernel failed")
+        calls = []
+        window_supnorms = kernels.window_supnorms
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:  # the first run's last cell, with the next run drawing
+                raise error
+            return window_supnorms(*args)
+
+        monkeypatch.setattr(kernels, "window_supnorms", failing)
+        with pytest.raises(RuntimeError) as exc:
+            self._chunk(self._group("fits"))
+        assert exc.value is error
 
 
 class TestPoolSize:
